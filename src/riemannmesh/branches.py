@@ -71,8 +71,11 @@ def log_branch(z: complex, k: int) -> complex:
     The imaginary part of the result lies in ((2k - 1) pi, (2k + 1) pi];
     k = 0 is the principal logarithm. Any integer k is admissible.
     """
-    z = _as_nonzero_complex(z)
-    k = operator.index(k)
+    return _log_core(_as_nonzero_complex(z), operator.index(k))
+
+
+def _log_core(z: complex, k: int) -> complex:
+    # the value alone, for a z and k the caller has already checked
     return complex(math.log(abs(z)), _phase(z) + TWO_PI * k)
 
 
@@ -103,6 +106,11 @@ def root_branch(z: complex, n: int, k: int) -> complex:
             f"branch {k} is not admissible for the {operator.index(n)}-th root; "
             f"expected {indices.start}..{indices.stop - 1}"
         )
+    return _root_core(z, n, k)
+
+
+def _root_core(z: complex, n: int, k: int) -> complex:
+    # the value alone, for a z and k the caller has already checked
     angle = (_phase(z) + TWO_PI * k) / n
     radius = abs(z) ** (1.0 / n)
     return complex(radius * math.cos(angle), radius * math.sin(angle))
@@ -182,6 +190,16 @@ class IndexedFunction:
         return root_branch(z, self.n, k)
 
 
+def _branch_values(f: IndexedFunction, zs: list[complex], k: int) -> list[complex]:
+    """Branch k of f at every point of zs, which the caller has checked:
+    finite and non-zero complex values, k admissible for f. Runs the same
+    core as the scalar functions, so each value is bit-for-bit theirs."""
+    if f.is_log:
+        return [_log_core(z, k) for z in zs]
+    n = f.n
+    return [_root_core(z, n, k) for z in zs]
+
+
 def _log_branch_index(im: float) -> int:
     # the unique k with (2k - 1) pi < im <= (2k + 1) pi
     return math.ceil((im - math.pi) / TWO_PI)
@@ -208,11 +226,17 @@ def branch_of(w: complex, f: IndexedFunction) -> int:
         w = complex(w)
         if not (math.isfinite(w.real) and math.isfinite(w.imag)):
             raise DomainError(f"non-finite value {w!r}")
+    else:
+        w = _as_nonzero_complex(w)
+    return _branch_index(w, f)
+
+
+def _branch_index(w: complex, f: IndexedFunction) -> int:
+    # branch_of for a w already checked: finite, and non-zero for roots
+    if f.is_log:
         return _log_branch_index(w.imag)
-    w = _as_nonzero_complex(w)
     n = f.n
-    k = math.ceil(_phase(w) * n / TWO_PI - 0.5)
-    return _wrap_root_index(k, n)
+    return _wrap_root_index(math.ceil(_phase(w) * n / TWO_PI - 0.5), n)
 
 
 def continuation_branch(f: IndexedFunction, k: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .branches import IndexedFunction, principal_phase
+from .branches import IndexedFunction, _phase
 
 __all__ = [
     "CharismaCompatibilityError",
@@ -20,6 +20,7 @@ __all__ = [
     "compatible_kinds",
     "evaluate_charisma",
     "is_compatible",
+    "require_compatible",
 ]
 
 
@@ -49,6 +50,18 @@ def is_compatible(kind: CharismaKind, f: IndexedFunction) -> bool:
     return kind in compatible_kinds(f)
 
 
+def require_compatible(kind: CharismaKind | str, f: IndexedFunction) -> CharismaKind:
+    """kind as a CharismaKind; raises CharismaCompatibilityError unless it
+    is defined for f."""
+    kind = CharismaKind(kind)
+    if kind not in compatible_kinds(f):
+        raise CharismaCompatibilityError(
+            f"charisma '{kind.value}' is not defined for {f.label()}; "
+            f"valid: {', '.join(c.value for c in compatible_kinds(f))}"
+        )
+    return kind
+
+
 def evaluate_charisma(
     z: complex,
     k: int,
@@ -63,19 +76,19 @@ def evaluate_charisma(
     differ by the radial factor |w|. Raises CharismaCompatibilityError for
     a kind/function mismatch and DomainError at z = 0.
     """
-    kind = CharismaKind(kind)
-    if not is_compatible(kind, f):
-        raise CharismaCompatibilityError(
-            f"charisma '{kind.value}' is not defined for {f.label()}; "
-            f"valid: {', '.join(c.value for c in compatible_kinds(f))}"
-        )
-    w = f.branch_value(z, k)
+    kind = require_compatible(kind, f)
+    return _charisma(f.branch_value(z, k), k, kind, use_range_imag)
+
+
+def _charisma(w: complex, k: int, kind: CharismaKind, use_range_imag: bool) -> float:
+    # the height alone, from w = f_k(z) already computed for a checked z, k
+    # and kind; w is then finite and, for the root kinds, non-zero
     if kind is CharismaKind.INDEX:
         return float(k)
     if kind is CharismaKind.PHASE:
-        return principal_phase(w)
+        return _phase(w)
     if kind is CharismaKind.SIN:
-        return w.imag if use_range_imag else math.sin(principal_phase(w))
+        return w.imag if use_range_imag else math.sin(_phase(w))
     if kind is CharismaKind.COS:
-        return math.cos(principal_phase(w))
+        return math.cos(_phase(w))
     return w.imag  # IMAG: w is log_branch(z, k)

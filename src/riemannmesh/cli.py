@@ -17,12 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .branches import BranchIndexError, DomainError, IndexedFunction
-from .charisma import (
-    CharismaCompatibilityError,
-    CharismaKind,
-    compatible_kinds,
-    is_compatible,
-)
+from .charisma import CharismaCompatibilityError, CharismaKind, require_compatible
 from .formats import csv_text, json_text, obj_text, ply_text, seams_json_text
 from .mesh import (
     DEFAULT_LOG_BRANCHES,
@@ -34,6 +29,7 @@ from .mesh import (
     assemble_surface,
     build_range_chart,
     build_sheet,
+    require_weld_tol,
 )
 
 __all__ = ["JobSpec", "build_mesh", "main", "parse_args", "run"]
@@ -158,11 +154,8 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
         parser.error(f"argument --function: {e}")
     kind = CharismaKind(setting("charisma", "sin"))
     range_chart = bool(preset.get("range_chart", False))
-    if not range_chart and not is_compatible(kind, function):
-        raise CharismaCompatibilityError(
-            f"charisma '{kind.value}' is not defined for {function.label()}; "
-            f"valid: {', '.join(k.value for k in compatible_kinds(function))}"
-        )
+    if not range_chart:
+        require_compatible(kind, function)
 
     r_min = setting("r_min", 0.05)
     r_max = setting("r_max", 2.0)
@@ -197,6 +190,12 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
                     f"argument --branches: no admissible branch of {function.label()} in {requested!r}"
                 )
 
+    weld_tol = setting("weld_tol", DEFAULT_WELD_TOL)
+    try:
+        require_weld_tol(weld_tol)
+    except ValueError as e:
+        parser.error(f"argument --weld-tol: {e}")
+
     fmt = setting("format", "ply")
     out = setting("output", None)
     if out is None:
@@ -210,7 +209,7 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
         branches=branches,
         grid=grid,
         weld=bool(setting("weld", True)),
-        weld_tol=setting("weld_tol", DEFAULT_WELD_TOL),
+        weld_tol=weld_tol,
         walls=bool(setting("walls", False)),
         fmt=fmt,
         output=Path(out),

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import cycle
+from operator import add
 
 import numpy as np
 
@@ -15,14 +17,40 @@ from .mesh import Seam, SurfaceMesh, branch_color
 
 __all__ = ["PlyData", "csv_text", "json_text", "obj_text", "ply_text", "read_ply", "seams_json_text"]
 
+# rows formatted per block. A block's token strings are all alive during
+# its join, so small blocks keep a small job's peak memory down; writer
+# speed is flat from 128 to 1024 rows.
+_BLOCK_ROWS = 256
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+_JSON_SEPARATORS = (",", ":")
+
+
+def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: str = "") -> list[str]:
+    """One text row per array row, seps[0] v0 seps[1] v1 ... v_last end,
+    rows joined by `between`; returned as pieces to concatenate.
+
+    The arrays share their length and are 1-D or 2-D. Every value is
+    written as the repr of its Python float or int, which for a float is
+    its shortest round-trip decimal.
+    """
+    n = len(columns[0])
+    # the text before each row's first value; the first row's is cut below
+    lead = end + between
+    leads = (lead + seps[0],) + seps[1:]
+    blocks = []
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        cells = np.hstack([c[start:stop].reshape(stop - start, -1).astype(object) for c in columns])
+        blocks.append("".join(map(add, cycle(leads), map(repr, cells.ravel().tolist()))))
+    if blocks:
+        blocks[0] = blocks[0][len(lead):]
+        blocks.append(end)
+    return blocks
 
 
 def ply_text(mesh: SurfaceMesh) -> str:
     """Ascii PLY 1.0 with per-vertex uchar RGB; z carries the charisma."""
-    lines = [
+    header = "\n".join([
         "ply",
         "format ascii 1.0",
         "comment riemannmesh surface",
@@ -36,12 +64,12 @@ def ply_text(mesh: SurfaceMesh) -> str:
         f"element face {mesh.n_faces}",
         "property list uchar int vertex_indices",
         "end_header",
-    ]
-    for (x, y, c), (r, g, b) in zip(mesh.positions, mesh.colors):
-        lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(c)} {r} {g} {b}")
-    for a, b2, c2 in mesh.faces:
-        lines.append(f"3 {a} {b2} {c2}")
-    return "\n".join(lines) + "\n"
+    ]) + "\n"
+    return "".join([
+        header,
+        *_table([mesh.positions, mesh.colors], ("", " ", " ", " ", " ", " "), "\n"),
+        *_table([mesh.faces], ("3 ", " ", " "), "\n"),
+    ])
 
 
 @dataclass
@@ -49,6 +77,21 @@ class PlyData:
     vertices: np.ndarray  # (N, 3) float
     colors: np.ndarray    # (N, 3) int
     faces: np.ndarray     # (M, 3) int
+
+
+def _cells(lines: list[str], count: int, width: int, what: str) -> np.ndarray:
+    """The first `count` lines, each of exactly `width` whitespace-separated
+    tokens, as a (count, width) object array of the token strings. Its
+    astype(float) and astype(int) parse each token as float() and int() do."""
+    section = lines[:count]
+    if len(section) < count:
+        raise ValueError(f"expected {count} {what} rows, found {len(section)}")
+    if set(map(len, map(str.split, section))) - {width}:
+        i = next(i for i, line in enumerate(section) if len(line.split()) != width)
+        raise ValueError(f"{what} row {i} has {len(section[i].split())} values, expected {width}")
+    # one flat split: a list per row, all alive at once, would keep waking
+    # the garbage collector
+    return np.array(" ".join(section).split(), dtype=object).reshape(count, width)
 
 
 def read_ply(text: str) -> PlyData:
@@ -70,44 +113,32 @@ def read_ply(text: str) -> PlyData:
     sizes = dict(counts)
     n_vertices = sizes.get("vertex", 0)
     n_faces = sizes.get("face", 0)
-    vertices = np.empty((n_vertices, 3), dtype=float)
-    colors = np.empty((n_vertices, 3), dtype=int)
-    for i in range(n_vertices):
-        parts = lines[body + i].split()
-        vertices[i] = [float(p) for p in parts[:3]]
-        colors[i] = [int(p) for p in parts[3:6]]
-    faces = np.empty((n_faces, 3), dtype=int)
-    for i in range(n_faces):
-        parts = lines[body + n_vertices + i].split()
-        if parts[0] != "3":
-            raise ValueError("only triangle faces are supported")
-        faces[i] = [int(p) for p in parts[1:4]]
-    return PlyData(vertices, colors, faces)
+    vertices = _cells(lines[body:], n_vertices, 6, "vertex")
+    # a face row is its vertex count, then the indices; a polygon with more
+    # vertices than 3 already fails the row width check
+    faces = _cells(lines[body + n_vertices:], n_faces, 4, "face")
+    if np.any(faces[:, 0] != "3"):
+        raise ValueError("only triangle faces are supported")
+    return PlyData(vertices[:, :3].astype(float), vertices[:, 3:].astype(int), faces[:, 1:].astype(int))
 
 
 def obj_text(mesh: SurfaceMesh, mtl_filename: str) -> tuple[str, str]:
     """Wavefront OBJ plus MTL; branch color is carried by one material per
     branch since core OBJ has no vertex colors."""
-    obj = [f"mtllib {mtl_filename}"]
-    for x, y, c in mesh.positions:
-        obj.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(c)}")
-    current = None
-    for (a, b, c2), k in zip(mesh.faces, mesh.face_branch):
-        if k != current:
-            obj.append(f"g branch_{k}")
-            obj.append(f"usemtl branch_{k}")
-            current = k
-        obj.append(f"f {a + 1} {b + 1} {c2 + 1}")
+    obj = [f"mtllib {mtl_filename}\n", *_table([mesh.positions], ("v ", " ", " "), "\n")]
+    # one group per run of faces owned by the same branch
+    starts = [0, *(np.flatnonzero(np.diff(mesh.face_branch)) + 1).tolist()] if mesh.n_faces else []
+    for start, stop in zip(starts, starts[1:] + [mesh.n_faces]):
+        k = int(mesh.face_branch[start])
+        obj.append(f"g branch_{k}\nusemtl branch_{k}\n")
+        obj.extend(_table([mesh.faces[start:stop] + 1], ("f ", " ", " "), "\n"))
 
     mtl = []
-    seen: dict[int, None] = {}
-    for k in mesh.face_branch:
-        seen.setdefault(int(k), None)
-    for k in seen:
+    for k in dict.fromkeys(mesh.face_branch.tolist()):
         r, g, b = branch_color(k)
         mtl.append(f"newmtl branch_{k}")
-        mtl.append(f"Kd {_fmt(r / 255)} {_fmt(g / 255)} {_fmt(b / 255)}")
-    return "\n".join(obj) + "\n", "\n".join(mtl) + "\n"
+        mtl.append(f"Kd {r / 255!r} {g / 255!r} {b / 255!r}")
+    return "".join(obj), "\n".join(mtl) + "\n"
 
 
 def _seam_record(s: Seam) -> dict:
@@ -121,30 +152,41 @@ def _seam_record(s: Seam) -> dict:
 
 
 def json_text(mesh: SurfaceMesh) -> str:
-    """Versioned JSON with full surface-point records."""
-    doc = {
+    """Versioned JSON with full surface-point records.
+
+    Raises ValueError for a non-finite value, which strict JSON cannot hold.
+    """
+    if not (np.isfinite(mesh.positions).all() and np.isfinite(mesh.w).all()):
+        raise ValueError("Out of range float values are not JSON compliant")
+    head = json.dumps({
         "schema": 1,
         "function": mesh.function.label(),
         "charisma": mesh.kind.value,
         "chart": "range" if mesh.range_chart else "surface",
         "welded": mesh.welded,
         "sheets": [int(k) for k in mesh.sheet_branches],
-        "vertices": [
-            {"x": p.x, "y": p.y, "c": p.c, "k": p.k, "w": [p.w.real, p.w.imag]}
-            for p in mesh.iter_points()
-        ],
-        "faces": [[int(a), int(b), int(c)] for a, b, c in mesh.faces],
-        "seams": [_seam_record(s) for s in mesh.seams],
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    }, separators=_JSON_SEPARATORS, allow_nan=False)
+    seams = json.dumps([_seam_record(s) for s in mesh.seams], separators=_JSON_SEPARATORS, allow_nan=False)
+    return "".join([
+        head[:-1],
+        ',"vertices":[',
+        *_table(
+            [mesh.positions, mesh.branch, mesh.w.real, mesh.w.imag],
+            ('{"x":', ',"y":', ',"c":', ',"k":', ',"w":[', ","),
+            "]}",
+            ",",
+        ),
+        '],"faces":[',
+        *_table([mesh.faces], ("[", ",", ","), "]", ","),
+        '],"seams":',
+        seams,
+        "}\n",
+    ])
 
 
 def csv_text(mesh: SurfaceMesh) -> str:
     """Vertex table with header x,y,c,k."""
-    lines = ["x,y,c,k"]
-    for p in mesh.iter_points():
-        lines.append(f"{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.c)},{p.k}")
-    return "\n".join(lines) + "\n"
+    return "".join(["x,y,c,k\n", *_table([mesh.positions, mesh.branch], ("", ",", ",", ","), "\n")])
 
 
 def seams_json_text(mesh: SurfaceMesh, weld_tol: float) -> str:
@@ -157,4 +199,4 @@ def seams_json_text(mesh: SurfaceMesh, weld_tol: float) -> str:
         "welded": mesh.welded,
         "seams": [_seam_record(s) for s in mesh.seams],
     }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return json.dumps(doc, separators=_JSON_SEPARATORS, allow_nan=False) + "\n"

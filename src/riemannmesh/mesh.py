@@ -18,8 +18,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .branches import IndexedFunction, branch_of, continuation_branch
-from .charisma import CharismaKind, evaluate_charisma
+from .branches import DomainError, IndexedFunction, _branch_index, _branch_values, continuation_branch
+from .charisma import CharismaKind, _charisma, require_compatible
 
 __all__ = [
     "DEFAULT_LOG_BRANCHES",
@@ -37,6 +37,7 @@ __all__ = [
     "build_range_chart",
     "build_sheet",
     "lattice_faces",
+    "require_weld_tol",
     "sample_domain",
     "seam_report",
 ]
@@ -123,32 +124,34 @@ def sample_domain(grid: DomainGrid) -> np.ndarray:
     columns carry opposite-signed tiny imaginary parts and every later
     phase computation lands deterministically on its own side of the cut.
     """
-    radii = grid.radii()
-    thetas = grid.thetas()
+    radii = grid.radii()[:, None]
+    thetas = grid.thetas().tolist()
     z = np.empty((grid.n_r, grid.n_cols), dtype=complex)
-    for i, r in enumerate(radii):
-        r = float(r)
-        for j, t in enumerate(thetas):
-            t = float(t)
-            z[i, j] = complex(r * math.cos(t), r * math.sin(t))
+    # math, not numpy, for the angles: numpy's sin/cos may differ by an ulp.
+    # The parts are stored apart, as x + 1j*y would turn -0.0 into +0.0.
+    z.real = radii * [math.cos(t) for t in thetas]
+    z.imag = radii * [math.sin(t) for t in thetas]
+    return z
+
+
+def _checked_samples(grid: DomainGrid) -> np.ndarray:
+    # the scalar functions' domain check, made once for the whole lattice
+    z = sample_domain(grid)
+    if not (np.isfinite(z).all() and np.all(z != 0)):
+        raise DomainError("the sampled domain holds z = 0 or a non-finite value")
     return z
 
 
 def lattice_faces(n_rows: int, n_cols: int) -> np.ndarray:
     """Two triangles per lattice quad, all split along the same
     low-r/low-theta to high-r/high-theta diagonal."""
-    faces = np.empty((2 * (n_rows - 1) * (n_cols - 1), 3), dtype=np.int64)
-    m = 0
-    for i in range(n_rows - 1):
-        base = i * n_cols
-        for j in range(n_cols - 1):
-            a = base + j
-            b = a + 1
-            c = a + n_cols
-            d = c + 1
-            faces[m] = (a, b, d)
-            faces[m + 1] = (a, d, c)
-            m += 2
+    # a: the low-r/low-theta corner of each quad, row-major
+    a = (np.arange(n_rows - 1, dtype=np.int64)[:, None] * n_cols
+         + np.arange(n_cols - 1, dtype=np.int64)).ravel()
+    d = a + n_cols + 1
+    faces = np.empty((2 * a.size, 3), dtype=np.int64)
+    faces[0::2] = np.column_stack([a, a + 1, d])
+    faces[1::2] = np.column_stack([a, d, a + n_cols])
     return faces
 
 
@@ -204,19 +207,17 @@ def build_sheet(
     """Lift branch k over the grid: w = f_k(z) and c = charisma per vertex.
 
     Every stored value is recomputable bit-for-bit through branch_value and
-    evaluate_charisma; the sheet stores no derived state of its own.
+    evaluate_charisma, which run the same evaluation core; the sheet stores
+    no derived state of its own.
     """
     k = function.require_admissible(k)
-    z = sample_domain(grid)
-    w = np.empty_like(z)
-    c = np.empty(z.shape, dtype=float)
-    for i in range(z.shape[0]):
-        for j in range(z.shape[1]):
-            zij = complex(z[i, j])
-            w[i, j] = function.branch_value(zij, k)
-            c[i, j] = evaluate_charisma(zij, k, function, kind, use_range_imag=use_range_imag)
+    kind = require_compatible(kind, function)
+    z = _checked_samples(grid)
+    ws = _branch_values(function, z.ravel().tolist(), k)
+    w = np.array(ws, dtype=complex).reshape(z.shape)
+    c = np.array([_charisma(v, k, kind, use_range_imag) for v in ws], dtype=float).reshape(z.shape)
     faces = lattice_faces(grid.n_r, grid.n_cols)
-    return Sheet(function, k, CharismaKind(kind), grid, z, w, c, faces)
+    return Sheet(function, k, kind, grid, z, w, c, faces)
 
 
 @dataclass
@@ -265,6 +266,18 @@ class SurfaceMesh:
         return (self.point(i) for i in range(self.n_vertices))
 
 
+def require_weld_tol(weld_tol: float) -> float:
+    """weld_tol as a float; raises ValueError unless it is finite and >= 0.
+
+    An infinite tolerance would weld the jumps between index sheets, and a
+    negative one would turn welding off without saying so.
+    """
+    tol = float(weld_tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"weld tolerance must be a finite number >= 0, got {weld_tol!r}")
+    return tol
+
+
 def assemble_surface(
     sheets: list[Sheet],
     *,
@@ -280,8 +293,10 @@ def assemble_surface(
     welding keeps the upper-edge vertex and drops its partner. Wall quads
     bridge the remaining open seams, for index charisma only: for other
     kinds an open seam is either a genuine wrap jump that must stay open
-    or would be a degenerate sliver.
+    or would be a degenerate sliver. Raises ValueError for a weld_tol that
+    require_weld_tol rejects, whether or not welding is on.
     """
+    weld_tol = require_weld_tol(weld_tol)
     if not sheets:
         raise GridMismatchError("no sheets to assemble")
     first = sheets[0]
@@ -373,21 +388,18 @@ def build_range_chart(function: IndexedFunction, grid: DomainGrid) -> SurfaceMes
     branch_of(w) at height 0. The companion view to a branch surface: it
     shows where in the range each branch's values live.
     """
-    w = sample_domain(grid)
+    w = _checked_samples(grid)
     n_rows, n_cols = w.shape
-    n = n_rows * n_cols
     flat = w.ravel()
-    ks = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        ks[i] = branch_of(complex(flat[i]), function)
-    positions = np.column_stack([flat.real, flat.imag, np.zeros(n)])
-    colors = np.asarray([branch_color(int(k)) for k in ks], dtype=np.uint8)
+    ks = np.array([_branch_index(v, function) for v in flat.tolist()], dtype=np.int64)
+    positions = np.column_stack([flat.real, flat.imag, np.zeros(flat.size)])
+    colors = np.asarray(PALETTE, dtype=np.uint8)[ks % len(PALETTE)]
     faces = lattice_faces(n_rows, n_cols)
     face_branch = ks[faces[:, 0]]
     return SurfaceMesh(
         function=function,
         kind=CharismaKind.INDEX,
-        sheet_branches=tuple(sorted(set(int(k) for k in ks))),
+        sheet_branches=tuple(np.unique(ks).tolist()),
         positions=positions,
         branch=ks,
         w=flat.copy(),

@@ -158,6 +158,13 @@ class TestRun:
         assert not out.exists()
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_weld_tolerance_is_usage_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "never.ply"
+        assert main([*FAST_GRID, "--weld-tol", tol, "-o", str(out)]) == EXIT_USAGE
+        assert "--weld-tol" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_incompatibility_exit_code(self, capsys):
         assert main(["--function", "log", "--charisma", "sin"]) == EXIT_INCOMPATIBLE
         assert "not defined for log" in capsys.readouterr().err

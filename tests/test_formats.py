@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from riemannmesh import (
+    PALETTE,
     CharismaKind,
     DomainGrid,
     IndexedFunction,
+    Seam,
+    SurfaceMesh,
     assemble_surface,
     branch_color,
     build_sheet,
     evaluate_charisma,
 )
+from riemannmesh import formats
 from riemannmesh.formats import csv_text, json_text, obj_text, ply_text, read_ply, seams_json_text
 
 ROOT3 = IndexedFunction.root(3)
@@ -24,6 +28,121 @@ GRID = DomainGrid(0.5, 2.0, 3, 8)
 def mesh():
     sheets = [build_sheet(ROOT3, k, CharismaKind.SIN, GRID) for k in (-1, 0, 1)]
     return assemble_surface(sheets, weld=True)
+
+
+def _fmt(v):
+    return repr(float(v))
+
+
+def row_ply_text(mesh):
+    """Line-at-a-time PLY writer: the reference ply_text must match."""
+    lines = [
+        "ply", "format ascii 1.0", "comment riemannmesh surface",
+        f"element vertex {mesh.n_vertices}",
+        "property double x", "property double y", "property double z",
+        "property uchar red", "property uchar green", "property uchar blue",
+        f"element face {mesh.n_faces}",
+        "property list uchar int vertex_indices",
+        "end_header",
+    ]
+    for (x, y, c), (r, g, b) in zip(mesh.positions, mesh.colors):
+        lines.append(f"{_fmt(x)} {_fmt(y)} {_fmt(c)} {r} {g} {b}")
+    for a, b, c in mesh.faces:
+        lines.append(f"3 {a} {b} {c}")
+    return "\n".join(lines) + "\n"
+
+
+def row_obj_text(mesh, mtl_filename):
+    """Line-at-a-time OBJ and MTL writer: the reference obj_text must match."""
+    obj = [f"mtllib {mtl_filename}"]
+    for x, y, c in mesh.positions:
+        obj.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(c)}")
+    current = None
+    for (a, b, c), k in zip(mesh.faces, mesh.face_branch):
+        if k != current:
+            obj += [f"g branch_{k}", f"usemtl branch_{k}"]
+            current = k
+        obj.append(f"f {a + 1} {b + 1} {c + 1}")
+    mtl = []
+    for k in dict.fromkeys(int(k) for k in mesh.face_branch):
+        r, g, b = branch_color(k)
+        mtl += [f"newmtl branch_{k}", f"Kd {_fmt(r / 255)} {_fmt(g / 255)} {_fmt(b / 255)}"]
+    return "\n".join(obj) + "\n", "\n".join(mtl) + "\n"
+
+
+def row_json_text(mesh):
+    """Record-at-a-time JSON writer: the reference json_text must match."""
+    doc = {
+        "schema": 1,
+        "function": mesh.function.label(),
+        "charisma": mesh.kind.value,
+        "chart": "range" if mesh.range_chart else "surface",
+        "welded": mesh.welded,
+        "sheets": [int(k) for k in mesh.sheet_branches],
+        "vertices": [
+            {"x": p.x, "y": p.y, "c": p.c, "k": p.k, "w": [p.w.real, p.w.imag]}
+            for p in mesh.iter_points()
+        ],
+        "faces": [[int(a), int(b), int(c)] for a, b, c in mesh.faces],
+        "seams": [
+            {"upper_branch": s.upper_branch, "lower_branch": s.lower_branch,
+             "max_gap": s.max_gap, "mean_gap": s.mean_gap, "welded": s.welded}
+            for s in mesh.seams
+        ],
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def row_csv_text(mesh):
+    """Line-at-a-time CSV writer: the reference csv_text must match."""
+    lines = ["x,y,c,k"]
+    for p in mesh.iter_points():
+        lines.append(f"{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.c)},{p.k}")
+    return "\n".join(lines) + "\n"
+
+
+def synthetic_mesh(n_vertices, n_faces, seed):
+    """A mesh of awkward values: signed zeros, wide exponents, subnormals,
+    negative branches, and face groups whose branch recurs later."""
+    rng = np.random.default_rng(seed)
+    positions = rng.standard_normal((n_vertices, 3)) * 10.0 ** rng.integers(-30, 30, (n_vertices, 3))
+    positions[::5, 0] = -0.0
+    positions[1::7, 1] = 0.0
+    positions[2::11, 2] = 5e-324
+    branch = rng.integers(-9, 10, n_vertices)
+    w = rng.standard_normal(n_vertices) + 1j * rng.standard_normal(n_vertices)
+    w.imag[::3] = -0.0
+    runs = rng.integers(-3, 4, max(1, n_faces // 50))
+    face_branch = np.repeat(runs, -(-n_faces // len(runs)))[:n_faces]
+    return SurfaceMesh(
+        function=ROOT3,
+        kind=CharismaKind.SIN,
+        sheet_branches=(-1, 0, 1),
+        positions=positions,
+        branch=branch,
+        w=w,
+        colors=np.asarray(PALETTE, dtype=np.uint8)[branch % len(PALETTE)],
+        faces=rng.integers(0, max(n_vertices, 1), (n_faces, 3)),
+        face_branch=face_branch,
+        seams=[Seam(-1, 0, 2.5e-17, 1e-17, True), Seam(1, -1, 2.0, 1.5, False)],
+        welded=True,
+    )
+
+
+B = formats._BLOCK_ROWS
+
+
+class TestWritersMatchRowReference:
+    @pytest.mark.parametrize(
+        "n_vertices,n_faces",
+        [(1, 0), (B - 1, B + 1), (B, B), (B + 1, B - 1), (2 * B + 1, 3 * B)],
+    )
+    def test_byte_identical_to_the_row_at_a_time_writers(self, n_vertices, n_faces):
+        mesh = synthetic_mesh(n_vertices, n_faces, seed=n_vertices + n_faces)
+        assert ply_text(mesh) == row_ply_text(mesh)
+        assert obj_text(mesh, "m.mtl") == row_obj_text(mesh, "m.mtl")
+        assert json_text(mesh) == row_json_text(mesh)
+        assert csv_text(mesh) == row_csv_text(mesh)
 
 
 class TestPly:
@@ -50,6 +169,25 @@ class TestPly:
     def test_reader_rejects_foreign_input(self):
         with pytest.raises(ValueError):
             read_ply("solid something\n")
+
+    def test_reader_rejects_a_truncated_vertex_row(self, mesh):
+        lines = ply_text(mesh).splitlines()
+        row = lines.index("end_header") + 4
+        lines[row] = lines[row].rsplit(" ", 1)[0]
+        with pytest.raises(ValueError, match="vertex row 3 has 5 values, expected 6"):
+            read_ply("\n".join(lines) + "\n")
+
+    def test_reader_rejects_a_file_cut_short(self, mesh):
+        text = ply_text(mesh)
+        with pytest.raises(ValueError, match=f"expected {mesh.n_faces} face rows"):
+            read_ply(text[: text.rindex("\n3 ")] + "\n")
+
+    @pytest.mark.parametrize("quad", ["4 0 1 2 3", "4 0 1 2"])
+    def test_reader_rejects_a_quad_face(self, mesh, quad):
+        lines = ply_text(mesh).splitlines()
+        lines[-1] = quad
+        with pytest.raises(ValueError, match="face row|only triangle faces"):
+            read_ply("\n".join(lines) + "\n")
 
 
 class TestObj:
@@ -92,6 +230,14 @@ class TestJson:
             assert v["c"] == evaluate_charisma(z, v["k"], ROOT3, CharismaKind.SIN)
             w = ROOT3.branch_value(z, v["k"])
             assert v["w"] == [w.real, w.imag]
+
+    def test_refuses_non_finite_values(self, mesh):
+        bad = synthetic_mesh(4, 2, seed=0)
+        bad.positions[2, 2] = np.nan
+        with pytest.raises(ValueError):
+            json_text(bad)
+        with pytest.raises(ValueError):
+            seams_json_text(mesh, float("inf"))
 
     def test_seam_records(self, mesh):
         doc = json.loads(json_text(mesh))

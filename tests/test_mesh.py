@@ -9,6 +9,7 @@ import pytest
 from riemannmesh import (
     PALETTE,
     CharismaKind,
+    compatible_kinds,
     DomainGrid,
     GridError,
     GridMismatchError,
@@ -22,6 +23,7 @@ from riemannmesh import (
     sample_domain,
     seam_report,
 )
+from riemannmesh.mesh import lattice_faces
 
 LOG = IndexedFunction.log()
 ROOT3 = IndexedFunction.root(3)
@@ -74,6 +76,25 @@ class TestDomainGrid:
         assert np.array_equal(grid.radii(), np.geomspace(0.1, 10.0, 5))
 
 
+def loop_sample_domain(grid):
+    """Element-at-a-time polar lattice: the reference sample_domain must match."""
+    z = np.empty((grid.n_r, grid.n_cols), dtype=complex)
+    for i, r in enumerate(grid.radii()):
+        for j, t in enumerate(grid.thetas()):
+            z[i, j] = complex(float(r) * math.cos(float(t)), float(r) * math.sin(float(t)))
+    return z
+
+
+def loop_lattice_faces(n_rows, n_cols):
+    """Quad-at-a-time triangulation: the reference lattice_faces must match."""
+    faces = []
+    for i in range(n_rows - 1):
+        for j in range(n_cols - 1):
+            a = i * n_cols + j
+            faces += [(a, a + 1, a + n_cols + 1), (a, a + n_cols + 1, a + n_cols)]
+    return np.asarray(faces, dtype=np.int64)
+
+
 class TestSampleDomain:
     def test_lattice_shape_with_duplicated_cut_columns(self):
         z = sample_domain(DomainGrid(0.5, 1.0, 2, 8))
@@ -89,6 +110,23 @@ class TestSampleDomain:
         for row in z:
             for v in row:
                 assert 0.5 - 1e-12 <= abs(v) <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            SMALL,
+            WITNESS,
+            DomainGrid(0.05, 2.0, 7, 241),
+            DomainGrid(1e-3, 1e3, 9, 60, radial_spacing="log"),
+        ],
+    )
+    def test_matches_the_loop_reference_byte_for_byte(self, grid):
+        # bytes, not ==: a flipped signed zero on the cut must fail
+        z = sample_domain(grid)
+        assert z.tobytes() == loop_sample_domain(grid).tobytes()
+        faces = lattice_faces(grid.n_r, grid.n_cols)
+        assert faces.dtype == np.int64
+        assert faces.tobytes() == loop_lattice_faces(grid.n_r, grid.n_cols).tobytes()
 
     def test_row_major_polar_layout(self):
         grid = DomainGrid(0.5, 2.0, 3, 8)
@@ -140,6 +178,26 @@ class TestBuildSheet:
                 z = complex(sheet.z[i, j])
                 assert sheet.w[i, j] == function.branch_value(z, k)
                 assert sheet.c[i, j] == evaluate_charisma(z, k, function, kind)
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize(
+        "function,kind",
+        [
+            (function, kind)
+            for function in [IndexedFunction.root(n) for n in range(2, 6)] + [LOG]
+            for kind in compatible_kinds(function)
+        ],
+        ids=lambda v: v.label() if isinstance(v, IndexedFunction) else v.value,
+    )
+    def test_every_branch_recomputable_bit_for_bit(self, function, kind, spacing):
+        grid = DomainGrid(0.05, 2.0, 4, 24, radial_spacing=spacing)
+        for k in function.branch_indices() or range(-2, 3):
+            sheet = build_sheet(function, k, kind, grid)
+            zs = sheet.z.ravel().tolist()
+            w = np.array([function.branch_value(z, k) for z in zs])
+            c = np.array([evaluate_charisma(z, k, function, kind) for z in zs])
+            assert sheet.w.ravel().tobytes() == w.tobytes()
+            assert sheet.c.ravel().tobytes() == c.tobytes()
 
     def test_range_values_classify_back_to_the_branch(self):
         for k in (-1, 0, 1):
@@ -312,6 +370,13 @@ class TestAssemblyErrors:
         c = build_sheet(IndexedFunction.root(2), 1, CharismaKind.SIN, SMALL)
         with pytest.raises(GridMismatchError):
             assemble_surface([a, c])
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_rejects_a_weld_tolerance_that_is_not_finite_and_non_negative(self, tol):
+        sheets = sheet_triple(CharismaKind.INDEX)
+        for weld in (True, False):
+            with pytest.raises(ValueError, match="weld tolerance"):
+                assemble_surface(sheets, weld=weld, weld_tol=tol)
 
     def test_duplicates_and_empty(self):
         a = build_sheet(ROOT3, 0, CharismaKind.SIN, SMALL)
