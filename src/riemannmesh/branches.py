@@ -9,6 +9,7 @@ branch cut of every branch runs along the negative real axis.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -37,10 +38,15 @@ class BranchIndexError(ValueError):
     """A branch index outside the function's admissible set."""
 
 
-def _as_nonzero_complex(z: complex) -> complex:
+def _as_finite_complex(z: complex) -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise DomainError(f"non-finite value {z!r}")
+    return z
+
+
+def _as_nonzero_complex(z: complex) -> complex:
+    z = _as_finite_complex(z)
     if z == 0:
         raise DomainError("z = 0 is the branch point; no branch is defined there")
     return z
@@ -98,15 +104,18 @@ def root_branch(z: complex, n: int, k: int) -> complex:
     k must lie in root_indices(n). The returned w satisfies w**n = z, and
     the principal branch (k = 0) is confined to -pi/n < ph w <= pi/n.
     """
-    z = _as_nonzero_complex(z)
-    k = operator.index(k)
+    return _root_core(_as_nonzero_complex(z), n, _require_root_index(n, operator.index(k)))
+
+
+def _require_root_index(n: int, k: int) -> int:
+    # the one admissibility check for root branches
     indices = root_indices(n)
     if k not in indices:
         raise BranchIndexError(
-            f"branch {k} is not admissible for the {operator.index(n)}-th root; "
+            f"branch {k} is not admissible for root:{n}; "
             f"expected {indices.start}..{indices.stop - 1}"
         )
-    return _root_core(z, n, k)
+    return k
 
 
 def _root_core(z: complex, n: int, k: int) -> complex:
@@ -175,13 +184,7 @@ class IndexedFunction:
 
     def require_admissible(self, k: int) -> int:
         k = operator.index(k)
-        if not self.is_admissible(k):
-            indices = root_indices(self.n)
-            raise BranchIndexError(
-                f"branch {k} is not admissible for {self.label()}; "
-                f"expected {indices.start}..{indices.stop - 1}"
-            )
-        return k
+        return k if self.is_log else _require_root_index(self.n, k)
 
     def branch_value(self, z: complex, k: int) -> complex:
         """Evaluate branch k of this function at z."""
@@ -222,12 +225,7 @@ def branch_of(w: complex, f: IndexedFunction) -> int:
     rejected since no root branch attains it. Computed by ceiling
     arithmetic so boundary ownership is deterministic.
     """
-    if f.is_log:
-        w = complex(w)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise DomainError(f"non-finite value {w!r}")
-    else:
-        w = _as_nonzero_complex(w)
+    w = _as_finite_complex(w) if f.is_log else _as_nonzero_complex(w)
     return _branch_index(w, f)
 
 
@@ -262,7 +260,4 @@ def in_branch_range(y: complex, f: IndexedFunction, k: int) -> bool:
     if not f.is_log:
         raise ValueError("in_branch_range is defined for the logarithm only")
     k = operator.index(k)
-    y = complex(y)
-    if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-        raise DomainError(f"non-finite target {y!r}")
-    return _log_branch_index(y.imag) == k
+    return _log_branch_index(_as_finite_complex(y).imag) == k

@@ -1,22 +1,22 @@
 """Command-line front end: configure a surface job, build it, write files.
 
 Exit codes: 0 success, 2 usage error, 3 charisma/function incompatibility,
-4 I/O error, 5 domain error escaping the pipeline. Output is atomic: files
-are staged to temporaries and renamed only once everything rendered.
+4 I/O error, 5 any other invalid input reaching the pipeline. Output is
+atomic: files are staged to temporaries and renamed only once everything
+rendered.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .branches import BranchIndexError, DomainError, IndexedFunction
+from .branches import IndexedFunction
 from .charisma import CharismaCompatibilityError, CharismaKind, require_compatible
 from .formats import csv_text, json_text, obj_text, ply_text, seams_json_text
 from .mesh import (
@@ -24,7 +24,6 @@ from .mesh import (
     DEFAULT_WELD_TOL,
     DomainGrid,
     GridError,
-    GridMismatchError,
     SurfaceMesh,
     assemble_surface,
     build_range_chart,
@@ -54,7 +53,8 @@ FIGURE_PRESETS: dict[str, dict] = {
 
 @dataclass(frozen=True)
 class JobSpec:
-    """Fully validated configuration of one build-and-export run."""
+    """One build-and-export run. parse_args builds only valid jobs; run()
+    maps an invalid value in a job built by hand to an exit code."""
 
     function: IndexedFunction
     kind: CharismaKind
@@ -81,12 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branches", metavar="KMIN..KMAX",
                    help="branch index range, intersected with the admissible set "
                    "(default: the whole admissible set; -2..2 for log)")
-    p.add_argument("--r-min", type=float, help="inner sample radius (default 0.05)")
-    p.add_argument("--r-max", type=float, help="outer sample radius (default 2)")
-    p.add_argument("--n-r", type=int, help="radial sample count (default 40)")
-    p.add_argument("--n-theta", type=int, help="angular step count (default 240)")
+    p.add_argument("--r-min", type=float, help=f"inner sample radius (default {DomainGrid.r_min})")
+    p.add_argument("--r-max", type=float, help=f"outer sample radius (default {DomainGrid.r_max})")
+    p.add_argument("--n-r", type=int, help=f"radial sample count (default {DomainGrid.n_r})")
+    p.add_argument("--n-theta", type=int, help=f"angular step count (default {DomainGrid.n_theta})")
     p.add_argument("--radial-spacing", choices=("linear", "log"),
-                   help="radial spacing rule (default linear)")
+                   help=f"radial spacing rule (default {DomainGrid.radial_spacing})")
     p.add_argument("--weld", action=argparse.BooleanOptionalAction,
                    help="merge cut seams whose charisma is continuous (default on)")
     p.add_argument("--weld-tol", type=float,
@@ -157,20 +157,12 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
     if not range_chart:
         require_compatible(kind, function)
 
-    r_min = setting("r_min", 0.05)
-    r_max = setting("r_max", 2.0)
-    n_r = setting("n_r", 40)
-    n_theta = setting("n_theta", 240)
-    spacing = setting("radial_spacing", "linear")
-    if not (math.isfinite(r_min) and r_min > 0):
-        parser.error("argument --r-min: must be a positive number")
-    if not (math.isfinite(r_max) and r_max > r_min):
-        parser.error("argument --r-max: must exceed --r-min")
-    if n_r < 2:
-        parser.error("argument --n-r: must be at least 2")
-    if n_theta < 8:
-        parser.error("argument --n-theta: must be at least 8")
-    grid = DomainGrid(r_min, r_max, n_r, n_theta, spacing)
+    # DomainGrid holds the grid defaults and checks; pass only what was set
+    given = {f.name: setting(f.name, None) for f in fields(DomainGrid)}
+    try:
+        grid = DomainGrid(**{name: v for name, v in given.items() if v is not None})
+    except GridError as e:
+        parser.error(f"argument --{e.field.replace('_', '-')}: {e}")
 
     if range_chart:
         branches: tuple[int, ...] = ()
@@ -276,11 +268,15 @@ def run(job: JobSpec) -> int:
     except OSError as e:
         print(f"riemannmesh: i/o error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (DomainError, BranchIndexError, GridError, GridMismatchError,
-            CharismaCompatibilityError) as e:
-        print(f"riemannmesh: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except ValueError as e:
+        return _exit_code(e)
     return EXIT_OK
+
+
+def _exit_code(e: ValueError) -> int:
+    # every library error is a ValueError; report it and map it to its code
+    print(f"riemannmesh: {e}", file=sys.stderr)
+    return EXIT_INCOMPATIBLE if isinstance(e, CharismaCompatibilityError) else EXIT_DOMAIN
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -288,7 +284,6 @@ def main(argv: list[str] | None = None) -> int:
         job = parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    except CharismaCompatibilityError as e:
-        print(f"riemannmesh: {e}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
+    except ValueError as e:
+        return _exit_code(e)
     return run(job)

@@ -61,7 +61,12 @@ PALETTE = (
 
 
 class GridError(ValueError):
-    """Domain grid parameters violate an invariant."""
+    """Domain grid parameters violate an invariant; field names the
+    DomainGrid parameter at fault."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 class GridMismatchError(ValueError):
@@ -89,18 +94,20 @@ class DomainGrid:
     radial_spacing: str = "linear"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_r, (int, np.integer)) or not isinstance(self.n_theta, (int, np.integer)):
-            raise GridError("n_r and n_theta must be integers")
+        for name, least in (("n_r", 2), ("n_theta", 8)):
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)):
+                raise GridError(f"{name} must be an integer", name)
+            if count < least:
+                raise GridError(f"{name} must be at least {least}", name)
         if not (math.isfinite(self.r_min) and self.r_min > 0.0):
-            raise GridError("r_min must be positive; the branch point z = 0 is excluded")
+            raise GridError("r_min must be finite and > 0; z = 0 is the branch point", "r_min")
         if not (math.isfinite(self.r_max) and self.r_max > self.r_min):
-            raise GridError("r_max must exceed r_min")
-        if self.n_r < 2:
-            raise GridError("n_r must be at least 2")
-        if self.n_theta < 8:
-            raise GridError("n_theta must be at least 8")
+            raise GridError("r_max must be finite and exceed r_min", "r_max")
         if self.radial_spacing not in ("linear", "log"):
-            raise GridError(f"radial_spacing must be 'linear' or 'log', got {self.radial_spacing!r}")
+            raise GridError(
+                f"radial_spacing must be 'linear' or 'log', got {self.radial_spacing!r}", "radial_spacing"
+            )
 
     @property
     def n_cols(self) -> int:
@@ -326,9 +333,8 @@ def assemble_surface(
     weld_map = np.arange(total, dtype=np.int64)
     dropped = np.zeros(total, dtype=bool)
     seams: list[Seam] = []
-    seam_upper: dict[int, np.ndarray] = {}
-    wall_faces: list[tuple[int, int, int]] = []
-    wall_branch: list[int] = []
+    wall_faces: list[np.ndarray] = []
+    wall_branch: list[np.ndarray] = []
 
     for s in sheets:
         nxt = continuation_branch(first.function, s.branch)
@@ -342,23 +348,24 @@ def assemble_surface(
             weld_map[lower] = upper
             dropped[lower] = True
             seam.welded = True
-            seam_upper[len(seams)] = upper
         elif walls and first.kind is CharismaKind.INDEX:
-            for i in range(len(upper) - 1):
-                wall_faces.append((int(upper[i]), int(lower[i]), int(lower[i + 1])))
-                wall_faces.append((int(upper[i]), int(lower[i + 1]), int(upper[i + 1])))
-                wall_branch.extend((s.branch, s.branch))
+            # two triangles per radial step, bridging upper[i..i+1] to lower[i..i+1]
+            u0, u1, l0, l1 = upper[:-1], upper[1:], lower[:-1], lower[1:]
+            wall_faces.append(np.stack([u0, l0, l1, u0, l1, u1], axis=1).reshape(-1, 3))
+            wall_branch.append(np.full(2 * len(u0), s.branch, dtype=np.int64))
         seams.append(seam)
 
     if wall_faces:
-        faces = np.concatenate([faces, np.asarray(wall_faces, dtype=np.int64)])
-        face_branch = np.concatenate([face_branch, np.asarray(wall_branch, dtype=np.int64)])
+        faces = np.concatenate([faces, *wall_faces])
+        face_branch = np.concatenate([face_branch, *wall_branch])
 
     keep = ~dropped
     new_index = np.cumsum(keep) - 1
     faces = new_index[weld_map[faces]]
-    for idx, upper in seam_upper.items():
-        seams[idx].merged_vertices = tuple(int(v) for v in new_index[upper])
+    for seam in seams:
+        if seam.welded:  # the kept upper-edge vertices, renumbered
+            upper = by_branch[seam.upper_branch].upper_edge() + offset[seam.upper_branch]
+            seam.merged_vertices = tuple(new_index[upper].tolist())
 
     return SurfaceMesh(
         function=first.function,

@@ -1,5 +1,6 @@
 """CLI parsing, exit codes, file output, and determinism tests."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -62,13 +63,15 @@ class TestParseArgs:
             (["--r-min", "3", "--r-max", "2"], "--r-max"),
             (["--n-r", "1"], "--n-r"),
             (["--n-theta", "4"], "--n-theta"),
+            (["--r-max", "nan"], "--r-max"),
+            (["--r-min", "inf"], "--r-min"),
         ],
     )
     def test_grid_validation_names_the_flag(self, flags, flag_name, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(flags)
         assert exc.value.code == EXIT_USAGE
-        assert flag_name in capsys.readouterr().err
+        assert f"argument {flag_name}: " in capsys.readouterr().err  # not just the usage line
 
     def test_figure_four_preset_matches_explicit_flags(self):
         assert parse_args(["--figure", "4"]) == parse_args(
@@ -178,6 +181,28 @@ class TestRun:
             output=tmp_path / "bad.ply",
         )
         assert run(job) == EXIT_DOMAIN
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "changes,code",
+        [
+            (dict(weld_tol=float("nan")), EXIT_DOMAIN),
+            (dict(weld_tol=float("inf")), EXIT_DOMAIN),
+            (dict(weld_tol=-1.0), EXIT_DOMAIN),
+            (dict(fmt="stl"), EXIT_DOMAIN),
+            (dict(kind=CharismaKind.IMAG), EXIT_INCOMPATIBLE),
+        ],
+    )
+    def test_hand_built_job_maps_every_invalid_value_to_an_exit_code(self, tmp_path, capsys, changes, code):
+        job = JobSpec(
+            function=ROOT3,
+            kind=CharismaKind.SIN,
+            branches=(-1, 0, 1),
+            grid=DomainGrid(0.5, 2.0, 3, 8),
+            output=tmp_path / "bad.ply",
+        )
+        assert run(dataclasses.replace(job, **changes)) == code
+        assert capsys.readouterr().err.startswith("riemannmesh: ")
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_is_usage_error(self):

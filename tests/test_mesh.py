@@ -19,6 +19,7 @@ from riemannmesh import (
     branch_of,
     build_range_chart,
     build_sheet,
+    continuation_branch,
     evaluate_charisma,
     sample_domain,
     seam_report,
@@ -41,6 +42,26 @@ def sheet_triple(kind, grid=SMALL, function=ROOT3):
 def triangle_areas(positions, faces):
     v = positions[faces]
     return 0.5 * np.linalg.norm(np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1)
+
+
+def loop_wall_faces(sheets):
+    """Wall triangles and their owning branches, one radial step at a time:
+    the reference for the order assemble_surface appends them in."""
+    n_per = sheets[0].n_vertices
+    offset = {s.branch: i * n_per for i, s in enumerate(sheets)}
+    by_branch = {s.branch: s for s in sheets}
+    faces, branches = [], []
+    for s in sheets:
+        nxt = continuation_branch(s.function, s.branch)
+        if nxt == s.branch or nxt not in by_branch:
+            continue
+        upper = s.upper_edge() + offset[s.branch]
+        lower = by_branch[nxt].lower_edge() + offset[nxt]
+        for i in range(len(upper) - 1):
+            faces.append((int(upper[i]), int(lower[i]), int(lower[i + 1])))
+            faces.append((int(upper[i]), int(lower[i + 1]), int(upper[i + 1])))
+            branches.extend((s.branch, s.branch))
+    return np.asarray(faces, dtype=np.int64), np.asarray(branches, dtype=np.int64)
 
 
 def cbrt_case(z, k):
@@ -66,10 +87,12 @@ class TestDomainGrid:
         ],
     )
     def test_rejects_invalid_parameters(self, kwargs):
+        (field,) = kwargs  # the one parameter set wrong is the one named
         base = dict(r_min=0.5, r_max=2.0, n_r=3, n_theta=8)
         base.update(kwargs)
-        with pytest.raises(GridError):
+        with pytest.raises(GridError) as exc:
             DomainGrid(**base)
+        assert exc.value.field == field
 
     def test_log_spacing(self):
         grid = DomainGrid(0.1, 10.0, 5, 8, radial_spacing="log")
@@ -241,6 +264,16 @@ class TestAssembleIndexSurface:
         assert walled.n_faces == plain.n_faces + 3 * per_seam
         wall_branches = walled.face_branch[plain.n_faces:]
         assert sorted(set(int(b) for b in wall_branches)) == [-1, 0, 1]
+
+    @pytest.mark.parametrize("function", [ROOT3, LOG], ids=["root3", "log"])
+    def test_walls_match_the_loop_reference_byte_for_byte(self, function):
+        sheets = sheet_triple(CharismaKind.INDEX, WITNESS, function)
+        plain = assemble_surface(sheets, walls=False)
+        walled = assemble_surface(sheets, walls=True)
+        wall, wall_branch = loop_wall_faces(sheets)
+        assert len(wall) == (3 if function.is_root else 2) * 2 * (WITNESS.n_r - 1)
+        assert walled.faces.tobytes() == np.concatenate([plain.faces, wall]).tobytes()
+        assert walled.face_branch.tobytes() == np.concatenate([plain.face_branch, wall_branch]).tobytes()
 
     def test_walls_ignored_for_continuous_charisma(self):
         sheets = sheet_triple(CharismaKind.SIN)
