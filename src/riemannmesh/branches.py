@@ -183,7 +183,10 @@ class IndexedFunction:
         return True if self.is_log else k in root_indices(self.n)
 
     def require_admissible(self, k: int) -> int:
-        k = operator.index(k)
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise BranchIndexError(f"branch index must be an integer, got {k!r}") from None
         return k if self.is_log else _require_root_index(self.n, k)
 
     def branch_value(self, z: complex, k: int) -> complex:

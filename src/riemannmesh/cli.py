@@ -41,6 +41,10 @@ EXIT_DOMAIN = 5
 
 _FORMAT_SUFFIX = {"ply": ".ply", "obj": ".obj", "json": ".json", "csv": ".csv"}
 
+# characters written per call: one write of a whole text would first encode
+# it into a second, full-size bytes object
+_WRITE_SLICE = 1 << 20
+
 # one preset per reference surface; unset fields fall back to the globals
 FIGURE_PRESETS: dict[str, dict] = {
     "3a": {"function": "root:3", "charisma": "index", "walls": True},
@@ -245,7 +249,8 @@ def _write_atomic(files: dict[Path, str]) -> None:
             fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
             staged.append((tmp, path))
             with os.fdopen(fd, "w", newline="\n") as fh:
-                fh.write(text)
+                for start in range(0, len(text), _WRITE_SLICE):
+                    fh.write(text[start:start + _WRITE_SLICE])
         while staged:
             tmp, path = staged.pop()
             os.replace(tmp, path)

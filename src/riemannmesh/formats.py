@@ -1,15 +1,15 @@
 """Deterministic text serialization of surface meshes.
 
 All floats are written with their shortest round-trip decimal
-representation, so identical meshes serialize to identical bytes.
+representation, so identical meshes serialize to identical bytes. Each
+distinct float of a table is formatted once, and blocks of rows are filled
+from one %-template.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import cycle
-from operator import add
 
 import numpy as np
 
@@ -17,9 +17,9 @@ from .mesh import Seam, SurfaceMesh, branch_color
 
 __all__ = ["PlyData", "csv_text", "json_text", "obj_text", "ply_text", "read_ply", "seams_json_text"]
 
-# rows formatted per block. A block's token strings are all alive during
-# its join, so small blocks keep a small job's peak memory down; writer
-# speed is flat from 128 to 1024 rows.
+# rows formatted per block. A block's cells and its text are all alive at
+# once, so small blocks keep a small job's peak memory down; writer speed is
+# flat from 128 to 1024 rows.
 _BLOCK_ROWS = 256
 
 _JSON_SEPARATORS = (",", ":")
@@ -31,20 +31,44 @@ def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: 
 
     The arrays share their length and are 1-D or 2-D. Every value is
     written as the repr of its Python float or int, which for a float is
-    its shortest round-trip decimal.
+    its shortest round-trip decimal. A surface repeats few distinct floats
+    (its sheets share one lattice), so each float array is reduced to its
+    distinct values, keyed by bit pattern so that -0.0 and 0.0 stay apart,
+    and each of those is formatted once.
     """
     n = len(columns[0])
-    # the text before each row's first value; the first row's is cut below
-    lead = end + between
-    leads = (lead + seps[0],) + seps[1:]
+    if not n:
+        return []
+    tables = []  # per array: its cells, as indices into the reprs for floats
+    fields = []
+    for column in columns:
+        column = column.reshape(n, -1)
+        if column.dtype.kind == "f":
+            key = np.ascontiguousarray(column, dtype=np.float64).ravel().view(np.int64)
+            # a 1-D key, because numpy 1.x and 2.x shape the inverse of an
+            # n-D input differently
+            distinct, inverse = np.unique(key, return_inverse=True)
+            reprs = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+            tables.append((inverse.reshape(column.shape), reprs))
+            fields += ["%s"] * column.shape[1]
+        else:
+            tables.append((column, None))
+            fields += ["%d"] * column.shape[1]
+    # the text of one row, and `between`, as a %-template
+    row = "".join(sep.replace("%", "%%") + field for sep, field in zip(seps, fields))
+    row += (end + between).replace("%", "%%")
     blocks = []
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        cells = np.hstack([c[start:stop].reshape(stop - start, -1).astype(object) for c in columns])
-        blocks.append("".join(map(add, cycle(leads), map(repr, cells.ravel().tolist()))))
-    if blocks:
-        blocks[0] = blocks[0][len(lead):]
-        blocks.append(end)
+        cells = np.empty((stop - start, len(fields)), dtype=object)
+        col = 0
+        for values, reprs in tables:
+            block = values[start:stop]
+            cells[:, col:col + block.shape[1]] = block if reprs is None else reprs[block]
+            col += block.shape[1]
+        blocks.append(row * (stop - start) % tuple(cells.ravel().tolist()))
+    if between:
+        blocks[-1] = blocks[-1][:-len(between)]
     return blocks
 
 

@@ -78,6 +78,13 @@ def branch_color(k: int) -> tuple[int, int, int]:
     return PALETTE[int(k) % len(PALETTE)]
 
 
+def _is_finite_real(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except TypeError:  # not a real number, e.g. a str or None
+        return False
+
+
 @dataclass(frozen=True)
 class DomainGrid:
     """Polar sampling of an annulus around the branch point.
@@ -100,9 +107,9 @@ class DomainGrid:
                 raise GridError(f"{name} must be an integer", name)
             if count < least:
                 raise GridError(f"{name} must be at least {least}", name)
-        if not (math.isfinite(self.r_min) and self.r_min > 0.0):
+        if not (_is_finite_real(self.r_min) and self.r_min > 0.0):
             raise GridError("r_min must be finite and > 0; z = 0 is the branch point", "r_min")
-        if not (math.isfinite(self.r_max) and self.r_max > self.r_min):
+        if not (_is_finite_real(self.r_max) and self.r_max > self.r_min):
             raise GridError("r_max must be finite and exceed r_min", "r_max")
         if self.radial_spacing not in ("linear", "log"):
             raise GridError(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from riemannmesh import CharismaKind, DomainGrid, IndexedFunction, JobSpec, parse_args, run
+from riemannmesh import cli
 from riemannmesh.cli import EXIT_DOMAIN, EXIT_INCOMPATIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from riemannmesh.formats import read_ply
 
@@ -191,6 +192,7 @@ class TestRun:
             (dict(weld_tol=-1.0), EXIT_DOMAIN),
             (dict(fmt="stl"), EXIT_DOMAIN),
             (dict(kind=CharismaKind.IMAG), EXIT_INCOMPATIBLE),
+            (dict(branches=(1.5,)), EXIT_DOMAIN),
         ],
     )
     def test_hand_built_job_maps_every_invalid_value_to_an_exit_code(self, tmp_path, capsys, changes, code):
@@ -224,6 +226,27 @@ class TestRun:
         assert doc["chart"] == "range"
         assert doc["sheets"] == [-1, 0, 1]
         assert all(v["c"] == 0.0 for v in doc["vertices"])
+
+
+class TestWriteAtomic:
+    @pytest.fixture(autouse=True)
+    def small_slices(self, monkeypatch):
+        monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+
+    def test_writes_every_slice_byte_for_byte(self, tmp_path):
+        # a newline ends the first slice; the last slice is short
+        text = "ply 10\n" + "0.5 -0.0 1e-300 7\n" * 9 + "end"
+        assert text[6] == "\n" and len(text) % 7
+        texts = {tmp_path / "a.ply": text, tmp_path / "b.json": "{}\n"}
+        cli._write_atomic(texts)
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == {p: t.encode() for p, t in texts.items()}
+
+    def test_a_failing_write_leaves_no_file(self, tmp_path):
+        # the lone surrogate cannot be encoded, so the third slice fails
+        texts = {tmp_path / "a.ply": "ply\n" * 9, tmp_path / "b.ply": "x" * 15 + "\ud800"}
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_atomic(texts)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestModuleEntryPoint:

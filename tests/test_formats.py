@@ -18,6 +18,7 @@ from riemannmesh import (
     evaluate_charisma,
 )
 from riemannmesh import formats
+from riemannmesh.cli import FIGURE_PRESETS, build_mesh, parse_args
 from riemannmesh.formats import csv_text, json_text, obj_text, ply_text, read_ply, seams_json_text
 
 ROOT3 = IndexedFunction.root(3)
@@ -129,6 +130,27 @@ def synthetic_mesh(n_vertices, n_faces, seed):
     )
 
 
+def signed_zeros(mesh):
+    # -0.0 and 0.0 in one column: their reprs differ, their values compare equal
+    mesh.positions[:, 0] = np.where(np.arange(mesh.n_vertices) % 3, 0.0, -0.0)
+    mesh.w.real[::2] = -0.0
+
+
+def one_value(mesh):
+    mesh.positions[:] = 0.1
+    mesh.w[:] = 0.1 - 0.1j
+
+
+def non_finite(mesh):
+    # two NaN payloads and a negative NaN all print as nan
+    payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    mesh.positions[::4, 0] = np.nan
+    mesh.positions[1::4, 1] = np.inf
+    mesh.positions[2::4, 2] = -np.inf
+    mesh.positions[3::4, 0] = payload
+    mesh.positions[3::8, 2] = -np.nan
+
+
 B = formats._BLOCK_ROWS
 
 
@@ -143,6 +165,37 @@ class TestWritersMatchRowReference:
         assert obj_text(mesh, "m.mtl") == row_obj_text(mesh, "m.mtl")
         assert json_text(mesh) == row_json_text(mesh)
         assert csv_text(mesh) == row_csv_text(mesh)
+
+    @pytest.mark.parametrize("edit", [signed_zeros, one_value, non_finite])
+    def test_awkward_columns_match_the_row_at_a_time_writers(self, edit):
+        mesh = synthetic_mesh(2 * B + 3, B + 2, seed=7)
+        edit(mesh)
+        assert ply_text(mesh) == row_ply_text(mesh)
+        assert obj_text(mesh, "m.mtl") == row_obj_text(mesh, "m.mtl")
+        assert csv_text(mesh) == row_csv_text(mesh)
+        if np.isfinite(mesh.positions).all():
+            assert json_text(mesh) == row_json_text(mesh)
+        else:
+            with pytest.raises(ValueError):
+                json_text(mesh)
+
+    @pytest.mark.parametrize("figure", sorted(FIGURE_PRESETS))
+    def test_every_preset_matches_the_row_at_a_time_writers(self, figure):
+        job = parse_args(["--figure", figure, "--n-r", "6", "--n-theta", "24"])
+        mesh = build_mesh(job)
+        # sheets share one lattice, so values repeat and each distinct
+        # float is formatted for many cells
+        assert len(np.unique(mesh.positions)) < mesh.positions.size / 2
+        assert ply_text(mesh) == row_ply_text(mesh)
+        assert obj_text(mesh, "m.mtl") == row_obj_text(mesh, "m.mtl")
+        assert json_text(mesh) == row_json_text(mesh)
+        assert csv_text(mesh) == row_csv_text(mesh)
+
+
+    def test_percent_signs_around_the_values_are_written_as_they_are(self):
+        columns = [np.array([[0.5, -0.0], [1e300, 2.0]]), np.array([7, 8])]
+        text = "".join(formats._table(columns, ("%s", "%", "%d"), "%\n", "%%"))
+        assert text == "%s0.5%-0.0%d7%\n%%%s1e+300%2.0%d8%\n"
 
 
 class TestPly:

@@ -84,6 +84,8 @@ class TestDomainGrid:
             dict(n_theta=7),
             dict(radial_spacing="cubic"),
             dict(n_r=2.5),
+            dict(r_min="a"),
+            dict(r_max=None),
         ],
     )
     def test_rejects_invalid_parameters(self, kwargs):
