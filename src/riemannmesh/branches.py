@@ -77,7 +77,7 @@ def log_branch(z: complex, k: int) -> complex:
     The imaginary part of the result lies in ((2k - 1) pi, (2k + 1) pi];
     k = 0 is the principal logarithm. Any integer k is admissible.
     """
-    return _log_core(_as_nonzero_complex(z), operator.index(k))
+    return _log_core(_as_nonzero_complex(z), _require_branch(k))
 
 
 def _log_core(z: complex, k: int) -> complex:
@@ -90,11 +90,15 @@ def root_indices(n: int) -> range:
 
     Odd n gives the symmetric set {-(n-1)/2, ..., (n-1)/2}; even n gives
     {-n/2 + 1, ..., n/2}. Either way k = 0 is the principal branch and
-    branch k owns the range sector ((2k - 1) pi/n, (2k + 1) pi/n].
+    branch k owns the range sector ((2k - 1) pi/n, (2k + 1) pi/n]. The one
+    check of a root degree: raises ValueError unless n is an integer >= 2.
     """
-    n = operator.index(n)
-    if n < 2:
-        raise ValueError(f"root degree must be >= 2, got {n}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        n = None
+    if n is None or n < 2:
+        raise ValueError("root degree n must be an integer >= 2")
     return range(-((n - 1) // 2), n // 2 + 1)
 
 
@@ -104,17 +108,22 @@ def root_branch(z: complex, n: int, k: int) -> complex:
     k must lie in root_indices(n). The returned w satisfies w**n = z, and
     the principal branch (k = 0) is confined to -pi/n < ph w <= pi/n.
     """
-    return _root_core(_as_nonzero_complex(z), n, _require_root_index(n, operator.index(k)))
+    return _root_core(_as_nonzero_complex(z), n, _require_branch(k, n))
 
 
-def _require_root_index(n: int, k: int) -> int:
-    # the one admissibility check for root branches
-    indices = root_indices(n)
-    if k not in indices:
-        raise BranchIndexError(
-            f"branch {k} is not admissible for root:{n}; "
-            f"expected {indices.start}..{indices.stop - 1}"
-        )
+def _require_branch(k: int, n: int | None = None) -> int:
+    # the one branch-index check: an integer, and for root:n one of root_indices(n)
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise BranchIndexError(f"branch index must be an integer, got {k!r}") from None
+    if n is not None:
+        indices = root_indices(n)
+        if k not in indices:
+            raise BranchIndexError(
+                f"branch {k} is not admissible for root:{n}; "
+                f"expected {indices.start}..{indices.stop - 1}"
+            )
     return k
 
 
@@ -137,8 +146,7 @@ class IndexedFunction:
             if self.n is not None:
                 raise ValueError("log takes no root degree")
         elif self.kind == "root":
-            if self.n is None or operator.index(self.n) < 2:
-                raise ValueError("root degree n must be an integer >= 2")
+            root_indices(self.n)  # raises ValueError unless n is an integer >= 2
         else:
             raise ValueError(f"unknown function kind {self.kind!r}")
 
@@ -148,6 +156,7 @@ class IndexedFunction:
 
     @classmethod
     def root(cls, n: int) -> "IndexedFunction":
+        root_indices(n)  # the degree check, before operator.index can raise TypeError
         return cls("root", operator.index(n))
 
     @classmethod
@@ -179,15 +188,11 @@ class IndexedFunction:
         return None if self.is_log else root_indices(self.n)
 
     def is_admissible(self, k: int) -> bool:
-        k = operator.index(k)
+        k = _require_branch(k)
         return True if self.is_log else k in root_indices(self.n)
 
     def require_admissible(self, k: int) -> int:
-        try:
-            k = operator.index(k)
-        except TypeError:
-            raise BranchIndexError(f"branch index must be an integer, got {k!r}") from None
-        return k if self.is_log else _require_root_index(self.n, k)
+        return _require_branch(k, None if self.is_log else self.n)
 
     def branch_value(self, z: complex, k: int) -> complex:
         """Evaluate branch k of this function at z."""
@@ -262,5 +267,5 @@ def in_branch_range(y: complex, f: IndexedFunction, k: int) -> bool:
     """
     if not f.is_log:
         raise ValueError("in_branch_range is defined for the logarithm only")
-    k = operator.index(k)
+    k = _require_branch(k)
     return _log_branch_index(_as_finite_complex(y).imag) == k

@@ -45,7 +45,7 @@ _FORMAT_SUFFIX = {"ply": ".ply", "obj": ".obj", "json": ".json", "csv": ".csv"}
 # it into a second, full-size bytes object
 _WRITE_SLICE = 1 << 20
 
-# one preset per reference surface; unset fields fall back to the globals
+# one preset per reference surface, applied as parser defaults
 FIGURE_PRESETS: dict[str, dict] = {
     "3a": {"function": "root:3", "charisma": "index", "walls": True},
     "3b-range": {"function": "root:3", "charisma": "index", "range_chart": True},
@@ -78,31 +78,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build colored, triangulated Riemann-surface meshes for "
         "indexed branches of the complex logarithm and n-th roots.",
     )
-    p.add_argument("--function", metavar="{log|root:N}",
-                   help="multivalued function to plot (default root:3)")
-    p.add_argument("--charisma", choices=[k.value for k in CharismaKind],
-                   help="height function lifting the sheets (default sin)")
+    p.add_argument("--function", metavar="{log|root:N}", default="root:3",
+                   help="multivalued function to plot (default %(default)s)")
+    p.add_argument("--charisma", choices=[k.value for k in CharismaKind], default=CharismaKind.SIN.value,
+                   help="height function lifting the sheets (default %(default)s)")
     p.add_argument("--branches", metavar="KMIN..KMAX",
                    help="branch index range, intersected with the admissible set "
                    "(default: the whole admissible set; -2..2 for log)")
-    p.add_argument("--r-min", type=float, help=f"inner sample radius (default {DomainGrid.r_min})")
-    p.add_argument("--r-max", type=float, help=f"outer sample radius (default {DomainGrid.r_max})")
-    p.add_argument("--n-r", type=int, help=f"radial sample count (default {DomainGrid.n_r})")
-    p.add_argument("--n-theta", type=int, help=f"angular step count (default {DomainGrid.n_theta})")
-    p.add_argument("--radial-spacing", choices=("linear", "log"),
-                   help=f"radial spacing rule (default {DomainGrid.radial_spacing})")
-    p.add_argument("--weld", action=argparse.BooleanOptionalAction,
-                   help="merge cut seams whose charisma is continuous (default on)")
-    p.add_argument("--weld-tol", type=float,
-                   help=f"pointwise seam gap tolerance (default {DEFAULT_WELD_TOL})")
-    p.add_argument("--walls", action=argparse.BooleanOptionalAction,
-                   help="bridge open seams with wall quads (index charisma only; default off)")
-    p.add_argument("--format", choices=sorted(_FORMAT_SUFFIX),
-                   help="output format (default ply)")
+    p.add_argument("--r-min", type=float, default=DomainGrid.r_min,
+                   help="inner sample radius (default %(default)s)")
+    p.add_argument("--r-max", type=float, default=DomainGrid.r_max,
+                   help="outer sample radius (default %(default)s)")
+    p.add_argument("--n-r", type=int, default=DomainGrid.n_r,
+                   help="radial sample count (default %(default)s)")
+    p.add_argument("--n-theta", type=int, default=DomainGrid.n_theta,
+                   help="angular step count (default %(default)s)")
+    p.add_argument("--radial-spacing", choices=("linear", "log"), default=DomainGrid.radial_spacing,
+                   help="radial spacing rule (default %(default)s)")
+    p.add_argument("--weld", action=argparse.BooleanOptionalAction, default=True,
+                   help="merge cut seams whose charisma is continuous (default %(default)s)")
+    p.add_argument("--weld-tol", type=float, default=DEFAULT_WELD_TOL,
+                   help="pointwise seam gap tolerance (default %(default)s)")
+    p.add_argument("--walls", action=argparse.BooleanOptionalAction, default=False,
+                   help="bridge open seams with wall quads (index charisma only; default %(default)s)")
+    p.add_argument("--format", choices=sorted(_FORMAT_SUFFIX), default="ply",
+                   help="output format (default %(default)s)")
     p.add_argument("--output", "-o", metavar="PATH",
                    help="output path (default derived from function and charisma)")
     p.add_argument("--figure", choices=list(FIGURE_PRESETS),
                    help="preset reproducing one of the documented reference surfaces")
+    p.set_defaults(range_chart=False)  # no flag: only the 3b-range preset sets it
     return p
 
 
@@ -123,14 +128,9 @@ def _normalize_argv(argv: list[str]) -> list[str]:
     # join "--branches -2..2" into one token; argparse would otherwise read
     # the leading-dash value as an unknown option
     out: list[str] = []
-    it = iter(argv)
-    for tok in it:
-        if tok == "--branches":
-            val = next(it, None)
-            if val is None:
-                out.append(tok)
-            else:
-                out.append(f"--branches={val}")
+    for tok in argv:
+        if out and out[-1] == "--branches":
+            out[-1] = f"--branches={tok}"
         else:
             out.append(tok)
     return out
@@ -143,73 +143,63 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
     mismatch raises CharismaCompatibilityError for main() to map to 3.
     """
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    ns = parser.parse_args(_normalize_argv(list(argv)))
-    preset = FIGURE_PRESETS[ns.figure] if ns.figure else {}
-
-    def setting(name: str, default):
-        value = getattr(ns, name)
-        return value if value is not None else preset.get(name, default)
+    argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
+    # a preset replaces the built-in defaults, so explicit flags still win
+    figure = parser.parse_known_args(argv)[0].figure
+    if figure:
+        parser.set_defaults(**FIGURE_PRESETS[figure])
+    ns = parser.parse_args(argv)
 
     try:
-        function = IndexedFunction.from_label(setting("function", "root:3"))
+        function = IndexedFunction.from_label(ns.function)
     except ValueError as e:
         parser.error(f"argument --function: {e}")
-    kind = CharismaKind(setting("charisma", "sin"))
-    range_chart = bool(preset.get("range_chart", False))
-    if not range_chart:
+    kind = CharismaKind(ns.charisma)
+    if not ns.range_chart:
         require_compatible(kind, function)
 
-    # DomainGrid holds the grid defaults and checks; pass only what was set
-    given = {f.name: setting(f.name, None) for f in fields(DomainGrid)}
     try:
-        grid = DomainGrid(**{name: v for name, v in given.items() if v is not None})
+        grid = DomainGrid(**{f.name: getattr(ns, f.name) for f in fields(DomainGrid)})
     except GridError as e:
         parser.error(f"argument --{e.field.replace('_', '-')}: {e}")
 
-    if range_chart:
+    if ns.range_chart:
         branches: tuple[int, ...] = ()
+    elif ns.branches is None:
+        branches = tuple(function.branch_indices() or DEFAULT_LOG_BRANCHES)
     else:
-        requested = setting("branches", None)
-        if requested is None:
-            admissible = function.branch_indices()
-            branches = tuple(admissible if admissible is not None else DEFAULT_LOG_BRANCHES)
-        else:
-            try:
-                asked = _parse_branch_range(requested)
-            except ValueError as e:
-                parser.error(f"argument --branches: {e}")
-            branches = tuple(k for k in asked if function.is_admissible(k))
-            if not branches:
-                parser.error(
-                    f"argument --branches: no admissible branch of {function.label()} in {requested!r}"
-                )
+        try:
+            asked = _parse_branch_range(ns.branches)
+        except ValueError as e:
+            parser.error(f"argument --branches: {e}")
+        branches = tuple(k for k in asked if function.is_admissible(k))
+        if not branches:
+            parser.error(
+                f"argument --branches: no admissible branch of {function.label()} in {ns.branches!r}"
+            )
 
-    weld_tol = setting("weld_tol", DEFAULT_WELD_TOL)
     try:
-        require_weld_tol(weld_tol)
+        require_weld_tol(ns.weld_tol)
     except ValueError as e:
         parser.error(f"argument --weld-tol: {e}")
 
-    fmt = setting("format", "ply")
-    out = setting("output", None)
+    out = ns.output
     if out is None:
         stem = function.label().replace(":", "")
-        stem += "_range" if range_chart else f"_{kind.value}"
-        out = stem + _FORMAT_SUFFIX[fmt]
+        stem += "_range" if ns.range_chart else f"_{kind.value}"
+        out = stem + _FORMAT_SUFFIX[ns.format]
 
     return JobSpec(
         function=function,
         kind=kind,
         branches=branches,
         grid=grid,
-        weld=bool(setting("weld", True)),
-        weld_tol=weld_tol,
-        walls=bool(setting("walls", False)),
-        fmt=fmt,
+        weld=ns.weld,
+        weld_tol=ns.weld_tol,
+        walls=ns.walls,
+        fmt=ns.format,
         output=Path(out),
-        range_chart=range_chart,
+        range_chart=ns.range_chart,
     )
 
 

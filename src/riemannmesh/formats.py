@@ -9,6 +9,7 @@ from one %-template.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,19 +104,29 @@ class PlyData:
     faces: np.ndarray     # (M, 3) int
 
 
-def _cells(lines: list[str], count: int, width: int, what: str) -> np.ndarray:
-    """The first `count` lines, each of exactly `width` whitespace-separated
-    tokens, as a (count, width) object array of the token strings. Its
-    astype(float) and astype(int) parse each token as float() and int() do."""
-    section = lines[:count]
+_VERTEX_ROW = np.dtype([("xyz", np.float64, 3), ("rgb", np.int64, 3)])  # x y z red green blue
+_FACE_ROW = np.dtype([("n", np.int64), ("v", np.int64, 3)])  # vertex count, then the indices
+
+
+def _rows(section: list[str], count: int, dtype: np.dtype, width: int, what: str) -> np.ndarray:
+    """One record of `dtype` per line of `section`, which must hold `count`
+    lines of `width` whitespace-separated values each."""
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.5" as the integer 1 with only a warning
+            warnings.simplefilter("error")
+            rows = np.loadtxt(section, dtype, comments=None, ndmin=1) if section else np.empty(0, dtype)
+        problem = "blank row"  # loadtxt skips blank lines, which fail the width check below
+    except (ValueError, Warning) as e:
+        rows, problem = (), str(e)
+    if len(rows) == count:
+        return rows
     if len(section) < count:
         raise ValueError(f"expected {count} {what} rows, found {len(section)}")
-    if set(map(len, map(str.split, section))) - {width}:
-        i = next(i for i, line in enumerate(section) if len(line.split()) != width)
-        raise ValueError(f"{what} row {i} has {len(section[i].split())} values, expected {width}")
-    # one flat split: a list per row, all alive at once, would keep waking
-    # the garbage collector
-    return np.array(" ".join(section).split(), dtype=object).reshape(count, width)
+    for i, line in enumerate(section):
+        if len(line.split()) != width:
+            raise ValueError(f"{what} row {i} has {len(line.split())} values, expected {width}")
+    raise ValueError(problem)
 
 
 def read_ply(text: str) -> PlyData:
@@ -123,27 +134,24 @@ def read_ply(text: str) -> PlyData:
     lines = text.splitlines()
     if lines[:2] != ["ply", "format ascii 1.0"]:
         raise ValueError("not an ascii PLY 1.0 file")
-    counts: list[tuple[str, int]] = []
-    body = 0
+    sizes: dict[str, int] = {}
     for i, line in enumerate(lines[2:], start=2):
         if line.startswith("element "):
             _, name, num = line.split()
-            counts.append((name, int(num)))
+            sizes[name] = int(num)
         elif line == "end_header":
             body = i + 1
             break
     else:
         raise ValueError("missing end_header")
-    sizes = dict(counts)
     n_vertices = sizes.get("vertex", 0)
     n_faces = sizes.get("face", 0)
-    vertices = _cells(lines[body:], n_vertices, 6, "vertex")
-    # a face row is its vertex count, then the indices; a polygon with more
-    # vertices than 3 already fails the row width check
-    faces = _cells(lines[body + n_vertices:], n_faces, 4, "face")
-    if np.any(faces[:, 0] != "3"):
+    vertices = _rows(lines[body:body + n_vertices], n_vertices, _VERTEX_ROW, 6, "vertex")
+    # a polygon with more vertices than 3 already fails the row width check
+    faces = _rows(lines[body + n_vertices:body + n_vertices + n_faces], n_faces, _FACE_ROW, 4, "face")
+    if np.any(faces["n"] != 3):
         raise ValueError("only triangle faces are supported")
-    return PlyData(vertices[:, :3].astype(float), vertices[:, 3:].astype(int), faces[:, 1:].astype(int))
+    return PlyData(vertices["xyz"], vertices["rgb"], faces["v"])
 
 
 def obj_text(mesh: SurfaceMesh, mtl_filename: str) -> tuple[str, str]:

@@ -58,6 +58,7 @@ PALETTE = (
     (227, 119, 194),  # pink
     (127, 127, 127),  # grey
 )
+_PALETTE_RGB = np.asarray(PALETTE, dtype=np.uint8)
 
 
 class GridError(ValueError):
@@ -81,7 +82,7 @@ def branch_color(k: int) -> tuple[int, int, int]:
 def _is_finite_real(x) -> bool:
     try:
         return math.isfinite(x)
-    except TypeError:  # not a real number, e.g. a str or None
+    except (TypeError, OverflowError):  # not a real number (a str, None) or beyond float range
         return False
 
 
@@ -286,10 +287,9 @@ def require_weld_tol(weld_tol: float) -> float:
     An infinite tolerance would weld the jumps between index sheets, and a
     negative one would turn welding off without saying so.
     """
-    tol = float(weld_tol)
-    if not (math.isfinite(tol) and tol >= 0.0):
+    if not (_is_finite_real(weld_tol) and weld_tol >= 0.0):
         raise ValueError(f"weld tolerance must be a finite number >= 0, got {weld_tol!r}")
-    return tol
+    return float(weld_tol)
 
 
 def assemble_surface(
@@ -329,10 +329,6 @@ def assemble_surface(
         [np.column_stack([s.z.real.ravel(), s.z.imag.ravel(), s.c.ravel()]) for s in sheets]
     )
     wvals = np.concatenate([s.w.ravel() for s in sheets])
-    branch_arr = np.concatenate([np.full(n_per, s.branch, dtype=np.int64) for s in sheets])
-    colors = np.concatenate(
-        [np.tile(np.asarray(branch_color(s.branch), dtype=np.uint8), (n_per, 1)) for s in sheets]
-    )
     faces = np.concatenate([s.faces + offset[s.branch] for s in sheets])
     face_branch = np.concatenate([np.full(len(s.faces), s.branch, dtype=np.int64) for s in sheets])
 
@@ -374,14 +370,15 @@ def assemble_surface(
             upper = by_branch[seam.upper_branch].upper_edge() + offset[seam.upper_branch]
             seam.merged_vertices = tuple(new_index[upper].tolist())
 
+    branch_arr = np.concatenate([np.full(n_per, s.branch, dtype=np.int64) for s in sheets])[keep]
     return SurfaceMesh(
         function=first.function,
         kind=first.kind,
         sheet_branches=tuple(branches),
         positions=positions[keep],
-        branch=branch_arr[keep],
+        branch=branch_arr,
         w=wvals[keep],
-        colors=colors[keep],
+        colors=_PALETTE_RGB[branch_arr % len(PALETTE)],
         faces=faces,
         face_branch=face_branch,
         seams=seams,
@@ -407,7 +404,6 @@ def build_range_chart(function: IndexedFunction, grid: DomainGrid) -> SurfaceMes
     flat = w.ravel()
     ks = np.array([_branch_index(v, function) for v in flat.tolist()], dtype=np.int64)
     positions = np.column_stack([flat.real, flat.imag, np.zeros(flat.size)])
-    colors = np.asarray(PALETTE, dtype=np.uint8)[ks % len(PALETTE)]
     faces = lattice_faces(n_rows, n_cols)
     face_branch = ks[faces[:, 0]]
     return SurfaceMesh(
@@ -416,8 +412,8 @@ def build_range_chart(function: IndexedFunction, grid: DomainGrid) -> SurfaceMes
         sheet_branches=tuple(np.unique(ks).tolist()),
         positions=positions,
         branch=ks,
-        w=flat.copy(),
-        colors=colors,
+        w=flat,
+        colors=_PALETTE_RGB[ks % len(PALETTE)],
         faces=faces,
         face_branch=face_branch,
         range_chart=True,

@@ -15,10 +15,12 @@ from hypothesis import given, strategies as st
 
 from riemannmesh import (
     BranchIndexError,
+    CharismaKind,
     DomainError,
     IndexedFunction,
     branch_of,
     continuation_branch,
+    evaluate_charisma,
     in_branch_range,
     log_branch,
     principal_phase,
@@ -330,3 +332,30 @@ class TestIndexedFunction:
             IndexedFunction("log", 3)
         with pytest.raises(ValueError):
             IndexedFunction("tan")
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        pytest.param(lambda: log_branch(2j, 0.5), BranchIndexError, id="log_branch"),
+        pytest.param(lambda: root_branch(2j, 3, 1.5), BranchIndexError, id="root_branch"),
+        pytest.param(lambda: ROOT3.is_admissible(1.5), BranchIndexError, id="root-is_admissible"),
+        pytest.param(lambda: LOG.is_admissible(0.5), BranchIndexError, id="log-is_admissible"),
+        pytest.param(lambda: ROOT3.branch_value(2j, 1.5), BranchIndexError, id="root-branch_value"),
+        pytest.param(lambda: LOG.branch_value(2j, 0.5), BranchIndexError, id="log-branch_value"),
+        pytest.param(lambda: in_branch_range(2j, LOG, 0.5), BranchIndexError, id="in_branch_range"),
+        pytest.param(lambda: evaluate_charisma(2j, 1.5, ROOT3, CharismaKind.SIN), BranchIndexError,
+                     id="root-evaluate_charisma"),
+        pytest.param(lambda: evaluate_charisma(2j, 0.5, LOG, CharismaKind.IMAG), BranchIndexError,
+                     id="log-evaluate_charisma"),
+        pytest.param(lambda: root_indices(2.5), ValueError, id="root_indices-degree"),
+        pytest.param(lambda: root_branch(2j, 2.5, 0), ValueError, id="root_branch-degree"),
+        pytest.param(lambda: IndexedFunction.root(2.5), ValueError, id="IndexedFunction.root-degree"),
+        pytest.param(lambda: IndexedFunction("root", 2.5), ValueError, id="IndexedFunction-degree"),
+    ],
+)
+def test_a_non_integer_branch_or_degree_raises_a_value_error(call, error):
+    # README: every invalid input raises a ValueError subclass, never TypeError
+    with pytest.raises(error, match="must be an integer") as exc:
+        call()
+    assert type(exc.value) is error

@@ -97,6 +97,13 @@ class TestParseArgs:
         assert job.fmt == "json" and not job.weld
         assert job.output == Path("root3_sin.json")
 
+    def test_an_explicit_flag_equal_to_the_default_beats_the_preset(self):
+        # 3a turns walls on; --no-walls asks for the built-in default
+        assert not parse_args(["--figure", "3a", "--no-walls"]).walls
+        assert parse_args(["--figure", "6", "--function", "root:3", "--charisma", "sin"]) == parse_args(
+            ["--branches", "-2..2"]
+        )
+
     def test_weld_tolerance_flag(self):
         assert parse_args(["--weld-tol", "1e-6"]).weld_tol == 1e-6
 
@@ -190,6 +197,7 @@ class TestRun:
             (dict(weld_tol=float("nan")), EXIT_DOMAIN),
             (dict(weld_tol=float("inf")), EXIT_DOMAIN),
             (dict(weld_tol=-1.0), EXIT_DOMAIN),
+            (dict(weld_tol=None), EXIT_DOMAIN),
             (dict(fmt="stl"), EXIT_DOMAIN),
             (dict(kind=CharismaKind.IMAG), EXIT_INCOMPATIBLE),
             (dict(branches=(1.5,)), EXIT_DOMAIN),

@@ -242,6 +242,39 @@ class TestPly:
         with pytest.raises(ValueError, match="face row|only triangle faces"):
             read_ply("\n".join(lines) + "\n")
 
+    def test_reader_round_trips_extreme_floats_bit_for_bit(self):
+        mesh = synthetic_mesh(4, 2, seed=3)
+        mesh.positions[0] = [-0.0, 5e-324, 1.7976931348623157e308]
+        mesh.positions[1] = [-5e-324, -1.7976931348623157e308, 0.0]
+        data = read_ply(ply_text(mesh))
+        assert data.vertices.dtype == np.float64
+        assert data.vertices.tobytes() == mesh.positions.tobytes()
+        assert data.colors.tobytes() == mesh.colors.astype(np.int64).tobytes()
+        assert data.faces.tobytes() == mesh.faces.astype(np.int64).tobytes()
+
+    def test_reader_rejects_a_blank_vertex_row(self, mesh):
+        # a blank line must not be skipped, which would shift every row after it
+        lines = ply_text(mesh).splitlines()
+        lines[lines.index("end_header") + 4] = ""
+        with pytest.raises(ValueError, match="vertex row 3 has 0 values, expected 6"):
+            read_ply("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("row,value", [("vertex", "1.5"), ("face", "1e2")])
+    def test_reader_rejects_a_non_integer_color_or_index(self, mesh, row, value):
+        lines = ply_text(mesh).splitlines()
+        i = lines.index("end_header") + 1 + (mesh.n_vertices if row == "face" else 0)
+        cells = lines[i].split()
+        cells[-1] = value
+        lines[i] = " ".join(cells)
+        with pytest.raises(ValueError, match=value):
+            read_ply("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("n_vertices", [0, 5])
+    def test_reader_reads_an_empty_section(self, n_vertices):
+        data = read_ply(ply_text(synthetic_mesh(n_vertices, 0, seed=1)))
+        assert data.vertices.shape == data.colors.shape == (n_vertices, 3)
+        assert data.faces.shape == (0, 3) and data.faces.dtype == np.int64
+
 
 class TestObj:
     def test_groups_and_materials_per_branch(self, mesh):

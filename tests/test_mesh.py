@@ -86,6 +86,7 @@ class TestDomainGrid:
             dict(n_r=2.5),
             dict(r_min="a"),
             dict(r_max=None),
+            pytest.param(dict(r_max=10**400), id="r_max-beyond-float"),
         ],
     )
     def test_rejects_invalid_parameters(self, kwargs):
@@ -406,7 +407,11 @@ class TestAssemblyErrors:
         with pytest.raises(GridMismatchError):
             assemble_surface([a, c])
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "tol",
+        [math.nan, math.inf, -1.0, None, [1], "1e-9", pytest.param(10**400, id="int-beyond-float")],
+        ids=repr,
+    )
     def test_rejects_a_weld_tolerance_that_is_not_finite_and_non_negative(self, tol):
         sheets = sheet_triple(CharismaKind.INDEX)
         for weld in (True, False):
