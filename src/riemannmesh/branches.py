@@ -5,14 +5,23 @@ integer index k, with k = 0 the principal branch. Everything here rests on
 one convention: the principal phase lies in (-pi, pi], every branch region
 of the range is half-open and closed on its counterclockwise edge, and the
 branch cut of every branch runs along the negative real axis.
+
+Each formula is coded twice: once per value for the scalar API, and once
+per array for the mesh builder. Both codings make the same libm calls in
+the same order, math's mapped over lists in the batch coding and the IEEE
+arithmetic (+, *, /, ceil) in numpy, so their results agree bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "BranchIndexError",
@@ -201,14 +210,38 @@ class IndexedFunction:
         return root_branch(z, self.n, k)
 
 
-def _branch_values(f: IndexedFunction, zs: list[complex], k: int) -> list[complex]:
-    """Branch k of f at every point of zs, which the caller has checked:
-    finite and non-zero complex values, k admissible for f. Runs the same
-    core as the scalar functions, so each value is bit-for-bit theirs."""
+def _floats(values, shape: tuple[int, ...]) -> np.ndarray:
+    # the Python floats of an iterable as an array: with values a map of a
+    # math function over lists, libm runs from C, with no Python frame per call
+    return np.fromiter(values, float, math.prod(shape)).reshape(shape)
+
+
+def _phases(z: np.ndarray) -> np.ndarray:
+    # _phase at every point of z; adding 0.0 is the -0.0 fold
+    return _floats(map(math.atan2, (z.imag + 0.0).ravel().tolist(), z.real.ravel().tolist()), z.shape)
+
+
+def _batch_values(f: IndexedFunction, z: np.ndarray, branches: Sequence[int]) -> np.ndarray:
+    """Branch k of f at every point of z for each k in branches, as an array
+    of shape (len(branches), *z.shape). The caller has checked z (finite,
+    non-zero) and every k (admissible for f). The phase, the modulus and its
+    log or root are computed once per point and shared by every branch; each
+    value is bit-for-bit what _log_core or _root_core returns."""
+    ph = _phases(z)
+    moduli = map(abs, z.ravel().tolist())
+    shifts = np.array([TWO_PI * k for k in branches]).reshape((-1,) + (1,) * z.ndim)
+    w = np.empty(shifts.shape[:1] + z.shape, dtype=complex)
     if f.is_log:
-        return [_log_core(z, k) for z in zs]
+        w.real = _floats(map(math.log, moduli), z.shape)
+        w.imag = ph + shifts
+        return w
     n = f.n
-    return [_root_core(z, n, k) for z in zs]
+    angle = (ph + shifts) / n
+    radius = _floats(map(pow, moduli, itertools.repeat(1.0 / n)), z.shape)
+    angles = angle.ravel().tolist()
+    w.real = radius * _floats(map(math.cos, angles), angle.shape)
+    w.imag = radius * _floats(map(math.sin, angles), angle.shape)
+    return w
 
 
 def _log_branch_index(im: float) -> int:
@@ -243,6 +276,26 @@ def _branch_index(w: complex, f: IndexedFunction) -> int:
         return _log_branch_index(w.imag)
     n = f.n
     return _wrap_root_index(math.ceil(_phase(w) * n / TWO_PI - 0.5), n)
+
+
+def _batch_branch_index(w: np.ndarray, f: IndexedFunction) -> np.ndarray:
+    """_branch_index at every point of w, as int64: the same ceiling
+    arithmetic in numpy. Raises DomainError where an index would not fit
+    int64; the cast alone would wrap it silently."""
+    if f.is_root and f.n >= 2**63:  # the wrap modulo n below needs n in int64
+        raise DomainError(f"the branch indices of {f.label()} reach outside int64")
+    if f.is_log:
+        index = np.ceil((w.imag - math.pi) / TWO_PI)
+    else:
+        index = np.ceil(_phases(w) * f.n / TWO_PI - 0.5)
+    if not np.all(np.abs(index) < 2.0**63):
+        raise DomainError(f"a branch index of {f.label()} on this grid lies outside int64")
+    ks = index.astype(np.int64)
+    if f.is_root:  # _wrap_root_index
+        n = f.n
+        ks %= n
+        ks[ks > n // 2] -= n
+    return ks
 
 
 def continuation_branch(f: IndexedFunction, k: int) -> int:

@@ -4,15 +4,19 @@ The "charisma" of a domain point is the hidden real quantity that selects
 which value of a multivalued function applies there; plotted as a third
 coordinate it turns the stack of branch sheets into a Riemann surface.
 All kinds except the raw branch index are computed from the range value
-w = f_k(z), never from z itself.
+w = f_k(z), never from z itself. _charisma computes one height and
+_batch_charisma a whole stack of sheets, with the same libm calls.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Sequence
 
-from .branches import IndexedFunction, _phase
+import numpy as np
+
+from .branches import IndexedFunction, _floats, _phase, _phases
 
 __all__ = [
     "CharismaCompatibilityError",
@@ -92,3 +96,21 @@ def _charisma(w: complex, k: int, kind: CharismaKind, use_range_imag: bool) -> f
     if kind is CharismaKind.COS:
         return math.cos(_phase(w))
     return w.imag  # IMAG: w is log_branch(z, k)
+
+
+def _batch_charisma(
+    w: np.ndarray, branches: Sequence[int], kind: CharismaKind, use_range_imag: bool
+) -> np.ndarray:
+    # _charisma at every value of w, whose row i holds branch branches[i];
+    # each height is bit-for-bit _charisma's
+    if kind is CharismaKind.INDEX:
+        c = np.empty(w.shape)
+        for row, k in zip(c, branches):
+            row.fill(float(k))
+        return c
+    if kind is CharismaKind.IMAG or (kind is CharismaKind.SIN and use_range_imag):
+        return w.imag.copy()
+    ph = _phases(w)
+    if kind is CharismaKind.PHASE:
+        return ph
+    return _floats(map(math.sin if kind is CharismaKind.SIN else math.cos, ph.ravel().tolist()), ph.shape)

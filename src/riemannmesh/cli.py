@@ -27,7 +27,7 @@ from .mesh import (
     SurfaceMesh,
     assemble_surface,
     build_range_chart,
-    build_sheet,
+    build_sheets,
     require_weld_tol,
 )
 
@@ -207,7 +207,7 @@ def build_mesh(job: JobSpec) -> SurfaceMesh:
     """Run the mesh pipeline for a job; no file I/O."""
     if job.range_chart:
         return build_range_chart(job.function, job.grid)
-    sheets = [build_sheet(job.function, k, job.kind, job.grid) for k in job.branches]
+    sheets = build_sheets(job.function, job.branches, job.kind, job.grid)
     return assemble_surface(sheets, weld=job.weld, weld_tol=job.weld_tol, walls=job.walls)
 
 
@@ -227,7 +227,7 @@ def render_outputs(job: JobSpec, mesh: SurfaceMesh) -> dict[Path, str]:
         files[job.output] = csv_text(mesh)
     else:
         raise ValueError(f"unknown format {job.fmt!r}")
-    files[job.output.with_suffix(".seams.json")] = seams_json_text(mesh, job.weld_tol)
+    files[job.output.with_suffix(".seams.json")] = seams_json_text(mesh, require_weld_tol(job.weld_tol))
     return files
 
 

@@ -4,22 +4,30 @@ The domain is sampled on a polar lattice whose angular sweep covers
 [-pi, pi] with both endpoints present, so the branch cut along the
 negative real axis is an explicit mesh boundary: the first and last
 columns coincide geometrically but are distinct vertices sitting on
-opposite sides of the cut. Each branch lifts to one open sheet; assembly
-pairs every sheet's upper cut edge with the lower edge of the sheet that
-continues it, measures the charisma gap, and optionally welds seams that
-are continuous.
+opposite sides of the cut. Each branch lifts to one open sheet, and all
+sheets of a surface are lifted in one pass over one shared lattice;
+assembly pairs every sheet's upper cut edge with the lower edge of the
+sheet that continues it, measures the charisma gap, and optionally welds
+seams that are continuous.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .branches import DomainError, IndexedFunction, _branch_index, _branch_values, continuation_branch
-from .charisma import CharismaKind, _charisma, require_compatible
+from .branches import (
+    BranchIndexError,
+    DomainError,
+    IndexedFunction,
+    _batch_branch_index,
+    _batch_values,
+    continuation_branch,
+)
+from .charisma import CharismaKind, _batch_charisma, require_compatible
 
 __all__ = [
     "DEFAULT_LOG_BRANCHES",
@@ -36,6 +44,7 @@ __all__ = [
     "branch_color",
     "build_range_chart",
     "build_sheet",
+    "build_sheets",
     "lattice_faces",
     "require_weld_tol",
     "sample_domain",
@@ -211,6 +220,38 @@ class Sheet:
         return self.lower_edge() + (self.n_cols - 1)
 
 
+def build_sheets(
+    function: IndexedFunction,
+    branches: Iterable[int],
+    kind: CharismaKind,
+    grid: DomainGrid,
+    *,
+    use_range_imag: bool = False,
+) -> list[Sheet]:
+    """Lift each branch k in branches over the grid: w = f_k(z) and
+    c = charisma per vertex, all branches in one pass.
+
+    The sheets share one read-only z and faces, and their w and c are
+    read-only rows of one array each. Every stored value is recomputable
+    bit-for-bit through branch_value and evaluate_charisma, which make the
+    same libm calls in the same order; a sheet stores no derived state of
+    its own. Raises BranchIndexError for a branch outside int64, the
+    mesh's index type.
+    """
+    branches = [function.require_admissible(k) for k in branches]
+    for k in branches:
+        if not -2**63 <= k < 2**63:
+            raise BranchIndexError(f"branch {k} lies outside int64, the mesh's index type")
+    kind = require_compatible(kind, function)
+    z = _checked_samples(grid)
+    w = _batch_values(function, z, branches)
+    c = _batch_charisma(w, branches, kind, use_range_imag)
+    faces = lattice_faces(grid.n_r, grid.n_cols)
+    for shared in (z, w, c, faces):
+        shared.flags.writeable = False
+    return [Sheet(function, k, kind, grid, z, w[i], c[i], faces) for i, k in enumerate(branches)]
+
+
 def build_sheet(
     function: IndexedFunction,
     k: int,
@@ -219,20 +260,8 @@ def build_sheet(
     *,
     use_range_imag: bool = False,
 ) -> Sheet:
-    """Lift branch k over the grid: w = f_k(z) and c = charisma per vertex.
-
-    Every stored value is recomputable bit-for-bit through branch_value and
-    evaluate_charisma, which run the same evaluation core; the sheet stores
-    no derived state of its own.
-    """
-    k = function.require_admissible(k)
-    kind = require_compatible(kind, function)
-    z = _checked_samples(grid)
-    ws = _branch_values(function, z.ravel().tolist(), k)
-    w = np.array(ws, dtype=complex).reshape(z.shape)
-    c = np.array([_charisma(v, k, kind, use_range_imag) for v in ws], dtype=float).reshape(z.shape)
-    faces = lattice_faces(grid.n_r, grid.n_cols)
-    return Sheet(function, k, kind, grid, z, w, c, faces)
+    """Lift branch k over the grid; build_sheets for one branch."""
+    return build_sheets(function, [k], kind, grid, use_range_imag=use_range_imag)[0]
 
 
 @dataclass
@@ -397,12 +426,13 @@ def build_range_chart(function: IndexedFunction, grid: DomainGrid) -> SurfaceMes
 
     Samples are interpreted as range values w; each vertex is colored by
     branch_of(w) at height 0. The companion view to a branch surface: it
-    shows where in the range each branch's values live.
+    shows where in the range each branch's values live. Raises DomainError
+    where a branch index would not fit int64.
     """
     w = _checked_samples(grid)
     n_rows, n_cols = w.shape
     flat = w.ravel()
-    ks = np.array([_branch_index(v, function) for v in flat.tolist()], dtype=np.int64)
+    ks = _batch_branch_index(flat, function)
     positions = np.column_stack([flat.real, flat.imag, np.zeros(flat.size)])
     faces = lattice_faces(n_rows, n_cols)
     face_branch = ks[faces[:, 0]]

@@ -1,0 +1,111 @@
+"""The batch coding of the evaluation core against the scalar API, byte for
+byte, on hand-built arrays.
+
+DomainGrid never samples a -0.0 imaginary part, a subnormal modulus or an
+exact sector edge, so only arrays built by hand reach the -0.0 fold and
+the edge rules in the batch coding.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from riemannmesh import (
+    CharismaKind,
+    DomainError,
+    DomainGrid,
+    IndexedFunction,
+    branch_of,
+    build_sheets,
+    compatible_kinds,
+    evaluate_charisma,
+)
+from riemannmesh.branches import _batch_branch_index, _batch_values
+from riemannmesh.charisma import _batch_charisma
+
+LOG = IndexedFunction.log()
+FUNCTIONS = [IndexedFunction.root(n) for n in range(2, 7)] + [LOG]
+
+
+def _points() -> list[complex]:
+    pts = []
+    for x in (1.0, 5e-324, 1e300):
+        for re in (x, -x):
+            for im in (0.0, -0.0):
+                pts += [complex(re, im), complex(im, re)]  # the real and imaginary axes
+    # every sector edge of root:2..6, ph = m pi / n, at three moduli
+    for n in range(2, 7):
+        for m in range(-n, n + 1):
+            t = m * math.pi / n
+            pts += [complex(r * math.cos(t), r * math.sin(t)) for r in (1e-300, 1.0, 1e300)]
+    pts += [complex(1e300, 1e300), complex(-3.0, 4.0), complex(-3.0, -4.0), complex(5e-324, -5e-324)]
+    return pts
+
+
+POINTS = _points()
+Z = np.array(POINTS, dtype=complex)
+
+
+def branches_of(function):
+    return list(function.branch_indices() or range(-3, 4))
+
+
+@pytest.mark.parametrize("use_range_imag", [False, True])
+@pytest.mark.parametrize(
+    "function,kind",
+    [(f, kind) for f in FUNCTIONS for kind in compatible_kinds(f)],
+    ids=lambda v: v.label() if isinstance(v, IndexedFunction) else v.value,
+)
+def test_values_and_heights_match_the_scalar_api_byte_for_byte(function, kind, use_range_imag):
+    ks = branches_of(function)
+    w = _batch_values(function, Z, ks)
+    c = _batch_charisma(w, ks, kind, use_range_imag)
+    assert w.shape == c.shape == (len(ks), len(POINTS))
+    want_w = np.array([[function.branch_value(z, k) for z in POINTS] for k in ks])
+    want_c = np.array(
+        [[evaluate_charisma(z, k, function, kind, use_range_imag=use_range_imag) for z in POINTS] for k in ks]
+    )
+    assert w.tobytes() == want_w.tobytes()
+    assert c.tobytes() == want_c.tobytes()
+
+
+def _range_edges(function) -> list[complex]:
+    """Range values on the region edges of function, both zero signs."""
+    if function.is_log:
+        return [complex(x, s * m * math.pi) for x in (0.0, -0.0, 1.5, -2.0)
+                for s in (1, -1) for m in (1, 3, 5)]
+    n = function.n
+    if n == 2:  # the imaginary axis
+        return [complex(zero, y) for zero in (0.0, -0.0) for y in (1.0, -1.0, 5e-324, -1e300)]
+    if n == 4:  # the diagonals
+        return [complex(sx * a, sy * a) for a in (1.0, 5e-324, 1e300) for sx in (1, -1) for sy in (1, -1)]
+    # odd roots: the negative real axis
+    return [complex(-x, zero) for x in (1.0, 5e-324, 1e300) for zero in (0.0, -0.0)]
+
+
+@pytest.mark.parametrize("function", FUNCTIONS, ids=lambda f: f.label())
+def test_range_classifier_matches_branch_of_on_region_edges(function):
+    # a log index of Im = 1e300 overflows int64; see the test below
+    ws = _range_edges(function) + [w for w in POINTS if function.is_root or abs(w.imag) < 5e19]
+    got = _batch_branch_index(np.array(ws, dtype=complex), function)
+    assert got.dtype == np.int64
+    assert got.tolist() == [branch_of(w, function) for w in ws]
+
+
+def test_range_classifier_refuses_an_index_beyond_int64():
+    # index ceil((Im w - pi) / 2 pi): about 7.96e18 at Im 5e19, 9.55e18 > 2**63 at 6e19
+    fits = np.array([complex(1.0, 5e19), complex(1.0, -5e19)])
+    assert _batch_branch_index(fits, LOG).tolist() == [branch_of(w, LOG) for w in fits.tolist()]
+    for im in (6e19, -6e19):
+        with pytest.raises(DomainError, match="int64"):
+            _batch_branch_index(np.array([complex(1.0, im)]), LOG)
+
+
+def test_shared_sheet_arrays_are_read_only():
+    sheets = build_sheets(IndexedFunction.root(3), (-1, 0, 1), CharismaKind.SIN, DomainGrid(0.5, 2.0, 3, 8))
+    for s in sheets:
+        assert s.z is sheets[0].z and s.faces is sheets[0].faces
+        for a in (s.z, s.w, s.c, s.faces):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0

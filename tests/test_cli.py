@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from decimal import Decimal
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +214,27 @@ class TestRun:
         )
         assert run(dataclasses.replace(job, **changes)) == code
         assert capsys.readouterr().err.startswith("riemannmesh: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("tol", [Decimal("1e-9"), 0])
+    def test_hand_built_weld_tolerance_is_written_as_a_float(self, tmp_path, tol):
+        out = tmp_path / "m.ply"
+        job = JobSpec(ROOT3, CharismaKind.SIN, (-1, 0, 1), DomainGrid(0.5, 2.0, 3, 8), weld_tol=tol, output=out)
+        assert run(job) == EXIT_OK
+        written = json.loads(out.with_suffix(".seams.json").read_text())["weld_tol"]
+        assert type(written) is float and written == float(tol)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--function", "log", "--charisma", "imag", "--branches", "100000000000000000000"],
+            ["--figure", "3b-range", "--function", "log", "--r-max", "1e20"],
+        ],
+        ids=["log-branch", "log-range-chart"],
+    )
+    def test_an_index_beyond_int64_exits_five(self, tmp_path, capsys, argv):
+        assert main([*argv, "--n-r", "3", "--n-theta", "8", "-o", str(tmp_path / "m.ply")]) == EXIT_DOMAIN
+        assert "int64" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_is_usage_error(self):

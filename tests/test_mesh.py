@@ -8,8 +8,10 @@ import pytest
 
 from riemannmesh import (
     PALETTE,
+    BranchIndexError,
     CharismaKind,
     compatible_kinds,
+    DomainError,
     DomainGrid,
     GridError,
     GridMismatchError,
@@ -19,6 +21,7 @@ from riemannmesh import (
     branch_of,
     build_range_chart,
     build_sheet,
+    build_sheets,
     continuation_branch,
     evaluate_charisma,
     sample_domain,
@@ -249,6 +252,26 @@ class TestBuildSheet:
             build_sheet(LOG, 0, CharismaKind.SIN, SMALL)
 
 
+class TestBuildSheets:
+    @pytest.mark.parametrize("function,kind", [(ROOT3, CharismaKind.COS), (LOG, CharismaKind.IMAG)])
+    def test_one_pass_matches_one_sheet_at_a_time(self, function, kind):
+        ks = list(function.branch_indices() or range(-2, 3))
+        together = build_sheets(function, ks, kind, WITNESS)
+        for sheet, k in zip(together, ks):
+            alone = build_sheet(function, k, kind, WITNESS)
+            assert sheet.branch == k and sheet.w.shape == sheet.c.shape == (4, 17)
+            for name in ("z", "w", "c", "faces"):
+                assert getattr(sheet, name).tobytes() == getattr(alone, name).tobytes()
+
+    def test_rejects_a_branch_beyond_int64(self):
+        for k in (2**63, -2**63 - 1):
+            with pytest.raises(BranchIndexError, match="int64"):
+                build_sheets(LOG, [0, k], CharismaKind.INDEX, SMALL)
+        edge = build_sheets(LOG, [2**63 - 1, -2**63], CharismaKind.INDEX, SMALL)
+        mesh = assemble_surface(edge, weld=False)
+        assert mesh.branch.min() == -2**63 and mesh.branch.max() == 2**63 - 1
+
+
 class TestAssembleIndexSurface:
     def test_integer_jumps_never_weld(self):
         mesh = assemble_surface(sheet_triple(CharismaKind.INDEX), weld=True)
@@ -469,6 +492,19 @@ class TestRangeChart:
             assert tuple(chart.colors[i]) == branch_color(int(chart.branch[i]))
         assert sorted(chart.sheet_branches) == [-1, 0, 1]
         assert chart.seams == []
+
+    def test_refuses_a_log_index_beyond_int64(self):
+        # Im w reaches 1e20, so ceil((Im w - pi) / 2 pi) passes 2**63
+        with pytest.raises(DomainError, match="int64"):
+            build_range_chart(LOG, DomainGrid(0.5, 1e20, 3, 8))
+        assert build_range_chart(LOG, DomainGrid(0.5, 1e18, 3, 8)).branch.max() > 10**16
+        # root indices are wrapped modulo n, which int64 cannot hold from 2**63 on
+        with pytest.raises(DomainError, match="int64"):
+            build_range_chart(IndexedFunction.root(2**63), SMALL)
+        huge = IndexedFunction.root(2**63 - 1)
+        chart = build_range_chart(huge, SMALL)
+        assert chart.branch.tolist() == [branch_of(w, huge) for w in chart.w.tolist()]
+        assert chart.branch.min() < -(10**18)
 
 
 class TestPalette:
