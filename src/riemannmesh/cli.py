@@ -1,7 +1,8 @@
 """Command-line front end: configure a surface job, build it, write files.
 
 Exit codes: 0 success, 2 usage error, 3 charisma/function incompatibility,
-4 I/O error, 5 any other invalid input reaching the pipeline. Output is
+4 I/O error, 5 any other invalid input reaching the pipeline, or running out
+of memory while building or writing the surface. Output is
 atomic: files are staged to temporaries and renamed only once everything
 rendered.
 """
@@ -263,6 +264,9 @@ def run(job: JobSpec) -> int:
     except OSError as e:
         print(f"riemannmesh: i/o error: {e}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError:
+        print("riemannmesh: out of memory; lower --n-r, --n-theta or the number of branches", file=sys.stderr)
+        return EXIT_DOMAIN
     except ValueError as e:
         return _exit_code(e)
     return EXIT_OK

@@ -2,8 +2,8 @@
 
 All floats are written with their shortest round-trip decimal
 representation, so identical meshes serialize to identical bytes. Each
-distinct float of a table is formatted once, and blocks of rows are filled
-from one %-template.
+distinct value of a table is formatted once, and each block of rows is
+assembled from those texts as one numpy byte grid.
 """
 
 from __future__ import annotations
@@ -18,12 +18,24 @@ from .mesh import Seam, SurfaceMesh, branch_color
 
 __all__ = ["PlyData", "csv_text", "json_text", "obj_text", "ply_text", "read_ply", "seams_json_text"]
 
-# rows formatted per block. A block's cells and its text are all alive at
-# once, so small blocks keep a small job's peak memory down; writer speed is
-# flat from 128 to 1024 rows.
-_BLOCK_ROWS = 256
+# rows written per block. Each block holds a byte grid of its rows at the
+# widest cell texts; at 2048 rows a 40x240 JSON run peaked 0.9 MB (2%) higher
+# in RSS than at 1024, which matches the old 256-row writer.
+_BLOCK_ROWS = 1024
 
 _JSON_SEPARATORS = (",", ":")
+
+
+def _int_texts(values: np.ndarray) -> np.ndarray:
+    """Decimal texts of integers as the rows of a NUL-padded uint8 table."""
+    neg = values < 0
+    mag = values.astype(np.uint64)
+    mag = np.where(neg, np.uint64(0) - mag, mag)  # |-2**63| fits a uint64
+    digits = [(48 + mag % 10).astype(np.uint8)]  # the last digit is written even for 0
+    while (mag := mag // 10).any():
+        digits.append(np.where(mag > 0, 48 + mag % 10, 0).astype(np.uint8))
+    sign = [np.where(neg, 45, 0).astype(np.uint8)] if neg.any() else []
+    return np.stack([*sign, *digits[::-1]], axis=1)
 
 
 def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: str = "") -> list[str]:
@@ -31,17 +43,20 @@ def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: 
     rows joined by `between`; returned as pieces to concatenate.
 
     The arrays share their length and are 1-D or 2-D. Every value is
-    written as the repr of its Python float or int, which for a float is
-    its shortest round-trip decimal. A surface repeats few distinct floats
-    (its sheets share one lattice), so each float array is reduced to its
-    distinct values, keyed by bit pattern so that -0.0 and 0.0 stay apart,
-    and each of those is formatted once.
+    written as the repr of its Python float or int. A surface repeats few
+    distinct floats (its sheets share one lattice), so each float array is
+    reduced to its distinct values, keyed by bit pattern so that -0.0 and
+    0.0 stay apart, and each is formatted once. An int array gets a text per
+    value of its range, or per distinct value when the range is wider than
+    the array. Texts are NUL-padded and a block's NUL bytes are dropped, so
+    the separators, `end` and `between` must not contain NUL.
     """
+    if "\0" in "".join((*seps, end, between)):
+        raise ValueError("table separators must not contain NUL")
     n = len(columns[0])
     if not n:
         return []
-    tables = []  # per array: its cells, as indices into the reprs for floats
-    fields = []
+    cells = []  # per array: its texts, the array indexing them, and the offset of those indices
     for column in columns:
         column = column.reshape(n, -1)
         if column.dtype.kind == "f":
@@ -49,25 +64,31 @@ def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: 
             # a 1-D key, because numpy 1.x and 2.x shape the inverse of an
             # n-D input differently
             distinct, inverse = np.unique(key, return_inverse=True)
-            reprs = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-            tables.append((inverse.reshape(column.shape), reprs))
-            fields += ["%s"] * column.shape[1]
+            texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype="S")
+            cells.append((texts.view(np.uint8).reshape(len(texts), -1), inverse.reshape(column.shape), 0))
+            continue
+        lo, hi = int(column.min()), int(column.max())
+        if hi - lo < column.size:
+            cells.append((_int_texts(lo + np.arange(hi - lo + 1)), column, lo))
         else:
-            tables.append((column, None))
-            fields += ["%d"] * column.shape[1]
-    # the text of one row, and `between`, as a %-template
-    row = "".join(sep.replace("%", "%%") + field for sep, field in zip(seps, fields))
-    row += (end + between).replace("%", "%%")
+            distinct, inverse = np.unique(column.ravel(), return_inverse=True)
+            cells.append((_int_texts(distinct), inverse.reshape(column.shape), 0))
+    pieces = [np.frombuffer(sep.encode(), np.uint8) for sep in (*seps, end + between)]
+    width = sum(map(len, pieces)) + sum(texts.shape[1] * index.shape[1] for texts, index, _ in cells)
     blocks = []
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        cells = np.empty((stop - start, len(fields)), dtype=object)
-        col = 0
-        for values, reprs in tables:
-            block = values[start:stop]
-            cells[:, col:col + block.shape[1]] = block if reprs is None else reprs[block]
-            col += block.shape[1]
-        blocks.append(row * (stop - start) % tuple(cells.ravel().tolist()))
+        grid = np.empty((stop - start, width), np.uint8)
+        at, sep = 0, iter(pieces)
+        for texts, index, offset in cells:
+            # offset per block, since offsetting the whole column would copy it
+            idx = np.subtract(index[start:stop], offset, dtype=np.intp)
+            for j in range(idx.shape[1]):
+                for piece in (next(sep), texts.take(idx[:, j], axis=0)):
+                    grid[:, at:at + piece.shape[-1]] = piece
+                    at += piece.shape[-1]
+        grid[:, at:] = next(sep)
+        blocks.append(grid.tobytes().translate(None, b"\0").decode())
     if between:
         blocks[-1] = blocks[-1][:-len(between)]
     return blocks

@@ -53,6 +53,12 @@ __all__ = [
 
 DEFAULT_WELD_TOL = 1e-9
 
+# the most lattice points n_r * (n_theta + 1) a DomainGrid may hold: 4.4
+# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 1.1 KB
+# (PLY) to 1.5 KB (JSON) of peak RSS per lattice point, so at the cap such a
+# run needs about 1.6 GB.
+MAX_GRID_POINTS = 1 << 20
+
 # finite window of the infinite log surface built when no branch range is given
 DEFAULT_LOG_BRANCHES = range(-2, 3)
 
@@ -117,6 +123,12 @@ class DomainGrid:
                 raise GridError(f"{name} must be an integer", name)
             if count < least:
                 raise GridError(f"{name} must be at least {least}", name)
+        points = int(self.n_r) * (int(self.n_theta) + 1)  # Python ints: a numpy product may wrap
+        if points > MAX_GRID_POINTS:
+            raise GridError(
+                f"n_r * (n_theta + 1) must be at most {MAX_GRID_POINTS}, got {points}",
+                "n_r" if self.n_r > self.n_theta else "n_theta",
+            )
         if not (_is_finite_real(self.r_min) and self.r_min > 0.0):
             raise GridError("r_min must be finite and > 0; z = 0 is the branch point", "r_min")
         if not (_is_finite_real(self.r_max) and self.r_max > self.r_min):

@@ -65,6 +65,8 @@ class TestParseArgs:
             (["--r-min", "3", "--r-max", "2"], "--r-max"),
             (["--n-r", "1"], "--n-r"),
             (["--n-theta", "4"], "--n-theta"),
+            (["--n-r", "100000"], "--n-r"),
+            (["--n-theta", "10000000"], "--n-theta"),
             (["--r-max", "nan"], "--r-max"),
             (["--r-min", "inf"], "--r-min"),
         ],
@@ -214,6 +216,16 @@ class TestRun:
         )
         assert run(dataclasses.replace(job, **changes)) == code
         assert capsys.readouterr().err.startswith("riemannmesh: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("stage", ["build_mesh", "render_outputs"])
+    def test_running_out_of_memory_exits_five(self, tmp_path, capsys, monkeypatch, stage):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, stage, exhausted)
+        assert main([*FAST_GRID, "-o", str(tmp_path / "m.ply")]) == EXIT_DOMAIN
+        assert "out of memory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tol", [Decimal("1e-9"), 0])

@@ -152,6 +152,51 @@ def non_finite(mesh):
 
 
 B = formats._BLOCK_ROWS
+I64_MIN, I64_MAX = -2**63, 2**63 - 1
+
+
+# A writer texts every value of an int column's range when the range is
+# narrower than the column, and each distinct value otherwise. The int64
+# edits take one way each; small_int_dtypes and digit_widths take the first
+# on the larger test mesh and the second on the smaller one.
+def int64_extremes_narrow(mesh):
+    mesh.branch[:] = I64_MIN + np.arange(mesh.n_vertices) % 7
+    mesh.faces[:] = I64_MAX - mesh.faces % 5
+
+
+def int64_extremes_wide(mesh):
+    mesh.branch[::3] = I64_MIN
+    mesh.branch[1::3] = I64_MAX
+    mesh.faces[::4, 0] = I64_MIN
+    mesh.faces[1::4, 2] = I64_MAX
+
+
+def small_int_dtypes(mesh):
+    mesh.branch = (np.arange(mesh.n_vertices) % 256 - 128).astype(np.int8)
+    mesh.branch[-1] = 127
+    mesh.colors = (np.arange(mesh.colors.size) % 256).astype(np.uint8).reshape(mesh.colors.shape)
+    mesh.colors[-1, -1] = 255
+    mesh.faces = (mesh.faces % 256 - 128).astype(np.int8)
+    mesh.faces[-1] = [-128, 127, 0]
+
+
+def only_zero(mesh):
+    mesh.branch[:] = 0
+    mesh.colors[:] = 0
+    mesh.faces[:] = 0
+
+
+def digit_widths(mesh):
+    # the digit count changes between neighbouring rows: within blocks, and
+    # from row B - 1 to row B across a block's end
+    up = (np.arange(mesh.n_vertices) + 1) % 2
+    mesh.branch[:] = np.where(up, 100_000, 99_999)
+    mesh.colors[:, 0] = np.where(up, 10, 9)
+    mesh.colors[:, 1] = np.where(up, 100, 99)
+    up = (np.arange(mesh.n_faces) + 1) % 2
+    mesh.faces[:, 0] = np.where(up, 10, 9)
+    mesh.faces[:, 1] = 10**12
+    mesh.faces[:, 2] = np.where(up, 100_000, 99_999)
 
 
 class TestWritersMatchRowReference:
@@ -191,6 +236,24 @@ class TestWritersMatchRowReference:
         assert json_text(mesh) == row_json_text(mesh)
         assert csv_text(mesh) == row_csv_text(mesh)
 
+    @pytest.mark.parametrize("size", [(5, 4), (2 * B + 3, B + 2)])
+    @pytest.mark.parametrize(
+        "edit", [int64_extremes_narrow, int64_extremes_wide, small_int_dtypes, only_zero, digit_widths]
+    )
+    def test_int_columns_match_the_row_at_a_time_writers(self, edit, size):
+        mesh = synthetic_mesh(*size, seed=11)
+        edit(mesh)
+        assert ply_text(mesh) == row_ply_text(mesh)
+        assert json_text(mesh) == row_json_text(mesh)
+        assert csv_text(mesh) == row_csv_text(mesh)
+        if mesh.faces.max() < np.iinfo(mesh.faces.dtype).max:  # obj writes faces + 1
+            assert obj_text(mesh, "m.mtl") == row_obj_text(mesh, "m.mtl")
+
+    @pytest.mark.parametrize("seps,end,between", [(("\0",), "\n", ""), (("",), "\0", ""), (("",), "\n", "\0")])
+    def test_a_separator_holding_nul_is_refused(self, seps, end, between):
+        # the writer drops every NUL byte of its grids, so a NUL separator would vanish
+        with pytest.raises(ValueError, match="NUL"):
+            formats._table([np.array([1, 2])], seps, end, between)
 
     def test_percent_signs_around_the_values_are_written_as_they_are(self):
         columns = [np.array([[0.5, -0.0], [1e300, 2.0]]), np.array([7, 8])]

@@ -27,7 +27,7 @@ from riemannmesh import (
     sample_domain,
     seam_report,
 )
-from riemannmesh.mesh import lattice_faces
+from riemannmesh.mesh import MAX_GRID_POINTS, lattice_faces
 
 LOG = IndexedFunction.log()
 ROOT3 = IndexedFunction.root(3)
@@ -90,6 +90,8 @@ class TestDomainGrid:
             dict(r_min="a"),
             dict(r_max=None),
             pytest.param(dict(r_max=10**400), id="r_max-beyond-float"),
+            pytest.param(dict(n_r=MAX_GRID_POINTS // 9 + 1), id="n_r-beyond-cap"),
+            pytest.param(dict(n_theta=MAX_GRID_POINTS // 3), id="n_theta-beyond-cap"),
         ],
     )
     def test_rejects_invalid_parameters(self, kwargs):
@@ -99,6 +101,15 @@ class TestDomainGrid:
         with pytest.raises(GridError) as exc:
             DomainGrid(**base)
         assert exc.value.field == field
+
+    def test_caps_the_lattice_points_without_allocating(self):
+        assert DomainGrid(n_r=200, n_theta=1200).n_r * 1201 < MAX_GRID_POINTS / 4
+        DomainGrid(n_r=1024, n_theta=MAX_GRID_POINTS // 1024 - 1)  # exactly at the cap
+        with pytest.raises(GridError, match="at most"):
+            DomainGrid(n_r=1024, n_theta=MAX_GRID_POINTS // 1024)
+        # the product is taken in Python ints, so numpy ints cannot wrap past the cap
+        with pytest.raises(GridError, match="at most"):
+            DomainGrid(n_r=np.int64(2**32), n_theta=np.int64(2**32 - 1))
 
     def test_log_spacing(self):
         grid = DomainGrid(0.1, 10.0, 5, 8, radial_spacing="log")
