@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 usage error, 3 charisma/function incompatibility,
 4 I/O error, 5 any other invalid input reaching the pipeline, or running out
 of memory while building or writing the surface. Output is
-atomic: files are staged to temporaries and renamed only once everything
-rendered.
+atomic: files are rendered straight into staged temporaries, and renamed
+only once every file is staged in full.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ import sys
 import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 from .branches import IndexedFunction
 from .charisma import CharismaCompatibilityError, CharismaKind, require_compatible
-from .formats import csv_text, json_text, obj_text, ply_text, seams_json_text
+from .formats import _csv_pieces, _json_pieces, _mtl_text, _obj_pieces, _ply_pieces, seams_json_text
 from .mesh import (
     DEFAULT_LOG_BRANCHES,
     DEFAULT_WELD_TOL,
@@ -41,10 +42,6 @@ EXIT_IO = 4
 EXIT_DOMAIN = 5
 
 _FORMAT_SUFFIX = {"ply": ".ply", "obj": ".obj", "json": ".json", "csv": ".csv"}
-
-# characters written per call: one write of a whole text would first encode
-# it into a second, full-size bytes object
-_WRITE_SLICE = 1 << 20
 
 # one preset per reference surface, applied as parser defaults
 FIGURE_PRESETS: dict[str, dict] = {
@@ -212,36 +209,35 @@ def build_mesh(job: JobSpec) -> SurfaceMesh:
     return assemble_surface(sheets, weld=job.weld, weld_tol=job.weld_tol, walls=job.walls)
 
 
-def render_outputs(job: JobSpec, mesh: SurfaceMesh) -> dict[Path, str]:
-    """Serialize the mesh and its seam sidecar to {path: text}."""
-    files: dict[Path, str] = {}
+def render_outputs(job: JobSpec, mesh: SurfaceMesh) -> dict[Path, Iterable[str]]:
+    """Serialize the mesh and its seam sidecar to {path: pieces of text};
+    the mesh file's pieces are rendered lazily, as they are written."""
+    files: dict[Path, Iterable[str]] = {}
     if job.fmt == "ply":
-        files[job.output] = ply_text(mesh)
+        files[job.output] = _ply_pieces(mesh)
     elif job.fmt == "obj":
         mtl_path = job.output.with_suffix(".mtl")
-        obj, mtl = obj_text(mesh, mtl_path.name)
-        files[job.output] = obj
-        files[mtl_path] = mtl
+        files[job.output] = _obj_pieces(mesh, mtl_path.name)
+        files[mtl_path] = [_mtl_text(mesh)]
     elif job.fmt == "json":
-        files[job.output] = json_text(mesh)
+        files[job.output] = _json_pieces(mesh)
     elif job.fmt == "csv":
-        files[job.output] = csv_text(mesh)
+        files[job.output] = _csv_pieces(mesh)
     else:
         raise ValueError(f"unknown format {job.fmt!r}")
-    files[job.output.with_suffix(".seams.json")] = seams_json_text(mesh, require_weld_tol(job.weld_tol))
+    files[job.output.with_suffix(".seams.json")] = [seams_json_text(mesh, require_weld_tol(job.weld_tol))]
     return files
 
 
-def _write_atomic(files: dict[Path, str]) -> None:
-    # stage everything, then rename; an error leaves no partial output
+def _write_atomic(files: dict[Path, Iterable[str]]) -> None:
+    # stage everything, then rename; an error, also one raised while rendering, leaves no partial output
     staged: list[tuple[str, Path]] = []
     try:
-        for path, text in files.items():
+        for path, pieces in files.items():
             fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
             staged.append((tmp, path))
             with os.fdopen(fd, "w", newline="\n") as fh:
-                for start in range(0, len(text), _WRITE_SLICE):
-                    fh.write(text[start:start + _WRITE_SLICE])
+                fh.writelines(pieces)
         while staged:
             tmp, path = staged.pop()
             os.replace(tmp, path)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,6 +23,9 @@ __all__ = ["PlyData", "csv_text", "json_text", "obj_text", "ply_text", "read_ply
 # widest cell texts; at 2048 rows a 40x240 JSON run peaked 0.9 MB (2%) higher
 # in RSS than at 1024, which matches the old 256-row writer.
 _BLOCK_ROWS = 1024
+
+# distinct floats formatted per chunk, so the repr strings of one chunk are alive at a time
+_REPR_CHUNK = 1 << 13
 
 _JSON_SEPARATORS = (",", ":")
 
@@ -38,9 +42,9 @@ def _int_texts(values: np.ndarray) -> np.ndarray:
     return np.stack([*sign, *digits[::-1]], axis=1)
 
 
-def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: str = "") -> list[str]:
+def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: str = "") -> Iterator[str]:
     """One text row per array row, seps[0] v0 seps[1] v1 ... v_last end,
-    rows joined by `between`; returned as pieces to concatenate.
+    rows joined by `between`; returned lazily, as one piece per block of rows.
 
     The arrays share their length and are 1-D or 2-D. Every value is
     written as the repr of its Python float or int. A surface repeats few
@@ -49,13 +53,17 @@ def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: 
     0.0 stay apart, and each is formatted once. An int array gets a text per
     value of its range, or per distinct value when the range is wider than
     the array. Texts are NUL-padded and a block's NUL bytes are dropped, so
-    the separators, `end` and `between` must not contain NUL.
+    the separators, `end` and `between` must not contain NUL (checked at once).
     """
     if "\0" in "".join((*seps, end, between)):
         raise ValueError("table separators must not contain NUL")
+    return _blocks(columns, seps, end, between)
+
+
+def _blocks(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: str) -> Iterator[str]:
     n = len(columns[0])
     if not n:
-        return []
+        return
     cells = []  # per array: its texts, the array indexing them, and the offset of those indices
     for column in columns:
         column = column.reshape(n, -1)
@@ -64,7 +72,11 @@ def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: 
             # a 1-D key, because numpy 1.x and 2.x shape the inverse of an
             # n-D input differently
             distinct, inverse = np.unique(key, return_inverse=True)
-            texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype="S")
+            values = distinct.view(np.float64)
+            texts = np.concatenate([  # numpy sizes each chunk's S width
+                np.array(list(map(repr, values[i:i + _REPR_CHUNK].tolist())), dtype="S")
+                for i in range(0, len(values), _REPR_CHUNK)
+            ])
             cells.append((texts.view(np.uint8).reshape(len(texts), -1), inverse.reshape(column.shape), 0))
             continue
         lo, hi = int(column.min()), int(column.max())
@@ -75,7 +87,6 @@ def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: 
             cells.append((_int_texts(distinct), inverse.reshape(column.shape), 0))
     pieces = [np.frombuffer(sep.encode(), np.uint8) for sep in (*seps, end + between)]
     width = sum(map(len, pieces)) + sum(texts.shape[1] * index.shape[1] for texts, index, _ in cells)
-    blocks = []
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         grid = np.empty((stop - start, width), np.uint8)
@@ -88,15 +99,17 @@ def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: 
                     grid[:, at:at + piece.shape[-1]] = piece
                     at += piece.shape[-1]
         grid[:, at:] = next(sep)
-        blocks.append(grid.tobytes().translate(None, b"\0").decode())
-    if between:
-        blocks[-1] = blocks[-1][:-len(between)]
-    return blocks
+        text = grid.tobytes().translate(None, b"\0").decode()
+        yield text[:-len(between)] if between and stop == n else text
 
 
 def ply_text(mesh: SurfaceMesh) -> str:
     """Ascii PLY 1.0 with per-vertex uchar RGB; z carries the charisma."""
-    header = "\n".join([
+    return "".join(_ply_pieces(mesh))
+
+
+def _ply_pieces(mesh: SurfaceMesh) -> Iterator[str]:
+    yield "\n".join([
         "ply",
         "format ascii 1.0",
         "comment riemannmesh surface",
@@ -111,11 +124,8 @@ def ply_text(mesh: SurfaceMesh) -> str:
         "property list uchar int vertex_indices",
         "end_header",
     ]) + "\n"
-    return "".join([
-        header,
-        *_table([mesh.positions, mesh.colors], ("", " ", " ", " ", " ", " "), "\n"),
-        *_table([mesh.faces], ("3 ", " ", " "), "\n"),
-    ])
+    yield from _table([mesh.positions, mesh.colors], ("", " ", " ", " ", " ", " "), "\n")
+    yield from _table([mesh.faces], ("3 ", " ", " "), "\n")
 
 
 @dataclass
@@ -178,20 +188,27 @@ def read_ply(text: str) -> PlyData:
 def obj_text(mesh: SurfaceMesh, mtl_filename: str) -> tuple[str, str]:
     """Wavefront OBJ plus MTL; branch color is carried by one material per
     branch since core OBJ has no vertex colors."""
-    obj = [f"mtllib {mtl_filename}\n", *_table([mesh.positions], ("v ", " ", " "), "\n")]
+    return "".join(_obj_pieces(mesh, mtl_filename)), _mtl_text(mesh)
+
+
+def _obj_pieces(mesh: SurfaceMesh, mtl_filename: str) -> Iterator[str]:
+    yield f"mtllib {mtl_filename}\n"
+    yield from _table([mesh.positions], ("v ", " ", " "), "\n")
     # one group per run of faces owned by the same branch
     starts = [0, *(np.flatnonzero(np.diff(mesh.face_branch)) + 1).tolist()] if mesh.n_faces else []
     for start, stop in zip(starts, starts[1:] + [mesh.n_faces]):
         k = int(mesh.face_branch[start])
-        obj.append(f"g branch_{k}\nusemtl branch_{k}\n")
-        obj.extend(_table([mesh.faces[start:stop] + 1], ("f ", " ", " "), "\n"))
+        yield f"g branch_{k}\nusemtl branch_{k}\n"
+        yield from _table([mesh.faces[start:stop] + 1], ("f ", " ", " "), "\n")
 
+
+def _mtl_text(mesh: SurfaceMesh) -> str:
     mtl = []
     for k in dict.fromkeys(mesh.face_branch.tolist()):
         r, g, b = branch_color(k)
         mtl.append(f"newmtl branch_{k}")
         mtl.append(f"Kd {r / 255!r} {g / 255!r} {b / 255!r}")
-    return "".join(obj), "\n".join(mtl) + "\n"
+    return "\n".join(mtl) + "\n"
 
 
 def _seam_record(s: Seam) -> dict:
@@ -209,6 +226,10 @@ def json_text(mesh: SurfaceMesh) -> str:
 
     Raises ValueError for a non-finite value, which strict JSON cannot hold.
     """
+    return "".join(_json_pieces(mesh))
+
+
+def _json_pieces(mesh: SurfaceMesh) -> Iterator[str]:
     if not (np.isfinite(mesh.positions).all() and np.isfinite(mesh.w).all()):
         raise ValueError("Out of range float values are not JSON compliant")
     head = json.dumps({
@@ -220,26 +241,26 @@ def json_text(mesh: SurfaceMesh) -> str:
         "sheets": [int(k) for k in mesh.sheet_branches],
     }, separators=_JSON_SEPARATORS, allow_nan=False)
     seams = json.dumps([_seam_record(s) for s in mesh.seams], separators=_JSON_SEPARATORS, allow_nan=False)
-    return "".join([
-        head[:-1],
-        ',"vertices":[',
-        *_table(
-            [mesh.positions, mesh.branch, mesh.w.real, mesh.w.imag],
-            ('{"x":', ',"y":', ',"c":', ',"k":', ',"w":[', ","),
-            "]}",
-            ",",
-        ),
-        '],"faces":[',
-        *_table([mesh.faces], ("[", ",", ","), "]", ","),
-        '],"seams":',
-        seams,
-        "}\n",
-    ])
+    yield head[:-1] + ',"vertices":['
+    yield from _table(
+        [mesh.positions, mesh.branch, mesh.w.real, mesh.w.imag],
+        ('{"x":', ',"y":', ',"c":', ',"k":', ',"w":[', ","),
+        "]}",
+        ",",
+    )
+    yield '],"faces":['
+    yield from _table([mesh.faces], ("[", ",", ","), "]", ",")
+    yield f'],"seams":{seams}}}\n'
 
 
 def csv_text(mesh: SurfaceMesh) -> str:
     """Vertex table with header x,y,c,k."""
-    return "".join(["x,y,c,k\n", *_table([mesh.positions, mesh.branch], ("", ",", ",", ","), "\n")])
+    return "".join(_csv_pieces(mesh))
+
+
+def _csv_pieces(mesh: SurfaceMesh) -> Iterator[str]:
+    yield "x,y,c,k\n"
+    yield from _table([mesh.positions, mesh.branch], ("", ",", ",", ","), "\n")
 
 
 def seams_json_text(mesh: SurfaceMesh, weld_tol: float) -> str:

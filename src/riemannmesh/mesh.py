@@ -54,9 +54,9 @@ __all__ = [
 DEFAULT_WELD_TOL = 1e-9
 
 # the most lattice points n_r * (n_theta + 1) a DomainGrid may hold: 4.4
-# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 1.1 KB
-# (PLY) to 1.5 KB (JSON) of peak RSS per lattice point, so at the cap such a
-# run needs about 1.6 GB.
+# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.72 KB
+# (PLY) to 0.78 KB (JSON) of peak RSS per lattice point above a tiny run's
+# 30 MB, so at the cap such a run needs about 0.85 GB.
 MAX_GRID_POINTS = 1 << 20
 
 # finite window of the infinite log surface built when no branch range is given
@@ -366,19 +366,20 @@ def assemble_surface(
     offset = {s.branch: i * n_per for i, s in enumerate(sheets)}
     total = n_per * len(sheets)
 
-    positions = np.concatenate(
-        [np.column_stack([s.z.real.ravel(), s.z.imag.ravel(), s.c.ravel()]) for s in sheets]
-    )
-    wvals = np.concatenate([s.w.ravel() for s in sheets])
-    faces = np.concatenate([s.faces + offset[s.branch] for s in sheets])
-    face_branch = np.concatenate([np.full(len(s.faces), s.branch, dtype=np.int64) for s in sheets])
+    # every sheet is copied once, into its rows of arrays sized for all sheets
+    positions = np.empty((len(sheets), *first.z.shape, 3))
+    wvals = np.empty((len(sheets), *first.z.shape), dtype=complex)
+    for i, s in enumerate(sheets):
+        np.stack([s.z.real, s.z.imag, s.c], axis=-1, out=positions[i])
+        wvals[i] = s.w
+    positions = positions.reshape(total, 3)
 
     by_branch = {s.branch: s for s in sheets}
     weld_map = np.arange(total, dtype=np.int64)
     dropped = np.zeros(total, dtype=bool)
     seams: list[Seam] = []
     wall_faces: list[np.ndarray] = []
-    wall_branch: list[np.ndarray] = []
+    wall_branch: list[int] = []
 
     for s in sheets:
         nxt = continuation_branch(first.function, s.branch)
@@ -396,29 +397,33 @@ def assemble_surface(
             # two triangles per radial step, bridging upper[i..i+1] to lower[i..i+1]
             u0, u1, l0, l1 = upper[:-1], upper[1:], lower[:-1], lower[1:]
             wall_faces.append(np.stack([u0, l0, l1, u0, l1, u1], axis=1).reshape(-1, 3))
-            wall_branch.append(np.full(2 * len(u0), s.branch, dtype=np.int64))
+            wall_branch.append(s.branch)
         seams.append(seam)
 
-    if wall_faces:
-        faces = np.concatenate([faces, *wall_faces])
-        face_branch = np.concatenate([face_branch, *wall_branch])
-
     keep = ~dropped
-    new_index = np.cumsum(keep) - 1
-    faces = new_index[weld_map[faces]]
+    # the index each pre-weld vertex has in the welded mesh
+    new_index = (np.cumsum(keep) - 1)[weld_map]
+    n_faces = len(first.faces)
+    faces = np.empty((n_faces * len(sheets) + sum(map(len, wall_faces)), 3), dtype=np.int64)
+    for i, s in enumerate(sheets):
+        new_index[i * n_per:(i + 1) * n_per].take(s.faces, out=faces[i * n_faces:(i + 1) * n_faces])
+    if wall_faces:
+        faces[n_faces * len(sheets):] = new_index[np.concatenate(wall_faces)]
+    face_branch = np.repeat(np.array(branches + wall_branch, dtype=np.int64),
+                            [n_faces] * len(sheets) + [len(f) for f in wall_faces])
     for seam in seams:
         if seam.welded:  # the kept upper-edge vertices, renumbered
             upper = by_branch[seam.upper_branch].upper_edge() + offset[seam.upper_branch]
             seam.merged_vertices = tuple(new_index[upper].tolist())
 
-    branch_arr = np.concatenate([np.full(n_per, s.branch, dtype=np.int64) for s in sheets])[keep]
+    branch_arr = np.repeat(np.array(branches, dtype=np.int64), n_per)[keep]
     return SurfaceMesh(
         function=first.function,
         kind=first.kind,
         sheet_branches=tuple(branches),
         positions=positions[keep],
         branch=branch_arr,
-        w=wvals[keep],
+        w=wvals.ravel()[keep],
         colors=_PALETTE_RGB[branch_arr % len(PALETTE)],
         faces=faces,
         face_branch=face_branch,

@@ -1,6 +1,7 @@
 """CLI parsing, exit codes, file output, and determinism tests."""
 
 import dataclasses
+import itertools
 import json
 from decimal import Decimal
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from riemannmesh import CharismaKind, DomainGrid, IndexedFunction, JobSpec, parse_args, run
-from riemannmesh import cli
+from riemannmesh import cli, formats
 from riemannmesh.cli import EXIT_DOMAIN, EXIT_INCOMPATIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from riemannmesh.formats import read_ply
 
@@ -271,24 +272,99 @@ class TestRun:
 
 
 class TestWriteAtomic:
-    @pytest.fixture(autouse=True)
-    def small_slices(self, monkeypatch):
-        monkeypatch.setattr(cli, "_WRITE_SLICE", 7)
+    def test_writes_every_piece_byte_for_byte_as_it_comes(self, tmp_path):
+        # pieces larger than any write buffer reach the staged file as each is
+        # consumed, so joining them first would leave the file empty here
+        piece = "0.5 -0.0 1e-300 7\n" * 4000
 
-    def test_writes_every_slice_byte_for_byte(self, tmp_path):
-        # a newline ends the first slice; the last slice is short
-        text = "ply 10\n" + "0.5 -0.0 1e-300 7\n" * 9 + "end"
-        assert text[6] == "\n" and len(text) % 7
-        texts = {tmp_path / "a.ply": text, tmp_path / "b.json": "{}\n"}
-        cli._write_atomic(texts)
-        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == {p: t.encode() for p, t in texts.items()}
+        def pieces():
+            yield "ply 10\n"
+            for i in range(3):
+                yield piece
+                if i:
+                    (staged,) = tmp_path.glob(".a.ply.*.tmp")
+                    assert staged.stat().st_size >= i * len(piece)
+            yield ""
+            yield "end"
+
+        cli._write_atomic({tmp_path / "a.ply": pieces(), tmp_path / "b.json": ["{", "}\n"]})
+        assert (tmp_path / "a.ply").read_bytes() == ("ply 10\n" + 3 * piece + "end").encode()
+        assert (tmp_path / "b.json").read_bytes() == b"{}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ply", "b.json"]
 
     def test_a_failing_write_leaves_no_file(self, tmp_path):
-        # the lone surrogate cannot be encoded, so the third slice fails
-        texts = {tmp_path / "a.ply": "ply\n" * 9, tmp_path / "b.ply": "x" * 15 + "\ud800"}
+        # the lone surrogate cannot be encoded, so the second file fails
+        pieces = {tmp_path / "a.ply": ["ply\n"] * 9, tmp_path / "b.ply": ["x" * 15, "\ud800"]}
         with pytest.raises(UnicodeEncodeError):
-            cli._write_atomic(texts)
+            cli._write_atomic(pieces)
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "error,message", [(ValueError("bad piece"), "riemannmesh: bad piece\n"), (MemoryError(), "out of memory")]
+    )
+    def test_a_piece_raising_after_a_staged_file_leaves_no_file(self, tmp_path, capsys, monkeypatch, error, message):
+        render = cli.render_outputs
+        out = tmp_path / "m.ply"
+
+        def failing(job, mesh):
+            # the mesh file moves behind the fully staged sidecar and fails
+            # after its first pieces are on disk
+            files = render(job, mesh)
+            pieces = files.pop(job.output)
+            assert iter(pieces) is pieces
+
+            def broken():
+                yield from itertools.islice(pieces, 3)
+                (sidecar,) = tmp_path.glob(".m.seams.json.*.tmp")
+                (staged,) = tmp_path.glob(".m.ply.*.tmp")
+                assert sidecar.stat().st_size > 0 and staged.stat().st_size > 0
+                assert sorted(p.suffix for p in tmp_path.iterdir()) == [".tmp", ".tmp"]  # nothing renamed yet
+                raise error
+
+            files[job.output] = broken()
+            return files
+
+        monkeypatch.setattr(cli, "render_outputs", failing)
+        # at the default grid a block of rows outgrows every write buffer
+        assert run(parse_args(["-o", str(out)])) == EXIT_DOMAIN
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_non_finite_json_value_exits_five_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        build = cli.build_mesh
+
+        def with_nan(job):
+            mesh = build(job)
+            mesh.positions[-1, 2] = float("nan")
+            return mesh
+
+        monkeypatch.setattr(cli, "build_mesh", with_nan)
+        job = parse_args([*FAST_GRID, "--format", "json", "-o", str(tmp_path / "m.json")])
+        # rendering is lazy: the value is refused while the file is staged
+        cli.render_outputs(job, with_nan(job))
+        assert run(job) == EXIT_DOMAIN
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRenderOutputs:
+    @pytest.mark.parametrize("fmt", ["ply", "obj", "json", "csv"])
+    def test_the_mesh_file_is_a_lazy_iterator(self, tmp_path, fmt):
+        job = parse_args([*FAST_GRID, "--format", fmt, "-o", str(tmp_path / f"m.{fmt}")])
+        pieces = cli.render_outputs(job, cli.build_mesh(job))[job.output]
+        assert not isinstance(pieces, (str, list, tuple))
+        assert iter(pieces) is pieces
+
+    @pytest.mark.parametrize("fmt", ["ply", "obj", "json", "csv"])
+    def test_no_piece_holds_more_than_a_block_of_rows(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(formats, "_BLOCK_ROWS", 16)
+        job = parse_args([*FAST_GRID, "--format", fmt, "-o", str(tmp_path / f"m.{fmt}")])
+        mesh = cli.build_mesh(job)
+        pieces = list(cli.render_outputs(job, mesh)[job.output])
+        # a JSON row holds one "[", a row of the other formats ends in a newline
+        rows = [p.count("[" if fmt == "json" else "\n") for p in pieces]
+        assert max(rows) <= 16
+        assert sum(rows) >= mesh.n_vertices + (0 if fmt == "csv" else mesh.n_faces) > 4 * 16
 
 
 class TestModuleEntryPoint:

@@ -18,7 +18,7 @@ from riemannmesh import (
     evaluate_charisma,
 )
 from riemannmesh import formats
-from riemannmesh.cli import FIGURE_PRESETS, build_mesh, parse_args
+from riemannmesh.cli import FIGURE_PRESETS, build_mesh, parse_args, run
 from riemannmesh.formats import csv_text, json_text, obj_text, ply_text, read_ply, seams_json_text
 
 ROOT3 = IndexedFunction.root(3)
@@ -33,6 +33,27 @@ def mesh():
 
 def _fmt(v):
     return repr(float(v))
+
+
+def assert_same_text(got, want):
+    """got == want for writer outputs: a text, or a tuple of texts. A
+    failure names the first differing line and column and shows both texts
+    around that point, where pytest's own diff of two multi-kilobyte strings
+    can run for minutes."""
+    got, want = ((x,) if isinstance(x, str) else x for x in (got, want))
+    if len(got) != len(want):
+        pytest.fail(f"{len(got)} texts, expected {len(want)}", pytrace=False)
+    for part, (g, w) in enumerate(zip(got, want)):
+        if g == w:
+            continue
+        at = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        start = g.rfind("\n", 0, at) + 1  # the line holding `at` starts here in both texts
+        got_near, want_near = (t[max(start, at - 60):at + 60] for t in (g, w))
+        pytest.fail(
+            f"text {part} differs first at line {g.count(chr(10), 0, at) + 1}, column {at - start + 1}:\n"
+            f"  got      {got_near!r}\n  expected {want_near!r}",
+            pytrace=False,
+        )
 
 
 def row_ply_text(mesh):
@@ -206,20 +227,20 @@ class TestWritersMatchRowReference:
     )
     def test_byte_identical_to_the_row_at_a_time_writers(self, n_vertices, n_faces):
         mesh = synthetic_mesh(n_vertices, n_faces, seed=n_vertices + n_faces)
-        assert ply_text(mesh) == row_ply_text(mesh)
-        assert obj_text(mesh, "m.mtl") == row_obj_text(mesh, "m.mtl")
-        assert json_text(mesh) == row_json_text(mesh)
-        assert csv_text(mesh) == row_csv_text(mesh)
+        assert_same_text(ply_text(mesh), row_ply_text(mesh))
+        assert_same_text(obj_text(mesh, "m.mtl"), row_obj_text(mesh, "m.mtl"))
+        assert_same_text(json_text(mesh), row_json_text(mesh))
+        assert_same_text(csv_text(mesh), row_csv_text(mesh))
 
     @pytest.mark.parametrize("edit", [signed_zeros, one_value, non_finite])
     def test_awkward_columns_match_the_row_at_a_time_writers(self, edit):
         mesh = synthetic_mesh(2 * B + 3, B + 2, seed=7)
         edit(mesh)
-        assert ply_text(mesh) == row_ply_text(mesh)
-        assert obj_text(mesh, "m.mtl") == row_obj_text(mesh, "m.mtl")
-        assert csv_text(mesh) == row_csv_text(mesh)
+        assert_same_text(ply_text(mesh), row_ply_text(mesh))
+        assert_same_text(obj_text(mesh, "m.mtl"), row_obj_text(mesh, "m.mtl"))
+        assert_same_text(csv_text(mesh), row_csv_text(mesh))
         if np.isfinite(mesh.positions).all():
-            assert json_text(mesh) == row_json_text(mesh)
+            assert_same_text(json_text(mesh), row_json_text(mesh))
         else:
             with pytest.raises(ValueError):
                 json_text(mesh)
@@ -231,10 +252,22 @@ class TestWritersMatchRowReference:
         # sheets share one lattice, so values repeat and each distinct
         # float is formatted for many cells
         assert len(np.unique(mesh.positions)) < mesh.positions.size / 2
-        assert ply_text(mesh) == row_ply_text(mesh)
-        assert obj_text(mesh, "m.mtl") == row_obj_text(mesh, "m.mtl")
-        assert json_text(mesh) == row_json_text(mesh)
-        assert csv_text(mesh) == row_csv_text(mesh)
+        assert_same_text(ply_text(mesh), row_ply_text(mesh))
+        assert_same_text(obj_text(mesh, "m.mtl"), row_obj_text(mesh, "m.mtl"))
+        assert_same_text(json_text(mesh), row_json_text(mesh))
+        assert_same_text(csv_text(mesh), row_csv_text(mesh))
+
+    @pytest.mark.parametrize("fmt", ["ply", "obj", "json", "csv"])
+    def test_the_cli_streams_the_texts_of_the_public_writers(self, tmp_path, fmt):
+        out = tmp_path / f"m.{fmt}"
+        job = parse_args(["--figure", "6", "--n-r", "6", "--n-theta", "200", "--format", fmt, "-o", str(out)])
+        assert run(job) == 0
+        mesh = build_mesh(job)
+        if fmt == "obj":
+            assert_same_text((out.read_text(), out.with_suffix(".mtl").read_text()), obj_text(mesh, "m.mtl"))
+        else:
+            assert_same_text(out.read_text(), {"ply": ply_text, "json": json_text, "csv": csv_text}[fmt](mesh))
+        assert_same_text(out.with_suffix(".seams.json").read_text(), seams_json_text(mesh, job.weld_tol))
 
     @pytest.mark.parametrize("size", [(5, 4), (2 * B + 3, B + 2)])
     @pytest.mark.parametrize(
@@ -243,11 +276,11 @@ class TestWritersMatchRowReference:
     def test_int_columns_match_the_row_at_a_time_writers(self, edit, size):
         mesh = synthetic_mesh(*size, seed=11)
         edit(mesh)
-        assert ply_text(mesh) == row_ply_text(mesh)
-        assert json_text(mesh) == row_json_text(mesh)
-        assert csv_text(mesh) == row_csv_text(mesh)
+        assert_same_text(ply_text(mesh), row_ply_text(mesh))
+        assert_same_text(json_text(mesh), row_json_text(mesh))
+        assert_same_text(csv_text(mesh), row_csv_text(mesh))
         if mesh.faces.max() < np.iinfo(mesh.faces.dtype).max:  # obj writes faces + 1
-            assert obj_text(mesh, "m.mtl") == row_obj_text(mesh, "m.mtl")
+            assert_same_text(obj_text(mesh, "m.mtl"), row_obj_text(mesh, "m.mtl"))
 
     @pytest.mark.parametrize("seps,end,between", [(("\0",), "\n", ""), (("",), "\0", ""), (("",), "\n", "\0")])
     def test_a_separator_holding_nul_is_refused(self, seps, end, between):
@@ -280,7 +313,7 @@ class TestPly:
         assert np.array_equal(data.faces, mesh.faces)
 
     def test_byte_determinism(self, mesh):
-        assert ply_text(mesh) == ply_text(mesh)
+        assert_same_text(ply_text(mesh), ply_text(mesh))
 
     def test_reader_rejects_foreign_input(self):
         with pytest.raises(ValueError):
