@@ -7,9 +7,10 @@ of the range is half-open and closed on its counterclockwise edge, and the
 branch cut of every branch runs along the negative real axis.
 
 Each formula is coded twice: once per value for the scalar API, and once
-per array for the mesh builder. Both codings make the same libm calls in
-the same order, math's mapped over lists in the batch coding and the IEEE
-arithmetic (+, *, /, ceil) in numpy, so their results agree bit for bit.
+per array for the mesh builder. Both codings make the same libm calls on
+the same arguments, math's mapped over lists in the batch coding (once per
+distinct argument) and the IEEE arithmetic (+, *, /, ceil) in numpy, so
+their results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -136,9 +137,14 @@ def _require_branch(k: int, n: int | None = None) -> int:
     return k
 
 
+def _root_angle(z: complex, n: int, k: int) -> float:
+    # the branch angle (ph z + 2 k pi)/n, which is ph w_k(z) modulo 2 pi
+    return (_phase(z) + TWO_PI * k) / n
+
+
 def _root_core(z: complex, n: int, k: int) -> complex:
     # the value alone, for a z and k the caller has already checked
-    angle = (_phase(z) + TWO_PI * k) / n
+    angle = _root_angle(z, n, k)
     radius = abs(z) ** (1.0 / n)
     return complex(radius * math.cos(angle), radius * math.sin(angle))
 
@@ -221,27 +227,41 @@ def _phases(z: np.ndarray) -> np.ndarray:
     return _floats(map(math.atan2, (z.imag + 0.0).ravel().tolist(), z.real.ravel().tolist()), z.shape)
 
 
-def _batch_values(f: IndexedFunction, z: np.ndarray, branches: Sequence[int]) -> np.ndarray:
+def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the distinct values of x by bit pattern, so -0.0 and 0.0 stay apart, and
+    # the index into them of every value of x; a 1-D key, as numpy 1.x and 2.x
+    # shape the inverse of an n-D input differently
+    keys, inverse = np.unique(x.ravel().view(np.int64), return_inverse=True)
+    return keys.view(float), inverse
+
+
+def _batch_values(
+    f: IndexedFunction, z: np.ndarray, branches: Sequence[int]
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
     """Branch k of f at every point of z for each k in branches, as an array
-    of shape (len(branches), *z.shape). The caller has checked z (finite,
-    non-zero) and every k (admissible for f). The phase, the modulus and its
-    log or root are computed once per point and shared by every branch; each
-    value is bit-for-bit what _log_core or _root_core returns."""
-    ph = _phases(z)
-    moduli = map(abs, z.ravel().tolist())
-    shifts = np.array([TWO_PI * k for k in branches]).reshape((-1,) + (1,) * z.ndim)
-    w = np.empty(shifts.shape[:1] + z.shape, dtype=complex)
+    w of shape (len(branches), *z.shape). For a root also (cos, sin,
+    at_phase): the cosine and sine of each branch angle (ph z + 2 k pi)/n
+    per distinct phase, and the index of every point's phase into them
+    (None for log). The caller has checked z (finite, non-zero) and every k
+    (admissible for f). atan2 and abs run per point, log or pow per distinct
+    modulus, cos and sin per branch and distinct phase; each value is
+    bit-for-bit what _log_core or _root_core returns."""
+    shape = (len(branches),) + z.shape
+    ph = _phases(z).ravel()
+    moduli, at_modulus = _distinct(_floats(map(abs, z.ravel().tolist()), ph.shape))
+    shifts = np.array([TWO_PI * k for k in branches])[:, None]
+    w = np.empty(shifts.shape[:1] + ph.shape, dtype=complex)
     if f.is_log:
-        w.real = _floats(map(math.log, moduli), z.shape)
+        w.real = _floats(map(math.log, moduli.tolist()), moduli.shape)[at_modulus]
         w.imag = ph + shifts
-        return w
-    n = f.n
-    angle = (ph + shifts) / n
-    radius = _floats(map(pow, moduli, itertools.repeat(1.0 / n)), z.shape)
-    angles = angle.ravel().tolist()
-    w.real = radius * _floats(map(math.cos, angles), angle.shape)
-    w.imag = radius * _floats(map(math.sin, angles), angle.shape)
-    return w
+        return w.reshape(shape), None
+    phases, at_phase = _distinct(ph)
+    angles = (phases + shifts) / f.n
+    radius = _floats(map(pow, moduli.tolist(), itertools.repeat(1.0 / f.n)), moduli.shape)[at_modulus]
+    cos, sin = (_floats(map(fn, angles.ravel().tolist()), angles.shape) for fn in (math.cos, math.sin))
+    w.real = radius * cos[:, at_phase]
+    w.imag = radius * sin[:, at_phase]
+    return w.reshape(shape), (cos, sin, at_phase)
 
 
 def _log_branch_index(im: float) -> int:

@@ -3,8 +3,9 @@
 The "charisma" of a domain point is the hidden real quantity that selects
 which value of a multivalued function applies there; plotted as a third
 coordinate it turns the stack of branch sheets into a Riemann surface.
-All kinds except the raw branch index are computed from the range value
-w = f_k(z), never from z itself. _charisma computes one height and
+The phase and imag kinds are computed from the range value w = f_k(z), and
+sin and cos of ph(w) from the branch angle (ph z + 2 k pi)/n, which equals
+ph(w) modulo 2 pi. evaluate_charisma computes one height and
 _batch_charisma a whole stack of sheets, with the same libm calls.
 """
 
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .branches import IndexedFunction, _floats, _phase, _phases
+from .branches import IndexedFunction, _as_nonzero_complex, _batch_values, _phase, _phases, _root_angle
 
 __all__ = [
     "CharismaCompatibilityError",
@@ -42,6 +43,7 @@ class CharismaCompatibilityError(ValueError):
 
 _ROOT_KINDS = (CharismaKind.INDEX, CharismaKind.PHASE, CharismaKind.SIN, CharismaKind.COS)
 _LOG_KINDS = (CharismaKind.INDEX, CharismaKind.IMAG)
+_ANGLE_KINDS = (CharismaKind.SIN, CharismaKind.COS)  # of a root's branch angle; one test, not two enum lookups
 
 
 def compatible_kinds(f: IndexedFunction) -> tuple[CharismaKind, ...]:
@@ -81,36 +83,35 @@ def evaluate_charisma(
     a kind/function mismatch and DomainError at z = 0.
     """
     kind = require_compatible(kind, f)
-    return _charisma(f.branch_value(z, k), k, kind, use_range_imag)
-
-
-def _charisma(w: complex, k: int, kind: CharismaKind, use_range_imag: bool) -> float:
-    # the height alone, from w = f_k(z) already computed for a checked z, k
-    # and kind; w is then finite and, for the root kinds, non-zero
+    if kind in _ANGLE_KINDS and not (use_range_imag and kind is CharismaKind.SIN):
+        # f is a root: sin and cos of ph(w) are those of the branch angle
+        angle = _root_angle(_as_nonzero_complex(z), f.n, f.require_admissible(k))
+        return math.sin(angle) if kind is CharismaKind.SIN else math.cos(angle)
+    w = f.branch_value(z, k)
     if kind is CharismaKind.INDEX:
         return float(k)
     if kind is CharismaKind.PHASE:
         return _phase(w)
-    if kind is CharismaKind.SIN:
-        return w.imag if use_range_imag else math.sin(_phase(w))
-    if kind is CharismaKind.COS:
-        return math.cos(_phase(w))
-    return w.imag  # IMAG: w is log_branch(z, k)
+    return w.imag  # IMAG (w is log_branch(z, k)), or SIN with use_range_imag
 
 
 def _batch_charisma(
-    w: np.ndarray, branches: Sequence[int], kind: CharismaKind, use_range_imag: bool
-) -> np.ndarray:
-    # _charisma at every value of w, whose row i holds branch branches[i];
-    # each height is bit-for-bit _charisma's
+    f: IndexedFunction, z: np.ndarray, branches: Sequence[int], kind: CharismaKind, use_range_imag: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    # w = f_k(z) and the charisma at every point of z for each k in branches,
+    # as two arrays of shape (len(branches), *z.shape), for a z, branches and
+    # kind the caller has checked; each value is bit-for-bit branch_value's
+    # and evaluate_charisma's
+    w, trig = _batch_values(f, z, branches)
     if kind is CharismaKind.INDEX:
         c = np.empty(w.shape)
         for row, k in zip(c, branches):
             row.fill(float(k))
-        return c
-    if kind is CharismaKind.IMAG or (kind is CharismaKind.SIN and use_range_imag):
-        return w.imag.copy()
-    ph = _phases(w)
-    if kind is CharismaKind.PHASE:
-        return ph
-    return _floats(map(math.sin if kind is CharismaKind.SIN else math.cos, ph.ravel().tolist()), ph.shape)
+    elif kind is CharismaKind.IMAG or (kind is CharismaKind.SIN and use_range_imag):
+        c = w.imag.copy()
+    elif kind is CharismaKind.PHASE:
+        c = _phases(w)
+    else:  # from the per-phase table w was built from; gathered before w, it raised peak RSS
+        cos, sin, at_phase = trig
+        c = (cos if kind is CharismaKind.COS else sin)[:, at_phase].reshape(w.shape)
+    return w, c

@@ -232,10 +232,13 @@ def render_outputs(job: JobSpec, mesh: SurfaceMesh) -> dict[Path, Iterable[str]]
 def _write_atomic(files: dict[Path, Iterable[str]]) -> None:
     # stage everything, then rename; an error, also one raised while rendering, leaves no partial output
     staged: list[tuple[str, Path]] = []
+    umask = os.umask(0)  # reading the umask means setting it
+    os.umask(umask)
     try:
         for path, pieces in files.items():
             fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
             staged.append((tmp, path))
+            os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600, as open() would have made the file
             with os.fdopen(fd, "w", newline="\n") as fh:
                 fh.writelines(pieces)
         while staged:

@@ -24,7 +24,6 @@ from .branches import (
     DomainError,
     IndexedFunction,
     _batch_branch_index,
-    _batch_values,
     continuation_branch,
 )
 from .charisma import CharismaKind, _batch_charisma, require_compatible
@@ -246,7 +245,9 @@ def build_sheets(
     The sheets share one read-only z and faces, and their w and c are
     read-only rows of one array each. Every stored value is recomputable
     bit-for-bit through branch_value and evaluate_charisma, which make the
-    same libm calls in the same order; a sheet stores no derived state of
+    same libm calls on the same arguments; here each runs once per distinct
+    argument (a modulus, or a branch and a phase), and sin and cos heights
+    reuse the branch-angle table of w. A sheet stores no derived state of
     its own. Raises BranchIndexError for a branch outside int64, the
     mesh's index type.
     """
@@ -256,8 +257,7 @@ def build_sheets(
             raise BranchIndexError(f"branch {k} lies outside int64, the mesh's index type")
     kind = require_compatible(kind, function)
     z = _checked_samples(grid)
-    w = _batch_values(function, z, branches)
-    c = _batch_charisma(w, branches, kind, use_range_imag)
+    w, c = _batch_charisma(function, z, branches, kind, use_range_imag)
     faces = lattice_faces(grid.n_r, grid.n_cols)
     for shared in (z, w, c, faces):
         shared.flags.writeable = False

@@ -1,11 +1,12 @@
 """The batch coding of the evaluation core against the scalar API, byte for
-byte, on hand-built arrays.
+byte, on hand-built arrays, and its libm call counts on a lattice.
 
 DomainGrid never samples a -0.0 imaginary part, a subnormal modulus or an
 exact sector edge, so only arrays built by hand reach the -0.0 fold and
 the edge rules in the batch coding.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -20,8 +21,9 @@ from riemannmesh import (
     build_sheets,
     compatible_kinds,
     evaluate_charisma,
+    sample_domain,
 )
-from riemannmesh.branches import _batch_branch_index, _batch_values
+from riemannmesh.branches import _batch_branch_index
 from riemannmesh.charisma import _batch_charisma
 
 LOG = IndexedFunction.log()
@@ -45,6 +47,11 @@ def _points() -> list[complex]:
 
 POINTS = _points()
 Z = np.array(POINTS, dtype=complex)
+# POINTS forwards and backwards as two rows, each with phase 0 at moduli 0.5,
+# 2.0, 0.5 and -1 with both zero signs: every libm result is gathered back to
+# several points, as on a lattice
+_SHARED = [complex(0.5, 0.0), complex(2.0, 0.0), complex(0.5, 0.0), complex(-1.0, 0.0), complex(-1.0, -0.0)]
+REPEATED = np.array([POINTS + _SHARED, POINTS[::-1] + _SHARED[::-1]], dtype=complex)
 
 
 def branches_of(function):
@@ -59,15 +66,43 @@ def branches_of(function):
 )
 def test_values_and_heights_match_the_scalar_api_byte_for_byte(function, kind, use_range_imag):
     ks = branches_of(function)
-    w = _batch_values(function, Z, ks)
-    c = _batch_charisma(w, ks, kind, use_range_imag)
-    assert w.shape == c.shape == (len(ks), len(POINTS))
-    want_w = np.array([[function.branch_value(z, k) for z in POINTS] for k in ks])
-    want_c = np.array(
-        [[evaluate_charisma(z, k, function, kind, use_range_imag=use_range_imag) for z in POINTS] for k in ks]
-    )
-    assert w.tobytes() == want_w.tobytes()
-    assert c.tobytes() == want_c.tobytes()
+    for points in (Z, REPEATED):
+        w, c = _batch_charisma(function, points, ks, kind, use_range_imag)
+        assert w.shape == c.shape == (len(ks),) + points.shape
+        zs = points.ravel().tolist()
+        want_w = np.array([[function.branch_value(z, k) for z in zs] for k in ks])
+        want_c = np.array(
+            [[evaluate_charisma(z, k, function, kind, use_range_imag=use_range_imag) for z in zs] for k in ks]
+        )
+        assert w.tobytes() == want_w.tobytes()
+        assert c.tobytes() == want_c.tobytes()
+
+
+def test_libm_runs_once_per_distinct_argument(monkeypatch):
+    grid = DomainGrid(0.05, 2.0, 20, 120)
+    z = sample_domain(grid).ravel().tolist()
+    # distinct folded phases by bit pattern; float.hex tells -0.0 from 0.0
+    n_phases = len({math.atan2(v.imag + 0.0, v.real).hex() for v in z})
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(math, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    for name in ("atan2", "cos", "sin"):
+        monkeypatch.setattr(math, name, counted(name))
+    sample_domain(grid)
+    sampling = calls.copy()  # the lattice's own cos and sin, one per column
+    calls.clear()
+    build_sheets(IndexedFunction.root(3), (-1, 0, 1), CharismaKind.SIN, grid)
+    calls.subtract(sampling)
+    assert calls["atan2"] <= len(z)
+    assert calls["cos"] <= 3 * n_phases and calls["sin"] <= 3 * n_phases
 
 
 def _range_edges(function) -> list[complex]:

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import riemannmesh.charisma as charisma_module
 from riemannmesh import (
+    BranchIndexError,
     CharismaCompatibilityError,
     CharismaKind,
     DomainError,
@@ -17,6 +19,7 @@ from riemannmesh import (
     is_compatible,
     root_branch,
 )
+from riemannmesh.branches import _root_angle
 
 LOG = IndexedFunction.log()
 ROOT3 = IndexedFunction.root(3)
@@ -158,6 +161,28 @@ class TestErrors:
     def test_origin_rejected(self):
         with pytest.raises(DomainError):
             evaluate_charisma(0, 0, ROOT3, CharismaKind.SIN)
+
+    @pytest.mark.parametrize("kind", compatible_kinds(ROOT3), ids=lambda k: k.value)
+    def test_inputs_checked_in_the_same_order_for_every_root_kind(self, kind):
+        # z before k, whether or not the kind needs w
+        with pytest.raises(DomainError):
+            evaluate_charisma(0, 7, ROOT3, kind)
+        with pytest.raises(BranchIndexError):
+            evaluate_charisma(1j, 7, ROOT3, kind)
+        with pytest.raises(BranchIndexError):
+            evaluate_charisma(1j, 0.5, ROOT3, kind)
+
+    @pytest.mark.parametrize("kind", [CharismaKind.SIN, CharismaKind.COS], ids=lambda k: k.value)
+    def test_sin_and_cos_come_from_the_branch_angle_without_w(self, kind, monkeypatch):
+        def no_w(*args):
+            raise AssertionError("w computed")
+
+        monkeypatch.setattr(IndexedFunction, "branch_value", no_w)
+        monkeypatch.setattr(charisma_module, "_phase", no_w)
+        fn = math.sin if kind is CharismaKind.SIN else math.cos
+        for z in (-8, complex(-1.0, -0.0), 0.3 - 1.2j):
+            for k in (-1, 0, 1):
+                assert evaluate_charisma(z, k, ROOT3, kind) == fn(_root_angle(complex(z), 3, k))
 
     def test_string_kind_coerced(self):
         assert evaluate_charisma(1, 0, ROOT3, "sin") == 0.0

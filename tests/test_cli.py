@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import json
+import os
+import stat
 from decimal import Decimal
 import subprocess
 import sys
@@ -272,6 +274,17 @@ class TestRun:
 
 
 class TestWriteAtomic:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    def test_files_honour_the_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "m.obj"
+        old = os.umask(umask)
+        try:
+            assert main(["--format", "obj", "-o", str(out), *FAST_GRID]) == EXIT_OK
+        finally:
+            os.umask(old)
+        for name in ("m.obj", "m.seams.json", "m.mtl"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+
     def test_writes_every_piece_byte_for_byte_as_it_comes(self, tmp_path):
         # pieces larger than any write buffer reach the staged file as each is
         # consumed, so joining them first would leave the file empty here

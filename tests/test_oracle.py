@@ -1,9 +1,11 @@
-"""Branch values against an independent 120-bit mpmath evaluation.
+"""Branch values and charisma heights against an independent 120-bit
+mpmath evaluation.
 
 The exact values are derived as in perfbench/oracle.py: the phase with the
 -0.0 fold, then ln r + i(ph + 2 k pi) or r^(1/n) e^(i (ph + 2 k pi)/n).
-Both codings of the core, branch_value and the batch core, must land
-within 8 ulp of |w|.
+Both codings of the core, the scalar API and the batch core, must land
+within 8 ulp of |w|, and their heights within 8 * 2**-53 * max(1, |c|)
+of the exact height c.
 """
 
 import math
@@ -11,8 +13,17 @@ import math
 import numpy as np
 import pytest
 
-from riemannmesh import DomainGrid, IndexedFunction, branch_of, sample_domain
+from riemannmesh import (
+    CharismaKind,
+    DomainGrid,
+    IndexedFunction,
+    branch_of,
+    compatible_kinds,
+    evaluate_charisma,
+    sample_domain,
+)
 from riemannmesh.branches import _batch_values
+from riemannmesh.charisma import _batch_charisma
 
 mp = pytest.importorskip("mpmath")
 
@@ -34,14 +45,34 @@ def edge_points() -> list[complex]:
     return pts
 
 
-def exact_value(function, z: complex, k: int):
+def exact_angle(function, z: complex, k: int):
+    """ph z + 2 k pi, divided by n for a root: Im(ln_k z), or the angle of
+    the n-th root's branch k at z."""
     with mp.workprec(120):
         y = 0.0 if z.imag == 0.0 else z.imag  # the -0.0 fold
         angle = mp.atan2(mp.mpf(y), mp.mpf(z.real)) + 2 * mp.pi * k
+        return angle if function.is_log else angle / function.n
+
+
+def exact_value(function, z: complex, k: int):
+    with mp.workprec(120):
+        angle = exact_angle(function, z, k)
         r = mp.hypot(mp.mpf(z.real), mp.mpf(z.imag))
         if function.is_log:
             return mp.mpc(mp.log(r), angle)
-        return mp.root(r, function.n) * mp.expj(angle / function.n)
+        return mp.root(r, function.n) * mp.expj(angle)
+
+
+def exact_height(function, kind: CharismaKind, z: complex, k: int):
+    with mp.workprec(120):
+        angle = exact_angle(function, z, k)
+        if kind is CharismaKind.SIN:
+            return mp.sin(angle)
+        if kind is CharismaKind.COS:
+            return mp.cos(angle)
+        if kind is CharismaKind.PHASE:  # ph w, wrapped into (-pi, pi]
+            return angle - 2 * mp.pi if angle > mp.pi else angle
+        return angle  # IMAG: Im(ln_k z)
 
 
 def ulps_off(w: complex, exact) -> float:
@@ -53,12 +84,35 @@ def ulps_off(w: complex, exact) -> float:
 def test_both_codings_are_within_8_ulp(function):
     z = np.concatenate([sample_domain(GRID).ravel(), np.array(edge_points())])
     ks = list(function.branch_indices() or range(-2, 3))
-    batch = _batch_values(function, z, ks)
+    batch = _batch_values(function, z, ks)[0]
     worst = 0.0
     for row, k in zip(batch, ks):
         for zi, wb in zip(z.tolist(), row.tolist()):
             exact = exact_value(function, zi, k)
             worst = max(worst, ulps_off(function.branch_value(zi, k), exact), ulps_off(wb, exact))
+    assert worst <= ULPS
+
+
+@pytest.mark.parametrize(
+    "function,kind",
+    [(f, kind) for f in FUNCTIONS for kind in compatible_kinds(f) if kind is not CharismaKind.INDEX],
+    ids=lambda v: v.label() if isinstance(v, IndexedFunction) else v.value,
+)
+def test_both_codings_of_the_heights_are_within_8_units(function, kind):
+    # the unit is 2**-53 * max(1, |c|): absolute for the sin and cos heights,
+    # and relative on the log helix, where rounding c = ph z + 2 k pi to a
+    # double alone is off by up to 8 * 2**-53 once |c| reaches 8
+    z = np.concatenate([sample_domain(GRID).ravel(), np.array(edge_points())])
+    ks = list(function.branch_indices() or range(-2, 3))
+    batch = _batch_charisma(function, z, ks, kind, False)[1]
+    worst = 0.0
+    for row, k in zip(batch, ks):
+        for zi, cb in zip(z.tolist(), row.tolist()):
+            exact = exact_height(function, kind, zi, k)
+            with mp.workprec(120):
+                unit = max(1, abs(exact)) * mp.mpf(2) ** -53
+                for c in (evaluate_charisma(zi, k, function, kind), cb):
+                    worst = max(worst, float(abs(mp.mpf(c) - exact) / unit))
     assert worst <= ULPS
 
 
