@@ -27,15 +27,12 @@ from .mesh import (
     PALETTE,
     DomainGrid,
     GridError,
-    GridMismatchError,
     Seam,
-    Sheet,
+    SheetStack,
     SurfaceMesh,
-    SurfacePoint,
     assemble_surface,
     branch_color,
     build_range_chart,
-    build_sheet,
     build_sheets,
     sample_domain,
     seam_report,
@@ -52,20 +49,17 @@ __all__ = [
     "DomainError",
     "DomainGrid",
     "GridError",
-    "GridMismatchError",
     "IndexedFunction",
     "JobSpec",
     "PALETTE",
     "Seam",
-    "Sheet",
+    "SheetStack",
     "SurfaceMesh",
-    "SurfacePoint",
     "assemble_surface",
     "branch_color",
     "branch_of",
     "build_mesh",
     "build_range_chart",
-    "build_sheet",
     "build_sheets",
     "compatible_kinds",
     "continuation_branch",

@@ -68,35 +68,27 @@ def require_compatible(kind: CharismaKind | str, f: IndexedFunction) -> Charisma
     return kind
 
 
-def evaluate_charisma(
-    z: complex,
-    k: int,
-    f: IndexedFunction,
-    kind: CharismaKind,
-    *,
-    use_range_imag: bool = False,
-) -> float:
+def evaluate_charisma(z: complex, k: int, f: IndexedFunction, kind: CharismaKind) -> float:
     """Charisma of the domain point z on branch k of f.
 
-    use_range_imag switches the sin kind from sin(ph w) to Im(w); the two
-    differ by the radial factor |w|. Raises CharismaCompatibilityError for
-    a kind/function mismatch and DomainError at z = 0.
+    Raises CharismaCompatibilityError for a kind/function mismatch,
+    DomainError at z = 0, and BranchIndexError for an inadmissible k, in
+    that order.
     """
     kind = require_compatible(kind, f)
-    if kind in _ANGLE_KINDS and not (use_range_imag and kind is CharismaKind.SIN):
+    if kind in _ANGLE_KINDS:
         # f is a root: sin and cos of ph(w) are those of the branch angle
         angle = _root_angle(_as_nonzero_complex(z), f.n, f.require_admissible(k))
         return math.sin(angle) if kind is CharismaKind.SIN else math.cos(angle)
+    if kind is CharismaKind.INDEX:  # needs no w
+        _as_nonzero_complex(z)
+        return float(f.require_admissible(k))
     w = f.branch_value(z, k)
-    if kind is CharismaKind.INDEX:
-        return float(k)
-    if kind is CharismaKind.PHASE:
-        return _phase(w)
-    return w.imag  # IMAG (w is log_branch(z, k)), or SIN with use_range_imag
+    return _phase(w) if kind is CharismaKind.PHASE else w.imag  # IMAG: w is log_branch(z, k)
 
 
 def _batch_charisma(
-    f: IndexedFunction, z: np.ndarray, branches: Sequence[int], kind: CharismaKind, use_range_imag: bool
+    f: IndexedFunction, z: np.ndarray, branches: Sequence[int], kind: CharismaKind
 ) -> tuple[np.ndarray, np.ndarray]:
     # w = f_k(z) and the charisma at every point of z for each k in branches,
     # as two arrays of shape (len(branches), *z.shape), for a z, branches and
@@ -107,7 +99,7 @@ def _batch_charisma(
         c = np.empty(w.shape)
         for row, k in zip(c, branches):
             row.fill(float(k))
-    elif kind is CharismaKind.IMAG or (kind is CharismaKind.SIN and use_range_imag):
+    elif kind is CharismaKind.IMAG:
         c = w.imag.copy()
     elif kind is CharismaKind.PHASE:
         c = _phases(w)

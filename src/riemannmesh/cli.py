@@ -170,7 +170,8 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
             asked = _parse_branch_range(ns.branches)
         except ValueError as e:
             parser.error(f"argument --branches: {e}")
-        branches = tuple(k for k in asked if function.is_admissible(k))
+        admissible = function.branch_indices() or asked  # log: every integer
+        branches = tuple(range(max(asked.start, admissible.start), min(asked.stop, admissible.stop)))
         if not branches:
             parser.error(
                 f"argument --branches: no admissible branch of {function.label()} in {ns.branches!r}"

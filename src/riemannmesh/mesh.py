@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -33,16 +33,13 @@ __all__ = [
     "DEFAULT_WELD_TOL",
     "DomainGrid",
     "GridError",
-    "GridMismatchError",
     "PALETTE",
     "Seam",
-    "Sheet",
+    "SheetStack",
     "SurfaceMesh",
-    "SurfacePoint",
     "assemble_surface",
     "branch_color",
     "build_range_chart",
-    "build_sheet",
     "build_sheets",
     "lattice_faces",
     "require_weld_tol",
@@ -82,10 +79,6 @@ class GridError(ValueError):
     def __init__(self, message: str, field: str | None = None) -> None:
         super().__init__(message)
         self.field = field
-
-
-class GridMismatchError(ValueError):
-    """Sheets passed to assembly do not share grid, function, and kind."""
 
 
 def branch_color(k: int) -> tuple[int, int, int]:
@@ -190,45 +183,21 @@ def lattice_faces(n_rows: int, n_cols: int) -> np.ndarray:
     return faces
 
 
-class SurfacePoint(NamedTuple):
-    """One domain sample lifted to 3D with its branch bookkeeping."""
-
-    x: float
-    y: float
-    c: float
-    k: int
-    w: complex
-
-
 @dataclass(frozen=True)
-class Sheet:
-    """One branch lifted over the sampled domain: an open surface whose
-    theta = +-pi edge columns are its cut boundary."""
+class SheetStack:
+    """Every branch of a surface lifted over one sampled domain. Sheet i is
+    branch branches[i]: an open surface whose theta = -pi and theta = +pi
+    columns (0 and n_cols - 1) are its lower and upper cut edges. Every
+    array is read-only."""
 
     function: IndexedFunction
-    branch: int
     kind: CharismaKind
     grid: DomainGrid
-    z: np.ndarray      # (n_r, n_cols) domain samples
-    w: np.ndarray      # (n_r, n_cols) range values f_k(z)
-    c: np.ndarray      # (n_r, n_cols) charisma heights
-    faces: np.ndarray  # (2 (n_r - 1) n_theta, 3) indices into row-major vertices
-
-    @property
-    def n_cols(self) -> int:
-        return self.grid.n_cols
-
-    @property
-    def n_vertices(self) -> int:
-        return self.grid.n_r * self.grid.n_cols
-
-    def lower_edge(self) -> np.ndarray:
-        """Vertex ids of the theta = -pi column, innermost radius first."""
-        return np.arange(self.grid.n_r, dtype=np.int64) * self.n_cols
-
-    def upper_edge(self) -> np.ndarray:
-        """Vertex ids of the theta = +pi column, innermost radius first."""
-        return self.lower_edge() + (self.n_cols - 1)
+    branches: tuple[int, ...]
+    z: np.ndarray      # (n_r, n_cols) domain samples, shared by every sheet
+    w: np.ndarray      # (n_branches, n_r, n_cols) range values f_k(z)
+    c: np.ndarray      # (n_branches, n_r, n_cols) charisma heights
+    faces: np.ndarray  # (2 (n_r - 1) n_theta, 3) indices into one sheet's row-major vertices
 
 
 def build_sheets(
@@ -236,44 +205,32 @@ def build_sheets(
     branches: Iterable[int],
     kind: CharismaKind,
     grid: DomainGrid,
-    *,
-    use_range_imag: bool = False,
-) -> list[Sheet]:
+) -> SheetStack:
     """Lift each branch k in branches over the grid: w = f_k(z) and
     c = charisma per vertex, all branches in one pass.
 
-    The sheets share one read-only z and faces, and their w and c are
-    read-only rows of one array each. Every stored value is recomputable
-    bit-for-bit through branch_value and evaluate_charisma, which make the
-    same libm calls on the same arguments; here each runs once per distinct
-    argument (a modulus, or a branch and a phase), and sin and cos heights
-    reuse the branch-angle table of w. A sheet stores no derived state of
-    its own. Raises BranchIndexError for a branch outside int64, the
-    mesh's index type.
+    Every stored value is recomputable bit-for-bit through branch_value and
+    evaluate_charisma, which make the same libm calls on the same
+    arguments; here each runs once per distinct argument (a modulus, or a
+    branch and a phase), and sin and cos heights reuse the branch-angle
+    table of w. Raises BranchIndexError for an empty or repeated branch
+    list, and for a branch outside int64, the mesh's index type.
     """
-    branches = [function.require_admissible(k) for k in branches]
+    branches = tuple(function.require_admissible(k) for k in branches)
     for k in branches:
         if not -2**63 <= k < 2**63:
             raise BranchIndexError(f"branch {k} lies outside int64, the mesh's index type")
     kind = require_compatible(kind, function)
+    if not branches:
+        raise BranchIndexError("no branches to lift")
+    if len(set(branches)) != len(branches):
+        raise BranchIndexError(f"repeated branches: {list(branches)}")
     z = _checked_samples(grid)
-    w, c = _batch_charisma(function, z, branches, kind, use_range_imag)
+    w, c = _batch_charisma(function, z, branches, kind)
     faces = lattice_faces(grid.n_r, grid.n_cols)
     for shared in (z, w, c, faces):
         shared.flags.writeable = False
-    return [Sheet(function, k, kind, grid, z, w[i], c[i], faces) for i, k in enumerate(branches)]
-
-
-def build_sheet(
-    function: IndexedFunction,
-    k: int,
-    kind: CharismaKind,
-    grid: DomainGrid,
-    *,
-    use_range_imag: bool = False,
-) -> Sheet:
-    """Lift branch k over the grid; build_sheets for one branch."""
-    return build_sheets(function, [k], kind, grid, use_range_imag=use_range_imag)[0]
+    return SheetStack(function, kind, grid, branches, z, w, c, faces)
 
 
 @dataclass
@@ -314,13 +271,6 @@ class SurfaceMesh:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def point(self, i: int) -> SurfacePoint:
-        x, y, c = self.positions[i]
-        return SurfacePoint(float(x), float(y), float(c), int(self.branch[i]), complex(self.w[i]))
-
-    def iter_points(self) -> Iterator[SurfacePoint]:
-        return (self.point(i) for i in range(self.n_vertices))
-
 
 def require_weld_tol(weld_tol: float) -> float:
     """weld_tol as a float; raises ValueError unless it is finite and >= 0.
@@ -334,13 +284,13 @@ def require_weld_tol(weld_tol: float) -> float:
 
 
 def assemble_surface(
-    sheets: list[Sheet],
+    sheets: SheetStack,
     *,
     weld: bool = True,
     weld_tol: float = DEFAULT_WELD_TOL,
     walls: bool = False,
 ) -> SurfaceMesh:
-    """Concatenate sheets into one mesh, measure seams, weld and wall.
+    """Join the sheets into one mesh, measure seams, weld and wall.
 
     Every sheet's theta = +pi edge is paired with the theta = -pi edge of
     the sheet carrying its continuation branch, when present. A seam welds
@@ -352,78 +302,71 @@ def assemble_surface(
     require_weld_tol rejects, whether or not welding is on.
     """
     weld_tol = require_weld_tol(weld_tol)
-    if not sheets:
-        raise GridMismatchError("no sheets to assemble")
-    first = sheets[0]
-    for s in sheets[1:]:
-        if s.function != first.function or s.grid != first.grid or s.kind != first.kind:
-            raise GridMismatchError("sheets differ in function, grid, or charisma kind")
-    branches = [s.branch for s in sheets]
-    if len(set(branches)) != len(branches):
-        raise GridMismatchError(f"duplicate branch sheets: {branches}")
+    branches, c = sheets.branches, sheets.c
+    n_sheets, n_r, n_cols = c.shape
+    n_per = n_r * n_cols
+    total = n_per * n_sheets
 
-    n_per = first.n_vertices
-    offset = {s.branch: i * n_per for i, s in enumerate(sheets)}
-    total = n_per * len(sheets)
-
-    # every sheet is copied once, into its rows of arrays sized for all sheets
-    positions = np.empty((len(sheets), *first.z.shape, 3))
-    wvals = np.empty((len(sheets), *first.z.shape), dtype=complex)
-    for i, s in enumerate(sheets):
-        np.stack([s.z.real, s.z.imag, s.c], axis=-1, out=positions[i])
-        wvals[i] = s.w
+    positions = np.empty((n_sheets, n_r, n_cols, 3))
+    positions[..., 0] = sheets.z.real
+    positions[..., 1] = sheets.z.imag
+    positions[..., 2] = c
     positions = positions.reshape(total, 3)
 
-    by_branch = {s.branch: s for s in sheets}
+    sheet_of = {k: i for i, k in enumerate(branches)}
+    # the cut edges of sheet 0, innermost radius first: its theta = -pi and +pi columns
+    lower_edge = np.arange(n_r, dtype=np.int64) * n_cols
+    upper_edge = lower_edge + (n_cols - 1)
     weld_map = np.arange(total, dtype=np.int64)
     dropped = np.zeros(total, dtype=bool)
     seams: list[Seam] = []
     wall_faces: list[np.ndarray] = []
     wall_branch: list[int] = []
 
-    for s in sheets:
-        nxt = continuation_branch(first.function, s.branch)
-        if nxt == s.branch or nxt not in by_branch:
+    for i, k in enumerate(branches):
+        nxt = continuation_branch(sheets.function, k)
+        j = sheet_of.get(nxt)
+        if nxt == k or j is None:
             continue
-        upper = s.upper_edge() + offset[s.branch]
-        lower = by_branch[nxt].lower_edge() + offset[nxt]
-        gaps = np.abs(positions[upper, 2] - positions[lower, 2])
-        seam = Seam(s.branch, nxt, float(gaps.max()), float(gaps.mean()))
+        gaps = np.abs(c[i, :, -1] - c[j, :, 0])
+        seam = Seam(k, nxt, float(gaps.max()), float(gaps.mean()))
+        upper, lower = upper_edge + i * n_per, lower_edge + j * n_per
         if weld and bool(np.all(gaps <= weld_tol)):
             weld_map[lower] = upper
             dropped[lower] = True
             seam.welded = True
-        elif walls and first.kind is CharismaKind.INDEX:
+        elif walls and sheets.kind is CharismaKind.INDEX:
             # two triangles per radial step, bridging upper[i..i+1] to lower[i..i+1]
             u0, u1, l0, l1 = upper[:-1], upper[1:], lower[:-1], lower[1:]
             wall_faces.append(np.stack([u0, l0, l1, u0, l1, u1], axis=1).reshape(-1, 3))
-            wall_branch.append(s.branch)
+            wall_branch.append(k)
         seams.append(seam)
 
     keep = ~dropped
     # the index each pre-weld vertex has in the welded mesh
     new_index = (np.cumsum(keep) - 1)[weld_map]
-    n_faces = len(first.faces)
-    faces = np.empty((n_faces * len(sheets) + sum(map(len, wall_faces)), 3), dtype=np.int64)
-    for i, s in enumerate(sheets):
-        new_index[i * n_per:(i + 1) * n_per].take(s.faces, out=faces[i * n_faces:(i + 1) * n_faces])
+    per_sheet = len(sheets.faces)
+    n_faces = per_sheet * n_sheets
+    faces = np.empty((n_faces + sum(map(len, wall_faces)), 3), dtype=np.int64)
+    sheet_faces = faces[:n_faces].reshape(n_sheets, per_sheet, 3)
+    new_index.reshape(n_sheets, n_per).take(sheets.faces, axis=1, out=sheet_faces)
     if wall_faces:
-        faces[n_faces * len(sheets):] = new_index[np.concatenate(wall_faces)]
-    face_branch = np.repeat(np.array(branches + wall_branch, dtype=np.int64),
-                            [n_faces] * len(sheets) + [len(f) for f in wall_faces])
+        faces[n_faces:] = new_index[np.concatenate(wall_faces)]
+    face_branch = np.repeat(np.array(branches + tuple(wall_branch), dtype=np.int64),
+                            [per_sheet] * n_sheets + [len(f) for f in wall_faces])
     for seam in seams:
         if seam.welded:  # the kept upper-edge vertices, renumbered
-            upper = by_branch[seam.upper_branch].upper_edge() + offset[seam.upper_branch]
+            upper = upper_edge + sheet_of[seam.upper_branch] * n_per
             seam.merged_vertices = tuple(new_index[upper].tolist())
 
     branch_arr = np.repeat(np.array(branches, dtype=np.int64), n_per)[keep]
     return SurfaceMesh(
-        function=first.function,
-        kind=first.kind,
-        sheet_branches=tuple(branches),
+        function=sheets.function,
+        kind=sheets.kind,
+        sheet_branches=branches,
         positions=positions[keep],
         branch=branch_arr,
-        w=wvals.ravel()[keep],
+        w=sheets.w.reshape(-1)[keep],
         colors=_PALETTE_RGB[branch_arr % len(PALETTE)],
         faces=faces,
         face_branch=face_branch,

@@ -19,7 +19,7 @@ from riemannmesh import (
     assemble_surface,
     branch_of,
     build_mesh,
-    build_sheet,
+    build_sheets,
     evaluate_charisma,
     log_branch,
     parse_args,
@@ -126,13 +126,14 @@ def test_criterion_06_colour_change_locus():
 
 def test_criterion_07_phase_charisma_window():
     with criterion(7, "phase charisma of branch -1 climbs to -pi/3 at the cut"):
-        sheet = build_sheet(ROOT3, -1, CharismaKind.PHASE, DomainGrid())
-        for row in sheet.c:
+        sheets = build_sheets(ROOT3, [-1], CharismaKind.PHASE, DomainGrid())
+        c = sheets.c[0]
+        for row in c:
             assert all(a < b for a, b in zip(row, row[1:]))
-        assert np.all(sheet.c.argmax(axis=1) == sheet.n_cols - 1)
-        assert sheet.c.max() == pytest.approx(-math.pi / 3, abs=1e-12)
-        assert sheet.c.min() >= -math.pi
-        assert sheet.c.min() == pytest.approx(-math.pi, abs=1e-12)
+        assert np.all(c.argmax(axis=1) == sheets.grid.n_cols - 1)
+        assert c.max() == pytest.approx(-math.pi / 3, abs=1e-12)
+        assert c.min() >= -math.pi
+        assert c.min() == pytest.approx(-math.pi, abs=1e-12)
 
 
 def test_criterion_08_seam_gaps_and_welding():
@@ -140,7 +141,7 @@ def test_criterion_08_seam_gaps_and_welding():
         grid = DomainGrid(0.5, 2.0, 4, 16)
 
         def surface(function, kind, branches):
-            sheets = [build_sheet(function, k, kind, grid) for k in branches]
+            sheets = build_sheets(function, branches, kind, grid)
             return assemble_surface(sheets, weld=True, weld_tol=1e-9)
 
         index = surface(ROOT3, CharismaKind.INDEX, (-1, 0, 1))
@@ -187,10 +188,10 @@ def test_criterion_10_inversion_round_trips():
 
 def test_criterion_11_mesh_bookkeeping(tmp_path):
     with criterion(11, "lattice counts, PLY re-parse, and byte determinism"):
-        sheet = build_sheet(ROOT3, 0, CharismaKind.SIN, DomainGrid())
-        assert sheet.n_vertices == 40 * 241
-        assert len(sheet.faces) == 2 * 39 * 240
-        mesh = assemble_surface([sheet])
+        sheets = build_sheets(ROOT3, [0], CharismaKind.SIN, DomainGrid())
+        assert sheets.c[0].size == 40 * 241
+        assert len(sheets.faces) == 2 * 39 * 240
+        mesh = assemble_surface(sheets)
         from riemannmesh.formats import ply_text
 
         data = read_ply(ply_text(mesh))

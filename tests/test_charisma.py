@@ -65,16 +65,6 @@ class TestSinCharisma:
         assert c == oracle
         assert abs(c) < 1e-12
 
-    def test_range_imag_variant_scales_by_radius(self):
-        c = evaluate_charisma(-8, 0, ROOT3, CharismaKind.SIN, use_range_imag=True)
-        assert c == pytest.approx(math.sqrt(3), abs=1e-12)  # Im(1 + sqrt(3) i) times nothing
-        # the two variants differ exactly by |w|
-        z = 0.3 + 2j
-        w = root_branch(z, 3, -1)
-        plain = evaluate_charisma(z, -1, ROOT3, CharismaKind.SIN)
-        scaled = evaluate_charisma(z, -1, ROOT3, CharismaKind.SIN, use_range_imag=True)
-        assert scaled == pytest.approx(plain * abs(w), rel=1e-12)
-
     def test_self_intersection_heights(self):
         for r in (0.1, 1.0, 10.0):
             down = [evaluate_charisma(-1j * r, k, ROOT3, CharismaKind.SIN) for k in (-1, 0)]
@@ -183,6 +173,17 @@ class TestErrors:
         for z in (-8, complex(-1.0, -0.0), 0.3 - 1.2j):
             for k in (-1, 0, 1):
                 assert evaluate_charisma(z, k, ROOT3, kind) == fn(_root_angle(complex(z), 3, k))
+
+    @pytest.mark.parametrize("function", [LOG, ROOT3], ids=lambda f: f.label())
+    def test_index_is_the_branch_without_w(self, function, monkeypatch):
+        def no_w(*args):
+            raise AssertionError("w computed")
+
+        monkeypatch.setattr(IndexedFunction, "branch_value", no_w)
+        for z in (-8, complex(-1.0, -0.0), 0.3 - 1.2j):
+            for k in (-1, 0, 1):
+                got = evaluate_charisma(z, k, function, CharismaKind.INDEX)
+                assert got == float(k) and type(got) is float
 
     def test_string_kind_coerced(self):
         assert evaluate_charisma(1, 0, ROOT3, "sin") == 0.0

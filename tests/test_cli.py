@@ -43,11 +43,19 @@ class TestParseArgs:
         single = parse_args(["--branches", "1"])
         assert single.branches == (1,)
 
-    def test_empty_branch_intersection_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("window", ["7..9", "5..9", "-9..-2"])
+    def test_empty_branch_intersection_is_usage_error(self, capsys, window):
         with pytest.raises(SystemExit) as exc:
-            parse_args(["--branches", "7..9"])
+            parse_args(["--branches", window])
         assert exc.value.code == EXIT_USAGE
-        assert "--branches" in capsys.readouterr().err
+        assert f"argument --branches: no admissible branch of root:3 in {window!r}" in capsys.readouterr().err
+
+    def test_a_root_window_costs_nothing_for_its_width(self):
+        # the window is intersected with root_indices(3), not scanned
+        code = "from riemannmesh import parse_args; print(parse_args(['--branches', '-1000000000000..1000000000000']).branches)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "(-1, 0, 1)"
 
     def test_incompatible_charisma_raises_for_exit_three(self):
         from riemannmesh import CharismaCompatibilityError
@@ -207,6 +215,8 @@ class TestRun:
             (dict(fmt="stl"), EXIT_DOMAIN),
             (dict(kind=CharismaKind.IMAG), EXIT_INCOMPATIBLE),
             (dict(branches=(1.5,)), EXIT_DOMAIN),
+            (dict(branches=()), EXIT_DOMAIN),
+            (dict(branches=(0, 0)), EXIT_DOMAIN),
         ],
     )
     def test_hand_built_job_maps_every_invalid_value_to_an_exit_code(self, tmp_path, capsys, changes, code):

@@ -14,7 +14,7 @@ from riemannmesh import (
     SurfaceMesh,
     assemble_surface,
     branch_color,
-    build_sheet,
+    build_sheets,
     evaluate_charisma,
 )
 from riemannmesh import formats
@@ -27,8 +27,7 @@ GRID = DomainGrid(0.5, 2.0, 3, 8)
 
 @pytest.fixture(scope="module")
 def mesh():
-    sheets = [build_sheet(ROOT3, k, CharismaKind.SIN, GRID) for k in (-1, 0, 1)]
-    return assemble_surface(sheets, weld=True)
+    return assemble_surface(build_sheets(ROOT3, (-1, 0, 1), CharismaKind.SIN, GRID), weld=True)
 
 
 def _fmt(v):
@@ -102,8 +101,8 @@ def row_json_text(mesh):
         "welded": mesh.welded,
         "sheets": [int(k) for k in mesh.sheet_branches],
         "vertices": [
-            {"x": p.x, "y": p.y, "c": p.c, "k": p.k, "w": [p.w.real, p.w.imag]}
-            for p in mesh.iter_points()
+            {"x": x, "y": y, "c": c, "k": k, "w": [w.real, w.imag]}
+            for (x, y, c), k, w in zip(mesh.positions.tolist(), mesh.branch.tolist(), mesh.w.tolist())
         ],
         "faces": [[int(a), int(b), int(c)] for a, b, c in mesh.faces],
         "seams": [
@@ -118,8 +117,8 @@ def row_json_text(mesh):
 def row_csv_text(mesh):
     """Line-at-a-time CSV writer: the reference csv_text must match."""
     lines = ["x,y,c,k"]
-    for p in mesh.iter_points():
-        lines.append(f"{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.c)},{p.k}")
+    for (x, y, c), k in zip(mesh.positions.tolist(), mesh.branch.tolist()):
+        lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(c)},{k}")
     return "\n".join(lines) + "\n"
 
 

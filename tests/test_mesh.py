@@ -14,13 +14,11 @@ from riemannmesh import (
     DomainError,
     DomainGrid,
     GridError,
-    GridMismatchError,
     IndexedFunction,
     assemble_surface,
     branch_color,
     branch_of,
     build_range_chart,
-    build_sheet,
     build_sheets,
     continuation_branch,
     evaluate_charisma,
@@ -39,7 +37,7 @@ WITNESS = DomainGrid(0.5, 2.0, 4, 16)  # multiple of 4 so the imaginary axis is 
 
 
 def sheet_triple(kind, grid=SMALL, function=ROOT3):
-    return [build_sheet(function, k, kind, grid) for k in (-1, 0, 1)]
+    return build_sheets(function, (-1, 0, 1), kind, grid)
 
 
 def triangle_areas(positions, faces):
@@ -50,20 +48,19 @@ def triangle_areas(positions, faces):
 def loop_wall_faces(sheets):
     """Wall triangles and their owning branches, one radial step at a time:
     the reference for the order assemble_surface appends them in."""
-    n_per = sheets[0].n_vertices
-    offset = {s.branch: i * n_per for i, s in enumerate(sheets)}
-    by_branch = {s.branch: s for s in sheets}
+    n_r, n_cols = sheets.z.shape
     faces, branches = [], []
-    for s in sheets:
-        nxt = continuation_branch(s.function, s.branch)
-        if nxt == s.branch or nxt not in by_branch:
+    for k in sheets.branches:
+        nxt = continuation_branch(sheets.function, k)
+        if nxt == k or nxt not in sheets.branches:
             continue
-        upper = s.upper_edge() + offset[s.branch]
-        lower = by_branch[nxt].lower_edge() + offset[nxt]
-        for i in range(len(upper) - 1):
-            faces.append((int(upper[i]), int(lower[i]), int(lower[i + 1])))
-            faces.append((int(upper[i]), int(lower[i + 1]), int(upper[i + 1])))
-            branches.extend((s.branch, s.branch))
+        # vertex (i, j) of sheet s has id (s * n_r + i) * n_cols + j
+        upper = [(sheets.branches.index(k) * n_r + i) * n_cols + n_cols - 1 for i in range(n_r)]
+        lower = [(sheets.branches.index(nxt) * n_r + i) * n_cols for i in range(n_r)]
+        for i in range(n_r - 1):
+            faces.append((upper[i], lower[i], lower[i + 1]))
+            faces.append((upper[i], lower[i + 1], upper[i + 1]))
+            branches.extend((k, k))
     return np.asarray(faces, dtype=np.int64), np.asarray(branches, dtype=np.int64)
 
 
@@ -180,44 +177,44 @@ class TestSampleDomain:
 
 class TestBuildSheet:
     def test_vertex_and_triangle_counts(self):
-        sheet = build_sheet(ROOT3, 0, CharismaKind.SIN, SMALL)
-        assert sheet.n_vertices == 3 * 9
-        assert len(sheet.faces) == 2 * 2 * 8
+        sheets = build_sheets(ROOT3, [0], CharismaKind.SIN, SMALL)
+        assert sheets.w.shape == sheets.c.shape == (1, 3, 9)
+        assert len(sheets.faces) == 2 * 2 * 8
 
     def test_index_sheets_are_flat(self):
-        for k in (-1, 0, 1):
-            sheet = build_sheet(ROOT3, k, CharismaKind.INDEX, SMALL)
-            assert np.all(sheet.c == float(k))
+        sheets = sheet_triple(CharismaKind.INDEX)
+        for k, c in zip(sheets.branches, sheets.c):
+            assert np.all(c == float(k))
 
     def test_log_imag_sheet_fills_its_strip(self):
-        sheet = build_sheet(LOG, 1, CharismaKind.IMAG, SMALL)
+        c = build_sheets(LOG, [1], CharismaKind.IMAG, SMALL).c[0]
         # the duplicated -pi column recovers phase exactly -fl(pi), so the
         # strip is attained closed at both float endpoints
-        assert np.all(sheet.c >= math.pi)
-        assert np.all(sheet.c <= 3 * math.pi)
-        assert sheet.c.min() == math.pi
-        assert sheet.c.max() == 3 * math.pi
+        assert np.all(c >= math.pi)
+        assert np.all(c <= 3 * math.pi)
+        assert c.min() == math.pi
+        assert c.max() == 3 * math.pi
 
     def test_phase_sheet_window_for_branch_minus_one(self):
-        sheet = build_sheet(ROOT3, -1, CharismaKind.PHASE, SMALL)
-        for row in sheet.c:
+        c = build_sheets(ROOT3, [-1], CharismaKind.PHASE, SMALL).c[0]
+        for row in c:
             assert all(a < b for a, b in zip(row, row[1:]))
-        assert sheet.c.max() == pytest.approx(-math.pi / 3, abs=1e-12)
-        assert np.all(sheet.c.argmax(axis=1) == sheet.n_cols - 1)
-        assert sheet.c.min() >= -math.pi
-        assert sheet.c.min() == pytest.approx(-math.pi, abs=1e-12)
+        assert c.max() == pytest.approx(-math.pi / 3, abs=1e-12)
+        assert np.all(c.argmax(axis=1) == SMALL.n_cols - 1)
+        assert c.min() >= -math.pi
+        assert c.min() == pytest.approx(-math.pi, abs=1e-12)
 
     @pytest.mark.parametrize(
         "function,k,kind",
         [(ROOT3, -1, CharismaKind.SIN), (ROOT3, 1, CharismaKind.PHASE), (LOG, 2, CharismaKind.IMAG)],
     )
     def test_recomputable_bit_for_bit(self, function, k, kind):
-        sheet = build_sheet(function, k, kind, SMALL)
+        sheets = build_sheets(function, [k], kind, SMALL)
         for i in range(3):
             for j in range(9):
-                z = complex(sheet.z[i, j])
-                assert sheet.w[i, j] == function.branch_value(z, k)
-                assert sheet.c[i, j] == evaluate_charisma(z, k, function, kind)
+                z = complex(sheets.z[i, j])
+                assert sheets.w[0, i, j] == function.branch_value(z, k)
+                assert sheets.c[0, i, j] == evaluate_charisma(z, k, function, kind)
 
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     @pytest.mark.parametrize(
@@ -231,36 +228,36 @@ class TestBuildSheet:
     )
     def test_every_branch_recomputable_bit_for_bit(self, function, kind, spacing):
         grid = DomainGrid(0.05, 2.0, 4, 24, radial_spacing=spacing)
-        for k in function.branch_indices() or range(-2, 3):
-            sheet = build_sheet(function, k, kind, grid)
-            zs = sheet.z.ravel().tolist()
+        sheets = build_sheets(function, function.branch_indices() or range(-2, 3), kind, grid)
+        zs = sheets.z.ravel().tolist()
+        for k, sheet_w, sheet_c in zip(sheets.branches, sheets.w, sheets.c):
             w = np.array([function.branch_value(z, k) for z in zs])
             c = np.array([evaluate_charisma(z, k, function, kind) for z in zs])
-            assert sheet.w.ravel().tobytes() == w.tobytes()
-            assert sheet.c.ravel().tobytes() == c.tobytes()
+            assert sheet_w.tobytes() == w.tobytes()
+            assert sheet_c.tobytes() == c.tobytes()
 
     def test_range_values_classify_back_to_the_branch(self):
-        for k in (-1, 0, 1):
-            sheet = build_sheet(ROOT3, k, CharismaKind.SIN, SMALL)
-            interior = sheet.w[:, 1:-1]  # cut columns are boundary-adjacent
+        sheets = sheet_triple(CharismaKind.SIN)
+        for k, w_k in zip(sheets.branches, sheets.w):
+            interior = w_k[:, 1:-1]  # cut columns are boundary-adjacent
             for w in interior.ravel():
                 assert branch_of(complex(w), ROOT3) == k
 
     def test_no_degenerate_triangles(self):
         for kind in (CharismaKind.INDEX, CharismaKind.SIN):
-            sheet = build_sheet(ROOT3, 0, kind, SMALL)
+            sheets = build_sheets(ROOT3, [0], kind, SMALL)
             pos = np.column_stack(
-                [sheet.z.real.ravel(), sheet.z.imag.ravel(), sheet.c.ravel()]
+                [sheets.z.real.ravel(), sheets.z.imag.ravel(), sheets.c[0].ravel()]
             )
-            assert np.all(triangle_areas(pos, sheet.faces) > 0)
+            assert np.all(triangle_areas(pos, sheets.faces) > 0)
 
     def test_rejects_inadmissible_branch_and_bad_kind(self):
         from riemannmesh import BranchIndexError, CharismaCompatibilityError
 
         with pytest.raises(BranchIndexError):
-            build_sheet(ROOT3, 5, CharismaKind.SIN, SMALL)
+            build_sheets(ROOT3, [5], CharismaKind.SIN, SMALL)
         with pytest.raises(CharismaCompatibilityError):
-            build_sheet(LOG, 0, CharismaKind.SIN, SMALL)
+            build_sheets(LOG, [0], CharismaKind.SIN, SMALL)
 
 
 class TestBuildSheets:
@@ -268,11 +265,19 @@ class TestBuildSheets:
     def test_one_pass_matches_one_sheet_at_a_time(self, function, kind):
         ks = list(function.branch_indices() or range(-2, 3))
         together = build_sheets(function, ks, kind, WITNESS)
-        for sheet, k in zip(together, ks):
-            alone = build_sheet(function, k, kind, WITNESS)
-            assert sheet.branch == k and sheet.w.shape == sheet.c.shape == (4, 17)
-            for name in ("z", "w", "c", "faces"):
-                assert getattr(sheet, name).tobytes() == getattr(alone, name).tobytes()
+        assert together.branches == tuple(ks)
+        assert together.w.shape == together.c.shape == (len(ks), 4, 17)
+        for i, k in enumerate(ks):
+            alone = build_sheets(function, [k], kind, WITNESS)
+            for name in ("w", "c"):
+                assert getattr(together, name)[i].tobytes() == getattr(alone, name)[0].tobytes()
+            for name in ("z", "faces"):
+                assert getattr(together, name).tobytes() == getattr(alone, name).tobytes()
+
+    @pytest.mark.parametrize("branches", [(), (0, 0), (-1, 0, 1, -1)], ids=repr)
+    def test_rejects_an_empty_or_repeated_branch_list(self, branches):
+        with pytest.raises(BranchIndexError):
+            build_sheets(ROOT3, branches, CharismaKind.SIN, SMALL)
 
     def test_rejects_a_branch_beyond_int64(self):
         for k in (2**63, -2**63 - 1):
@@ -285,11 +290,15 @@ class TestBuildSheets:
 
 class TestAssembleIndexSurface:
     def test_integer_jumps_never_weld(self):
-        mesh = assemble_surface(sheet_triple(CharismaKind.INDEX), weld=True)
+        sheets = sheet_triple(CharismaKind.INDEX)
+        mesh = assemble_surface(sheets, weld=True)
         report = {pair: gap for pair, gap, _ in seam_report(mesh)}
         assert report == {(-1, 0): 1.0, (0, 1): 1.0, (1, -1): 2.0}
         assert all(not s.welded for s in mesh.seams)
         assert mesh.n_vertices == 3 * 27  # nothing merged
+        # so sheet i's faces are its lattice faces shifted by i sheets
+        shifted = [sheets.faces + i * 27 for i in range(3)]
+        assert mesh.faces.tobytes() == np.concatenate(shifted).tobytes()
         for i in range(mesh.n_vertices):  # color is a pure function of k
             assert tuple(mesh.colors[i]) == branch_color(int(mesh.branch[i]))
 
@@ -321,7 +330,7 @@ class TestAssembleIndexSurface:
         mesh = assemble_surface(sheets, weld=True, walls=True)
         open_seams = [s for s in mesh.seams if not s.welded]
         assert len(open_seams) == 1 and open_seams[0].max_gap == pytest.approx(2 * math.pi, abs=1e-12)
-        base = sum(len(s.faces) for s in sheets)
+        base = len(sheets.branches) * len(sheets.faces)
         assert mesh.n_faces == base  # no wall across the wrap
 
 
@@ -337,10 +346,9 @@ class TestAssembleContinuousSurfaces:
     def test_sin_seam_gaps_match_case_formula_oracle(self):
         sheets = sheet_triple(CharismaKind.SIN)
         mesh = assemble_surface(sheets, weld=True)
-        by_branch = {s.branch: s for s in sheets}
         for seam in mesh.seams:
-            z_up = by_branch[seam.upper_branch].z[:, -1]
-            z_low = by_branch[seam.lower_branch].z[:, 0]
+            z_up = sheets.z[:, -1]
+            z_low = sheets.z[:, 0]
             oracle = max(
                 abs(
                     math.sin(cmath.phase(cbrt_case(complex(a), seam.upper_branch)))
@@ -359,14 +367,14 @@ class TestAssembleContinuousSurfaces:
 
     def test_square_root_sheets_glue_both_ways(self):
         root2 = IndexedFunction.root(2)
-        sheets = [build_sheet(root2, k, CharismaKind.SIN, SMALL) for k in (0, 1)]
+        sheets = build_sheets(root2, (0, 1), CharismaKind.SIN, SMALL)
         mesh = assemble_surface(sheets, weld=True)
         pairs = {(s.upper_branch, s.lower_branch) for s in mesh.seams}
         assert pairs == {(0, 1), (1, 0)}
         assert all(s.welded for s in mesh.seams)
 
     def test_log_helix_seams_are_exact(self):
-        sheets = [build_sheet(LOG, k, CharismaKind.IMAG, SMALL) for k in range(-2, 3)]
+        sheets = build_sheets(LOG, range(-2, 3), CharismaKind.IMAG, SMALL)
         mesh = assemble_surface(sheets, weld=True)
         assert [(s.upper_branch, s.lower_branch) for s in mesh.seams] == [
             (-2, -1), (-1, 0), (0, 1), (1, 2),
@@ -375,31 +383,32 @@ class TestAssembleContinuousSurfaces:
         assert max(s.max_gap for s in mesh.seams) <= 1e-15
 
     def test_log_index_sheets_stack_one_apart(self):
-        sheets = [build_sheet(LOG, k, CharismaKind.INDEX, SMALL) for k in range(-2, 3)]
+        sheets = build_sheets(LOG, range(-2, 3), CharismaKind.INDEX, SMALL)
         mesh = assemble_surface(sheets, weld=True)
         assert [s.max_gap for s in mesh.seams] == [1.0] * 4
         assert not any(s.welded for s in mesh.seams)
 
     def test_single_sheet_has_no_seams(self):
-        sheet = build_sheet(LOG, 0, CharismaKind.IMAG, SMALL)
-        mesh = assemble_surface([sheet], weld=True)
+        sheets = build_sheets(LOG, [0], CharismaKind.IMAG, SMALL)
+        mesh = assemble_surface(sheets, weld=True)
         assert mesh.seams == []
-        assert mesh.n_vertices == sheet.n_vertices
-        assert mesh.n_faces == len(sheet.faces)
+        assert mesh.n_vertices == sheets.c.size
+        assert mesh.n_faces == len(sheets.faces)
 
 
 class TestWeldCorrectness:
     def test_vertex_movement_below_tolerance(self):
         sheets = sheet_triple(CharismaKind.SIN, WITNESS)
-        by_branch = {s.branch: s for s in sheets}
+        z = sheets.z
         mesh = assemble_surface(sheets, weld=True, weld_tol=1e-9)
         for seam in mesh.seams:
-            up, low = by_branch[seam.upper_branch], by_branch[seam.lower_branch]
+            up = sheets.c[sheets.branches.index(seam.upper_branch)]
+            low = sheets.c[sheets.branches.index(seam.lower_branch)]
             pu = np.column_stack(
-                [up.z.real[:, -1], up.z.imag[:, -1], up.c[:, -1]]
+                [z.real[:, -1], z.imag[:, -1], up[:, -1]]
             )
             pl = np.column_stack(
-                [low.z.real[:, 0], low.z.imag[:, 0], low.c[:, 0]]
+                [z.real[:, 0], z.imag[:, 0], low[:, 0]]
             )
             assert np.max(np.linalg.norm(pu - pl, axis=1)) <= 1e-9
 
@@ -426,21 +435,6 @@ class TestWeldCorrectness:
 
 
 class TestAssemblyErrors:
-    def test_grid_mismatch(self):
-        a = build_sheet(ROOT3, 0, CharismaKind.SIN, SMALL)
-        b = build_sheet(ROOT3, 1, CharismaKind.SIN, WITNESS)
-        with pytest.raises(GridMismatchError):
-            assemble_surface([a, b])
-
-    def test_kind_and_function_mismatch(self):
-        a = build_sheet(ROOT3, 0, CharismaKind.SIN, SMALL)
-        b = build_sheet(ROOT3, 1, CharismaKind.COS, SMALL)
-        with pytest.raises(GridMismatchError):
-            assemble_surface([a, b])
-        c = build_sheet(IndexedFunction.root(2), 1, CharismaKind.SIN, SMALL)
-        with pytest.raises(GridMismatchError):
-            assemble_surface([a, c])
-
     @pytest.mark.parametrize(
         "tol",
         [math.nan, math.inf, -1.0, None, [1], "1e-9", pytest.param(10**400, id="int-beyond-float")],
@@ -451,13 +445,6 @@ class TestAssemblyErrors:
         for weld in (True, False):
             with pytest.raises(ValueError, match="weld tolerance"):
                 assemble_surface(sheets, weld=weld, weld_tol=tol)
-
-    def test_duplicates_and_empty(self):
-        a = build_sheet(ROOT3, 0, CharismaKind.SIN, SMALL)
-        with pytest.raises(GridMismatchError):
-            assemble_surface([a, a])
-        with pytest.raises(GridMismatchError):
-            assemble_surface([])
 
 
 class TestSelfIntersectionWitness:
@@ -524,13 +511,3 @@ class TestPalette:
         assert branch_color(-1) == PALETTE[7]
         assert branch_color(9) == PALETTE[1]
         assert branch_color(3) == branch_color(3 + 8)
-
-
-class TestSurfacePointAccess:
-    def test_point_records(self):
-        mesh = assemble_surface([build_sheet(ROOT3, 1, CharismaKind.SIN, SMALL)])
-        p = mesh.point(0)
-        assert (p.x, p.y, p.c) == tuple(mesh.positions[0])
-        assert p.k == 1
-        assert p.w == complex(mesh.w[0])
-        assert sum(1 for _ in mesh.iter_points()) == mesh.n_vertices
