@@ -50,6 +50,20 @@ class TestParseArgs:
         assert exc.value.code == EXIT_USAGE
         assert f"argument --branches: no admissible branch of root:3 in {window!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["root:2", "root:3", "root:4", "root:5", "root:6", "log"])
+    def test_every_small_window_matches_the_admissible_filter(self, capsys, label):
+        function = IndexedFunction.from_label(label)
+        for lo, hi in itertools.combinations_with_replacement(range(-5, 6), 2):
+            argv = ["--function", label, "--charisma", "index", "--branches", f"{lo}..{hi}"]
+            want = tuple(k for k in range(lo, hi + 1) if function.is_admissible(k))
+            if want:
+                assert parse_args(argv).branches == want
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parse_args(argv)
+                assert exc.value.code == EXIT_USAGE
+                assert f"no admissible branch of {label} in '{lo}..{hi}'" in capsys.readouterr().err
+
     def test_a_root_window_costs_nothing_for_its_width(self):
         # the window is intersected with root_indices(3), not scanned
         code = "from riemannmesh import parse_args; print(parse_args(['--branches', '-1000000000000..1000000000000']).branches)"

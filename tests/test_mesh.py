@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from riemannmesh import (
+    DEFAULT_WELD_TOL,
     PALETTE,
     BranchIndexError,
     CharismaKind,
@@ -432,6 +433,85 @@ class TestWeldCorrectness:
             for v in seam.merged_vertices:
                 owners = set(mesh.face_branch[np.any(mesh.faces == v, axis=1)].tolist())
                 assert {seam.upper_branch, seam.lower_branch} <= owners
+
+
+def loop_assemble_surface(sheets, *, weld, walls):
+    """assemble_surface one vertex, seam and face at a time: the reference
+    for the broadcast positions, the welding renumbering and the face take."""
+    n_r, n_cols = sheets.z.shape
+    ks = sheets.branches
+
+    def vid(s, i, j):  # vertex (i, j) of sheet s, before welding
+        return (s * n_r + i) * n_cols + j
+
+    records = []  # x, y, c, k, w
+    for s, k in enumerate(ks):
+        for i in range(n_r):
+            for j in range(n_cols):
+                z = complex(sheets.z[i, j])
+                records.append((z.real, z.imag, float(sheets.c[s, i, j]), k, complex(sheets.w[s, i, j])))
+    merged_into, seams, walls_at = {}, [], []
+    for s, k in enumerate(ks):
+        nxt = continuation_branch(sheets.function, k)
+        if nxt == k or nxt not in ks:
+            continue
+        t = ks.index(nxt)
+        gaps = [abs(float(sheets.c[s, i, n_cols - 1]) - float(sheets.c[t, i, 0])) for i in range(n_r)]
+        welded = weld and max(gaps) <= DEFAULT_WELD_TOL
+        seams.append((k, nxt, max(gaps), welded, s))
+        if welded:
+            for i in range(n_r):
+                merged_into[vid(t, i, 0)] = vid(s, i, n_cols - 1)
+        elif walls and sheets.kind is CharismaKind.INDEX:
+            for i in range(n_r - 1):
+                u0, u1 = vid(s, i, n_cols - 1), vid(s, i + 1, n_cols - 1)
+                l0, l1 = vid(t, i, 0), vid(t, i + 1, 0)
+                walls_at.append(((u0, l0, l1), (u0, l1, u1), k))
+    kept = [v for v in range(len(records)) if v not in merged_into]
+    renumber = {v: n for n, v in enumerate(kept)}
+    renumber.update({v: renumber[u] for v, u in merged_into.items()})
+    faces, face_branch = [], []
+    for s, k in enumerate(ks):
+        for f in sheets.faces.tolist():
+            faces.append([renumber[s * n_r * n_cols + v] for v in f])
+            face_branch.append(k)
+    for a, b, k in walls_at:
+        faces += [[renumber[v] for v in a], [renumber[v] for v in b]]
+        face_branch += [k, k]
+    merged = {s: tuple(renumber[vid(s, i, n_cols - 1)] for i in range(n_r)) for *_, welded, s in seams if welded}
+    return dict(
+        positions=np.array([records[v][:3] for v in kept]),
+        branch=[records[v][3] for v in kept],
+        w=np.array([records[v][4] for v in kept], dtype=complex),
+        faces=np.array(faces, dtype=np.int64),
+        face_branch=face_branch,
+        seams=[(k, nxt, gap, welded, merged.get(s, ())) for k, nxt, gap, welded, s in seams],
+    )
+
+
+class TestAssemblyMatchesTheVertexLoop:
+    @pytest.mark.parametrize(
+        "function,kind",
+        [(f, kind) for f in [IndexedFunction.root(n) for n in range(2, 7)] + [LOG] for kind in compatible_kinds(f)],
+        ids=lambda v: v.label() if isinstance(v, IndexedFunction) else v.value,
+    )
+    def test_every_array_matches_byte_for_byte(self, function, kind):
+        every = list(function.branch_indices() or range(-2, 3))
+        # the whole set, the set backwards, and a window whose seams lack a partner
+        for ks in (every, every[::-1], every[1:3]):
+            sheets = build_sheets(function, ks, kind, SMALL)
+            for weld, walls in ((False, False), (True, False), (False, True), (True, True)):
+                mesh = assemble_surface(sheets, weld=weld, walls=walls)
+                want = loop_assemble_surface(sheets, weld=weld, walls=walls)
+                assert mesh.sheet_branches == tuple(ks) and mesh.welded == weld
+                assert mesh.positions.tobytes() == want["positions"].tobytes()
+                assert mesh.branch.tolist() == want["branch"]
+                assert mesh.w.tobytes() == want["w"].tobytes()
+                assert [tuple(rgb) for rgb in mesh.colors.tolist()] == [branch_color(k) for k in want["branch"]]
+                assert mesh.faces.tobytes() == want["faces"].tobytes()
+                assert mesh.face_branch.tolist() == want["face_branch"]
+                got = [(s.upper_branch, s.lower_branch, s.max_gap, s.welded, s.merged_vertices) for s in mesh.seams]
+                assert got == want["seams"]
 
 
 class TestAssemblyErrors:
