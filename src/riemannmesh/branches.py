@@ -4,7 +4,9 @@ A multivalued inverse is split into single-valued branches labelled by an
 integer index k, with k = 0 the principal branch. Everything here rests on
 one convention: the principal phase lies in (-pi, pi], every branch region
 of the range is half-open and closed on its counterclockwise edge, and the
-branch cut of every branch runs along the negative real axis.
+branch cut of every branch runs along the negative real axis. The
+"charisma" of z on branch k is the height, read off the same evaluation as
+f_k(z), that lifts the stack of branch sheets into a Riemann surface.
 
 Each formula is coded twice: once per value for the scalar API, and once
 per array for the mesh builder. Both codings make the same libm calls on
@@ -20,19 +22,25 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "BranchIndexError",
+    "CharismaCompatibilityError",
+    "CharismaKind",
     "DomainError",
     "IndexedFunction",
     "branch_of",
+    "compatible_kinds",
     "continuation_branch",
+    "evaluate_charisma",
     "in_branch_range",
     "log_branch",
     "principal_phase",
+    "require_compatible",
     "root_branch",
     "root_indices",
 ]
@@ -202,10 +210,6 @@ class IndexedFunction:
         """Admissible branch indices; None means all integers (log)."""
         return None if self.is_log else root_indices(self.n)
 
-    def is_admissible(self, k: int) -> bool:
-        k = _require_branch(k)
-        return True if self.is_log else k in root_indices(self.n)
-
     def require_admissible(self, k: int) -> int:
         return _require_branch(k, None if self.is_log else self.n)
 
@@ -214,6 +218,60 @@ class IndexedFunction:
         if self.is_log:
             return log_branch(z, k)
         return root_branch(z, self.n, k)
+
+
+class CharismaKind(str, Enum):
+    INDEX = "index"  # c = k: flat stacked sheets, discontinuous joins
+    PHASE = "phase"  # c = ph(w): continuous except across the ph = +-pi wrap
+    SIN = "sin"      # c = sin(ph w): continuous and periodic
+    COS = "cos"      # c = cos(ph w): like sin, principal sheet on top
+    IMAG = "imag"    # c = Im(ln_k z): the logarithm helix
+
+
+class CharismaCompatibilityError(ValueError):
+    """Charisma kind not defined for the given function."""
+
+
+_ROOT_KINDS = (CharismaKind.INDEX, CharismaKind.PHASE, CharismaKind.SIN, CharismaKind.COS)
+_LOG_KINDS = (CharismaKind.INDEX, CharismaKind.IMAG)
+_ANGLE_KINDS = (CharismaKind.SIN, CharismaKind.COS)  # of a root's branch angle; one test, not two enum lookups
+
+
+def compatible_kinds(f: IndexedFunction) -> tuple[CharismaKind, ...]:
+    """Charisma kinds defined for f: trigonometric kinds need the periodic
+    range of a root; the imaginary part is the log height."""
+    return _LOG_KINDS if f.is_log else _ROOT_KINDS
+
+
+def require_compatible(kind: CharismaKind | str, f: IndexedFunction) -> CharismaKind:
+    """kind as a CharismaKind; raises CharismaCompatibilityError unless it
+    is defined for f."""
+    kind = CharismaKind(kind)
+    if kind not in compatible_kinds(f):
+        raise CharismaCompatibilityError(
+            f"charisma '{kind.value}' is not defined for {f.label()}; "
+            f"valid: {', '.join(c.value for c in compatible_kinds(f))}"
+        )
+    return kind
+
+
+def evaluate_charisma(z: complex, k: int, f: IndexedFunction, kind: CharismaKind) -> float:
+    """Charisma of the domain point z on branch k of f.
+
+    Raises CharismaCompatibilityError for a kind/function mismatch,
+    DomainError at z = 0, and BranchIndexError for an inadmissible k, in
+    that order.
+    """
+    kind = require_compatible(kind, f)
+    if kind in _ANGLE_KINDS:
+        # f is a root: sin and cos of ph(w) are those of the branch angle
+        angle = _root_angle(_as_nonzero_complex(z), f.n, f.require_admissible(k))
+        return math.sin(angle) if kind is CharismaKind.SIN else math.cos(angle)
+    if kind is CharismaKind.INDEX:  # needs no w
+        _as_nonzero_complex(z)
+        return float(f.require_admissible(k))
+    w = f.branch_value(z, k)
+    return _phase(w) if kind is CharismaKind.PHASE else w.imag  # IMAG: w is log_branch(z, k)
 
 
 def _floats(values, shape: tuple[int, ...]) -> np.ndarray:
@@ -262,6 +320,28 @@ def _batch_values(
     w.real = radius * cos[:, at_phase]
     w.imag = radius * sin[:, at_phase]
     return w.reshape(shape), (cos, sin, at_phase)
+
+
+def _batch_charisma(
+    f: IndexedFunction, z: np.ndarray, branches: Sequence[int], kind: CharismaKind
+) -> tuple[np.ndarray, np.ndarray]:
+    # w = f_k(z) and the charisma at every point of z for each k in branches,
+    # as two arrays of shape (len(branches), *z.shape), for a z, branches and
+    # kind the caller has checked; each value is bit-for-bit branch_value's
+    # and evaluate_charisma's
+    w, trig = _batch_values(f, z, branches)
+    if kind is CharismaKind.INDEX:
+        c = np.empty(w.shape)
+        for row, k in zip(c, branches):
+            row.fill(float(k))
+    elif kind is CharismaKind.IMAG:
+        c = w.imag.copy()
+    elif kind is CharismaKind.PHASE:
+        c = _phases(w)
+    else:  # from the per-phase table w was built from; gathered before w, it raised peak RSS
+        cos, sin, at_phase = trig
+        c = (cos if kind is CharismaKind.COS else sin)[:, at_phase].reshape(w.shape)
+    return w, c
 
 
 def _log_branch_index(im: float) -> int:

@@ -10,6 +10,7 @@ only once every file is staged in full.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import re
 import sys
@@ -18,8 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
-from .branches import IndexedFunction
-from .charisma import CharismaCompatibilityError, CharismaKind, require_compatible
+from .branches import CharismaCompatibilityError, CharismaKind, IndexedFunction, require_compatible
 from .formats import _csv_pieces, _json_pieces, _mtl_text, _obj_pieces, _ply_pieces, seams_json_text
 from .mesh import (
     DEFAULT_LOG_BRANCHES,
@@ -211,23 +211,23 @@ def build_mesh(job: JobSpec) -> SurfaceMesh:
 
 
 def render_outputs(job: JobSpec, mesh: SurfaceMesh) -> dict[Path, Iterable[str]]:
-    """Serialize the mesh and its seam sidecar to {path: pieces of text};
-    the mesh file's pieces are rendered lazily, as they are written."""
-    files: dict[Path, Iterable[str]] = {}
+    """Serialize the mesh and its seam sidecar to {path: pieces of text},
+    rendering the mesh lazily; ValueError if two files would share a path."""
     if job.fmt == "ply":
-        files[job.output] = _ply_pieces(mesh)
+        files = [(job.output, _ply_pieces(mesh))]
     elif job.fmt == "obj":
         mtl_path = job.output.with_suffix(".mtl")
-        files[job.output] = _obj_pieces(mesh, mtl_path.name)
-        files[mtl_path] = [_mtl_text(mesh)]
+        files = [(job.output, _obj_pieces(mesh, mtl_path.name)), (mtl_path, [_mtl_text(mesh)])]
     elif job.fmt == "json":
-        files[job.output] = _json_pieces(mesh)
+        files = [(job.output, _json_pieces(mesh))]
     elif job.fmt == "csv":
-        files[job.output] = _csv_pieces(mesh)
+        files = [(job.output, _csv_pieces(mesh))]
     else:
         raise ValueError(f"unknown format {job.fmt!r}")
-    files[job.output.with_suffix(".seams.json")] = [seams_json_text(mesh, require_weld_tol(job.weld_tol))]
-    return files
+    files.append((job.output.with_suffix(".seams.json"), [seams_json_text(mesh, require_weld_tol(job.weld_tol))]))
+    if len(dict(files)) < len(files):
+        raise ValueError(f"the output files would share a path: {', '.join(str(path) for path, _ in files)}")
+    return dict(files)
 
 
 def _write_atomic(files: dict[Path, Iterable[str]]) -> None:
@@ -237,14 +237,16 @@ def _write_atomic(files: dict[Path, Iterable[str]]) -> None:
     os.umask(umask)
     try:
         for path, pieces in files.items():
+            if path.is_dir():  # os.replace onto it would fail only after the files before it are renamed
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
             staged.append((tmp, path))
             os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600, as open() would have made the file
             with os.fdopen(fd, "w", newline="\n") as fh:
                 fh.writelines(pieces)
         while staged:
-            tmp, path = staged.pop()
-            os.replace(tmp, path)
+            os.replace(*staged[-1])
+            staged.pop()  # only once renamed, so the cleanup below unlinks a temporary whose rename failed
     finally:
         for tmp, _ in staged:
             try:

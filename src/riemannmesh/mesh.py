@@ -21,12 +21,14 @@ import numpy as np
 
 from .branches import (
     BranchIndexError,
+    CharismaKind,
     DomainError,
     IndexedFunction,
     _batch_branch_index,
+    _batch_charisma,
     continuation_branch,
+    require_compatible,
 )
-from .charisma import CharismaKind, _batch_charisma, require_compatible
 
 __all__ = [
     "DEFAULT_LOG_BRANCHES",
@@ -135,9 +137,10 @@ class DomainGrid:
         return self.n_theta + 1
 
     def radii(self) -> np.ndarray:
-        if self.radial_spacing == "log":
-            return np.geomspace(self.r_min, self.r_max, self.n_r)
-        return np.linspace(self.r_min, self.r_max, self.n_r)
+        with np.errstate(over="ignore"):  # an intermediate near r_max may overflow; numpy then sets r_max
+            if self.radial_spacing == "log":
+                return np.geomspace(self.r_min, self.r_max, self.n_r)
+            return np.linspace(self.r_min, self.r_max, self.n_r)
 
     def thetas(self) -> np.ndarray:
         return np.linspace(-math.pi, math.pi, self.n_cols)

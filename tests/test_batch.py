@@ -24,8 +24,7 @@ from riemannmesh import (
     evaluate_charisma,
     sample_domain,
 )
-from riemannmesh.branches import _batch_branch_index
-from riemannmesh.charisma import _batch_charisma
+from riemannmesh.branches import _batch_branch_index, _batch_charisma
 
 LOG = IndexedFunction.log()
 FUNCTIONS = [IndexedFunction.root(n) for n in range(2, 7)] + [LOG]

@@ -317,9 +317,10 @@ class TestIndexedFunction:
 
     def test_admissible_sets(self):
         assert LOG.branch_indices() is None
-        assert LOG.is_admissible(10 ** 9)
+        assert LOG.require_admissible(10 ** 9) == 10 ** 9
         assert list(ROOT3.branch_indices()) == [-1, 0, 1]
-        assert not ROOT3.is_admissible(2)
+        with pytest.raises(BranchIndexError):
+            ROOT3.require_admissible(2)
 
     def test_branch_value_dispatch(self):
         assert ROOT3.branch_value(-8, 1) == root_branch(-8, 3, 1)
@@ -339,8 +340,8 @@ class TestIndexedFunction:
     [
         pytest.param(lambda: log_branch(2j, 0.5), BranchIndexError, id="log_branch"),
         pytest.param(lambda: root_branch(2j, 3, 1.5), BranchIndexError, id="root_branch"),
-        pytest.param(lambda: ROOT3.is_admissible(1.5), BranchIndexError, id="root-is_admissible"),
-        pytest.param(lambda: LOG.is_admissible(0.5), BranchIndexError, id="log-is_admissible"),
+        pytest.param(lambda: continuation_branch(ROOT3, 1.5), BranchIndexError, id="root-continuation_branch"),
+        pytest.param(lambda: continuation_branch(LOG, 0.5), BranchIndexError, id="log-continuation_branch"),
         pytest.param(lambda: ROOT3.branch_value(2j, 1.5), BranchIndexError, id="root-branch_value"),
         pytest.param(lambda: LOG.branch_value(2j, 0.5), BranchIndexError, id="log-branch_value"),
         pytest.param(lambda: in_branch_range(2j, LOG, 0.5), BranchIndexError, id="in_branch_range"),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import riemannmesh.charisma as charisma_module
+import riemannmesh.branches as branches_module
 from riemannmesh import (
     BranchIndexError,
     CharismaCompatibilityError,
@@ -16,7 +16,6 @@ from riemannmesh import (
     branch_of,
     compatible_kinds,
     evaluate_charisma,
-    is_compatible,
     root_branch,
 )
 from riemannmesh.branches import _root_angle
@@ -35,7 +34,7 @@ class TestCompatibility:
 
     @pytest.mark.parametrize("kind", [CharismaKind.PHASE, CharismaKind.SIN, CharismaKind.COS])
     def test_trig_kinds_rejected_for_log(self, kind):
-        assert not is_compatible(kind, LOG)
+        assert kind not in compatible_kinds(LOG)
         with pytest.raises(CharismaCompatibilityError):
             evaluate_charisma(1, 0, LOG, kind)
 
@@ -167,12 +166,17 @@ class TestErrors:
         def no_w(*args):
             raise AssertionError("w computed")
 
-        monkeypatch.setattr(IndexedFunction, "branch_value", no_w)
-        monkeypatch.setattr(charisma_module, "_phase", no_w)
+        phase = branches_module._phase
         fn = math.sin if kind is CharismaKind.SIN else math.cos
         for z in (-8, complex(-1.0, -0.0), 0.3 - 1.2j):
             for k in (-1, 0, 1):
-                assert evaluate_charisma(z, k, ROOT3, kind) == fn(_root_angle(complex(z), 3, k))
+                want = fn(_root_angle(complex(z), 3, k))
+                seen = []  # the one phase taken is z's, never w's
+                monkeypatch.setattr(branches_module, "_phase", lambda x: seen.append(x) or phase(x))
+                monkeypatch.setattr(IndexedFunction, "branch_value", no_w)
+                assert evaluate_charisma(z, k, ROOT3, kind) == want
+                monkeypatch.undo()
+                assert len(seen) == 1 and str(seen[0]) == str(complex(z))
 
     @pytest.mark.parametrize("function", [LOG, ROOT3], ids=lambda f: f.label())
     def test_index_is_the_branch_without_w(self, function, monkeypatch):

@@ -1,6 +1,7 @@
 """CLI parsing, exit codes, file output, and determinism tests."""
 
 import dataclasses
+import errno
 import itertools
 import json
 import os
@@ -8,13 +9,15 @@ import stat
 from decimal import Decimal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from riemannmesh import CharismaKind, DomainGrid, IndexedFunction, JobSpec, parse_args, run
+from riemannmesh import CharismaKind, DomainGrid, IndexedFunction, JobSpec, parse_args, root_indices, run
 from riemannmesh import cli, formats
-from riemannmesh.cli import EXIT_DOMAIN, EXIT_INCOMPATIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from riemannmesh.cli import EXIT_DOMAIN, EXIT_INCOMPATIBLE, EXIT_IO, EXIT_OK, EXIT_USAGE, FIGURE_PRESETS, main
 from riemannmesh.formats import read_ply
 
 ROOT3 = IndexedFunction.root(3)
@@ -55,7 +58,7 @@ class TestParseArgs:
         function = IndexedFunction.from_label(label)
         for lo, hi in itertools.combinations_with_replacement(range(-5, 6), 2):
             argv = ["--function", label, "--charisma", "index", "--branches", f"{lo}..{hi}"]
-            want = tuple(k for k in range(lo, hi + 1) if function.is_admissible(k))
+            want = tuple(k for k in range(lo, hi + 1) if function.is_log or k in root_indices(function.n))
             if want:
                 assert parse_args(argv).branches == want
             else:
@@ -188,6 +191,23 @@ class TestRun:
         code = main(FAST_GRID + ["-o", str(missing)])
         assert code == EXIT_IO
         assert not missing.parent.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_directory_target_exits_four_and_leaves_no_file(self, tmp_path, capsys):
+        # os.replace onto the directory would fail only after the sidecar is renamed
+        target = tmp_path / "outdir"
+        target.mkdir()
+        assert main(["--figure", "4", "--n-r", "4", "--n-theta", "8", "-o", str(target)]) == EXIT_IO
+        assert "Is a directory" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [target]
+
+    def test_files_sharing_a_path_exit_five_and_write_nothing(self, tmp_path, capsys):
+        # an OBJ mesh and its material file would both be x.mtl
+        out = tmp_path / "x.mtl"
+        assert main([*FAST_GRID, "--format", "obj", "-o", str(out)]) == EXIT_DOMAIN
+        assert "share a path" in capsys.readouterr().err
+        job = JobSpec(ROOT3, CharismaKind.SIN, (-1, 0, 1), DomainGrid(0.5, 2.0, 3, 8), fmt="obj", output=out)
+        assert run(job) == EXIT_DOMAIN
         assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_exits_before_writing(self, tmp_path, capsys):
@@ -329,6 +349,15 @@ class TestWriteAtomic:
         assert (tmp_path / "b.json").read_bytes() == b"{}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ply", "b.json"]
 
+    def test_a_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
+        def refused(src, dst):
+            raise PermissionError(errno.EACCES, "refused", str(dst))
+
+        monkeypatch.setattr(cli.os, "replace", refused)
+        with pytest.raises(PermissionError):
+            cli._write_atomic({tmp_path / "a.ply": ["ply\n"], tmp_path / "b.json": ["{}\n"]})
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_failing_write_leaves_no_file(self, tmp_path):
         # the lone surrogate cannot be encoded, so the second file fails
         pieces = {tmp_path / "a.ply": ["ply\n"] * 9, tmp_path / "b.ply": ["x" * 15, "\ud800"]}
@@ -402,6 +431,91 @@ class TestRenderOutputs:
         rows = [p.count("[" if fmt == "json" else "\n") for p in pieces]
         assert max(rows) <= 16
         assert sum(rows) >= mesh.n_vertices + (0 if fmt == "csv" else mesh.n_faces) > 4 * 16
+
+
+# values each flag accepts, on grids small enough to build in milliseconds;
+# -o names a plain file, one without a suffix, the OBJ material's own path,
+# a directory and a file in a missing directory
+_GOOD_VALUES = {
+    "--function": ["log", "root:2", "root:3", "root:5"],
+    "--charisma": [k.value for k in CharismaKind],
+    "--n-r": ["2", "3", "4", "7"],
+    "--n-theta": ["8", "9"],
+    "--r-min": ["0.5", "5e-324"],
+    "--r-max": ["2", "1.7976931348623157e308"],
+    "--radial-spacing": ["linear", "log"],
+    "--weld-tol": ["0", "1e-9", "1e300", "-0.0"],
+    "--format": ["ply", "obj", "json", "csv"],
+    "--figure": list(FIGURE_PRESETS),
+    "-o": ["mesh.ply", "mesh", "x.mtl", "outdir", "missing/mesh.ply"],
+}
+# the default grid is slow to build; -o and --format are always drawn, so
+# that every output name meets every format
+_ALWAYS_GIVEN = ("--n-r", "--n-theta", "--format", "-o")
+# values each flag refuses
+_BAD_VALUES = {
+    "--function": ["root:1", "tan"],
+    "--n-r": ["1", "2.5"],
+    "--n-theta": ["7", "-8"],
+    "--r-min": ["0", "-1", "nan", "3"],
+    "--r-max": ["inf", "0.25"],
+    "--weld-tol": ["-1", "nan", "inf"],
+    "--format": ["stl"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """Flags the CLI may be given: each good flag, left out unless always
+    given, a branch window within -6..6, the weld flags, and in about one
+    example in four a bad value, which argparse reads last, so it wins."""
+    argv = []
+    for flag, values in _GOOD_VALUES.items():
+        value = st.sampled_from(values)
+        value = draw(value if flag in _ALWAYS_GIVEN else st.none() | value)
+        if value is not None:
+            argv += [flag, value]
+    lo, hi = sorted(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2)))
+    argv += draw(st.sampled_from([[], ["--branches", f"{lo}..{hi}"], ["--branches", str(lo)]]))
+    argv += draw(st.sampled_from([[], ["--weld"], ["--no-weld"]]))
+    argv += draw(st.sampled_from([[], ["--walls"], ["--no-walls"]]))
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from(sorted(_BAD_VALUES)))
+        argv += [bad, draw(st.sampled_from(_BAD_VALUES[bad]))]
+    return argv
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in strict JSON")
+
+
+class TestFlagGrammar:
+    HEADERS = {"ply": "ply\n", "obj": "mtllib ", "json": '{"schema":1', "csv": "x,y,c,k\n"}
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(cli_argv())
+    def test_every_flag_combination_exits_with_a_documented_code(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "outdir").mkdir()
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                before = sorted(Path().rglob("*"))
+                code = main(argv)
+                assert code in (EXIT_OK, EXIT_USAGE, EXIT_INCOMPATIBLE, EXIT_IO, EXIT_DOMAIN)
+                if code != EXIT_OK:
+                    assert sorted(Path().rglob("*")) == before
+                    return
+                job = parse_args(argv)
+                text = job.output.read_text()
+                assert text.startswith(self.HEADERS[job.fmt])
+                seams = json.loads(job.output.with_suffix(".seams.json").read_text())["seams"]
+                if job.fmt == "ply":
+                    read_ply(text)
+                elif job.fmt == "json":
+                    assert json.loads(text, parse_constant=_no_constant)["seams"] == seams
+            finally:
+                os.chdir(cwd)
 
 
 class TestModuleEntryPoint:

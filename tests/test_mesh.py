@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +109,12 @@ class TestDomainGrid:
         # the product is taken in Python ints, so numpy ints cannot wrap past the cap
         with pytest.raises(GridError, match="at most"):
             DomainGrid(n_r=np.int64(2**32), n_theta=np.int64(2**32 - 1))
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_radii_at_the_ends_of_the_float_range(self, spacing):
+        # numpy's intermediate for the last radius overflows; no warning escapes
+        radii = DomainGrid(5e-324, sys.float_info.max, 4, 8, radial_spacing=spacing).radii()
+        assert np.isfinite(radii).all() and radii[-1] == sys.float_info.max
 
     def test_log_spacing(self):
         grid = DomainGrid(0.1, 10.0, 5, 8, radial_spacing="log")

@@ -22,8 +22,7 @@ from riemannmesh import (
     evaluate_charisma,
     sample_domain,
 )
-from riemannmesh.branches import _batch_values
-from riemannmesh.charisma import _batch_charisma
+from riemannmesh.branches import _batch_charisma, _batch_values
 
 mp = pytest.importorskip("mpmath")
 
