@@ -21,7 +21,7 @@ import cmath
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -126,22 +126,21 @@ def root_branch(z: complex, n: int, k: int) -> complex:
     k must lie in root_indices(n). The returned w satisfies w**n = z, and
     the principal branch (k = 0) is confined to -pi/n < ph w <= pi/n.
     """
-    return _root_core(_as_nonzero_complex(z), n, _require_branch(k, n))
+    # z, then k as an integer, then the degree n, then k in root_indices(n)
+    return _root_core(_as_nonzero_complex(z), n, _require_branch(_require_branch(k), root_indices(n)))
 
 
-def _require_branch(k: int, n: int | None = None) -> int:
-    # the one branch-index check: an integer, and for root:n one of root_indices(n)
+def _require_branch(k: int, indices: range | None = None) -> int:
+    # the one branch-index check: an integer, and for root:n one of indices = root_indices(n), of length n
     try:
         k = operator.index(k)
     except TypeError:
         raise BranchIndexError(f"branch index must be an integer, got {k!r}") from None
-    if n is not None:
-        indices = root_indices(n)
-        if k not in indices:
-            raise BranchIndexError(
-                f"branch {k} is not admissible for root:{n}; "
-                f"expected {indices.start}..{indices.stop - 1}"
-            )
+    if indices is not None and k not in indices:
+        raise BranchIndexError(
+            f"branch {k} is not admissible for root:{indices.stop - indices.start}; "
+            f"expected {indices.start}..{indices.stop - 1}"
+        )
     return k
 
 
@@ -163,15 +162,18 @@ class IndexedFunction:
 
     kind: str
     n: int | None = None
+    _indices: range | None = field(init=False, repr=False, compare=False)  # branch_indices(), computed once
 
     def __post_init__(self) -> None:
         if self.kind == "log":
             if self.n is not None:
                 raise ValueError("log takes no root degree")
+            indices = None
         elif self.kind == "root":
-            root_indices(self.n)  # raises ValueError unless n is an integer >= 2
+            indices = root_indices(self.n)  # raises ValueError unless n is an integer >= 2
         else:
             raise ValueError(f"unknown function kind {self.kind!r}")
+        object.__setattr__(self, "_indices", indices)
 
     @classmethod
     def log(cls) -> "IndexedFunction":
@@ -200,24 +202,24 @@ class IndexedFunction:
 
     @property
     def is_log(self) -> bool:
-        return self.kind == "log"
+        return self._indices is None
 
     @property
     def is_root(self) -> bool:
-        return self.kind == "root"
+        return self._indices is not None
 
     def branch_indices(self) -> range | None:
         """Admissible branch indices; None means all integers (log)."""
-        return None if self.is_log else root_indices(self.n)
+        return self._indices
 
     def require_admissible(self, k: int) -> int:
-        return _require_branch(k, None if self.is_log else self.n)
+        return _require_branch(k, self._indices)
 
     def branch_value(self, z: complex, k: int) -> complex:
-        """Evaluate branch k of this function at z."""
-        if self.is_log:
-            return log_branch(z, k)
-        return root_branch(z, self.n, k)
+        """Evaluate branch k of this function at z: z is checked, then k."""
+        z = _as_nonzero_complex(z)
+        k = _require_branch(k, self._indices)
+        return _log_core(z, k) if self._indices is None else _root_core(z, self.n, k)
 
 
 class CharismaKind(str, Enum):
@@ -232,9 +234,9 @@ class CharismaCompatibilityError(ValueError):
     """Charisma kind not defined for the given function."""
 
 
-_ROOT_KINDS = (CharismaKind.INDEX, CharismaKind.PHASE, CharismaKind.SIN, CharismaKind.COS)
-_LOG_KINDS = (CharismaKind.INDEX, CharismaKind.IMAG)
-_ANGLE_KINDS = (CharismaKind.SIN, CharismaKind.COS)  # of a root's branch angle; one test, not two enum lookups
+_INDEX, _PHASE, _SIN, _COS, _IMAG = CharismaKind  # as globals: CharismaKind.SIN is several times slower to read
+_ROOT_KINDS = (_INDEX, _PHASE, _SIN, _COS)
+_LOG_KINDS = (_INDEX, _IMAG)
 
 
 def compatible_kinds(f: IndexedFunction) -> tuple[CharismaKind, ...]:
@@ -246,7 +248,8 @@ def compatible_kinds(f: IndexedFunction) -> tuple[CharismaKind, ...]:
 def require_compatible(kind: CharismaKind | str, f: IndexedFunction) -> CharismaKind:
     """kind as a CharismaKind; raises CharismaCompatibilityError unless it
     is defined for f."""
-    kind = CharismaKind(kind)
+    if not isinstance(kind, CharismaKind):  # the constructor costs more than the test
+        kind = CharismaKind(kind)
     if kind not in compatible_kinds(f):
         raise CharismaCompatibilityError(
             f"charisma '{kind.value}' is not defined for {f.label()}; "
@@ -263,15 +266,16 @@ def evaluate_charisma(z: complex, k: int, f: IndexedFunction, kind: CharismaKind
     that order.
     """
     kind = require_compatible(kind, f)
-    if kind in _ANGLE_KINDS:
-        # f is a root: sin and cos of ph(w) are those of the branch angle
-        angle = _root_angle(_as_nonzero_complex(z), f.n, f.require_admissible(k))
-        return math.sin(angle) if kind is CharismaKind.SIN else math.cos(angle)
-    if kind is CharismaKind.INDEX:  # needs no w
-        _as_nonzero_complex(z)
-        return float(f.require_admissible(k))
-    w = f.branch_value(z, k)
-    return _phase(w) if kind is CharismaKind.PHASE else w.imag  # IMAG: w is log_branch(z, k)
+    z = _as_nonzero_complex(z)
+    k = _require_branch(k, f._indices)
+    if kind is _INDEX:  # needs no w
+        return float(k)
+    if kind is _IMAG:  # f is log
+        return _log_core(z, k).imag
+    if kind is _PHASE:
+        return _phase(_root_core(z, f.n, k))
+    angle = _root_angle(z, f.n, k)  # sin or cos, of a root: those of ph(w) are those of the branch angle
+    return math.sin(angle) if kind is _SIN else math.cos(angle)
 
 
 def _floats(values, shape: tuple[int, ...]) -> np.ndarray:

@@ -10,9 +10,11 @@ only once every file is staged in full.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import os
 import re
+import shutil
 import sys
 import tempfile
 from dataclasses import dataclass, fields
@@ -27,6 +29,7 @@ from .mesh import (
     DomainGrid,
     GridError,
     SurfaceMesh,
+    _require_surface_size,
     assemble_surface,
     build_range_chart,
     build_sheets,
@@ -162,20 +165,25 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
         parser.error(f"argument --{e.field.replace('_', '-')}: {e}")
 
     if ns.range_chart:
-        branches: tuple[int, ...] = ()
+        window = range(0)
     elif ns.branches is None:
-        branches = tuple(function.branch_indices() or DEFAULT_LOG_BRANCHES)
+        window = function.branch_indices() or DEFAULT_LOG_BRANCHES
     else:
         try:
             asked = _parse_branch_range(ns.branches)
         except ValueError as e:
             parser.error(f"argument --branches: {e}")
         admissible = function.branch_indices() or asked  # log: every integer
-        branches = tuple(range(max(asked.start, admissible.start), min(asked.stop, admissible.stop)))
-        if not branches:
+        window = range(max(asked.start, admissible.start), min(asked.stop, admissible.stop))
+        if not window:
             parser.error(
                 f"argument --branches: no admissible branch of {function.label()} in {ns.branches!r}"
             )
+    try:  # counted from the window's ends, before any tuple is built
+        _require_surface_size(window.stop - window.start, grid)
+    except ValueError as e:
+        parser.error(f"argument {'--function' if ns.branches is None and function.is_root else '--branches'}: {e}")
+    branches = tuple(window)
 
     try:
         require_weld_tol(ns.weld_tol)
@@ -231,8 +239,10 @@ def render_outputs(job: JobSpec, mesh: SurfaceMesh) -> dict[Path, Iterable[str]]
 
 
 def _write_atomic(files: dict[Path, Iterable[str]]) -> None:
-    # stage everything, then rename; an error, also one raised while rendering, leaves no partial output
+    # stage everything, then rename; an error, even a later rename's, leaves the directory as it was
     staged: list[tuple[str, Path]] = []
+    renamed: list[tuple[Path, str | None]] = []  # each target, with a link to the file it replaced
+    links: list[str] = []
     umask = os.umask(0)  # reading the umask means setting it
     os.umask(umask)
     try:
@@ -245,14 +255,26 @@ def _write_atomic(files: dict[Path, Iterable[str]]) -> None:
             with os.fdopen(fd, "w", newline="\n") as fh:
                 fh.writelines(pieces)
         while staged:
-            os.replace(*staged[-1])
+            tmp, path = staged[-1]
+            old = tmp + ".old" if os.path.lexists(path) else None
+            if old:  # keep the file the rename replaces, to put back if a later rename fails
+                links.append(old)
+                try:
+                    os.link(path, old, follow_symlinks=False)
+                except OSError:  # a file system without hard links
+                    shutil.copy2(path, old, follow_symlinks=False)
+            os.replace(tmp, path)
             staged.pop()  # only once renamed, so the cleanup below unlinks a temporary whose rename failed
+            renamed.append((path, old))
+    except BaseException:
+        for path, old in reversed(renamed):  # put back the file each rename replaced, or remove its new one
+            with contextlib.suppress(OSError):
+                os.replace(old, path) if old else os.unlink(path)
+        raise
     finally:
-        for tmp, _ in staged:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        for name in [tmp for tmp, _ in staged] + links:
+            with contextlib.suppress(OSError):
+                os.unlink(name)
 
 
 def run(job: JobSpec) -> int:

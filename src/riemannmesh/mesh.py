@@ -57,6 +57,10 @@ DEFAULT_WELD_TOL = 1e-9
 # 30 MB, so at the cap such a run needs about 0.85 GB.
 MAX_GRID_POINTS = 1 << 20
 
+# the most vertices len(branches) * n_r * (n_theta + 1) a surface may hold:
+# three sheets at MAX_GRID_POINTS, about 0.26 KB each, the 0.85 GB run above
+_MAX_SURFACE_POINTS = 3 * MAX_GRID_POINTS
+
 # finite window of the infinite log surface built when no branch range is given
 DEFAULT_LOG_BRANCHES = range(-2, 3)
 
@@ -186,6 +190,14 @@ def lattice_faces(n_rows: int, n_cols: int) -> np.ndarray:
     return faces
 
 
+def _require_surface_size(n_branches: int, grid: DomainGrid) -> None:
+    # the one whole-surface cap, on a count the caller need not materialise
+    points = n_branches * int(grid.n_r) * (int(grid.n_theta) + 1)
+    if points > _MAX_SURFACE_POINTS:
+        raise BranchIndexError(f"{n_branches} sheets of {grid.n_r}x{grid.n_cols} lattice points make "
+                               f"{points} vertices; a surface holds at most {_MAX_SURFACE_POINTS}")
+
+
 @dataclass(frozen=True)
 class SheetStack:
     """Every branch of a surface lifted over one sampled domain. Sheet i is
@@ -217,7 +229,8 @@ def build_sheets(
     arguments; here each runs once per distinct argument (a modulus, or a
     branch and a phase), and sin and cos heights reuse the branch-angle
     table of w. Raises BranchIndexError for an empty or repeated branch
-    list, and for a branch outside int64, the mesh's index type.
+    list, a branch outside int64 (the mesh's index type), or a surface
+    with more vertices than the cap.
     """
     branches = tuple(function.require_admissible(k) for k in branches)
     for k in branches:
@@ -228,6 +241,7 @@ def build_sheets(
         raise BranchIndexError("no branches to lift")
     if len(set(branches)) != len(branches):
         raise BranchIndexError(f"repeated branches: {list(branches)}")
+    _require_surface_size(len(branches), grid)
     z = _checked_samples(grid)
     w, c = _batch_charisma(function, z, branches, kind)
     faces = lattice_faces(grid.n_r, grid.n_cols)

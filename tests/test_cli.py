@@ -74,6 +74,37 @@ class TestParseArgs:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "(-1, 0, 1)"
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--function", "log", "--charisma", "imag", "--branches", "-1000000000000..1000000000000"], "--branches"),
+            (["--function", "log", "--charisma", "imag", "--branches", f"-{10**40}..{10**40}"], "--branches"),
+            (["--function", "log", "--charisma", "imag", "--n-r", "1000", "--n-theta", "1000"], "--branches"),
+            (["--function", "root:100000", "--charisma", "index"], "--function"),
+            (["--function", f"root:{10**30}", "--charisma", "index"], "--function"),
+            (["--function", "root:4", "--n-r", "1000", "--n-theta", "1000"], "--function"),
+            (["--function", "root:100000", "--charisma", "index", "--branches", "0..400"], "--branches"),
+        ],
+        ids=["log-1e12", "log-1e40", "log-default-window", "root-1e5", "root-1e30", "root-4-large-grid",
+             "root-window"],
+    )
+    def test_a_surface_beyond_the_cap_is_a_usage_error_naming_its_flag(self, capsys, argv, flag):
+        # counted from the window's ends: run in a child so a materialised
+        # window would show as a timeout or a memory error, not as a slow test
+        code = f"from riemannmesh import parse_args; parse_args({argv!r})"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert f"error: argument {flag}: " in proc.stderr and "a surface holds at most 3145728" in proc.stderr
+
+    def test_the_cap_admits_a_surface_at_its_edge(self):
+        # 326 sheets of 40x241 lattice points are 3,142,640 vertices, 327 are 3,152,280
+        assert len(parse_args(["--function", "log", "--charisma", "imag", "--branches", "0..325"]).branches) == 326
+        with pytest.raises(SystemExit):
+            parse_args(["--function", "log", "--charisma", "imag", "--branches", "0..326"])
+        assert len(parse_args(["--function", "root:326", "--charisma", "index"]).branches) == 326
+        with pytest.raises(SystemExit):
+            parse_args(["--function", "root:327", "--charisma", "index"])
+
     def test_incompatible_charisma_raises_for_exit_three(self):
         from riemannmesh import CharismaCompatibilityError
 
@@ -251,6 +282,8 @@ class TestRun:
             (dict(branches=(1.5,)), EXIT_DOMAIN),
             (dict(branches=()), EXIT_DOMAIN),
             (dict(branches=(0, 0)), EXIT_DOMAIN),
+            (dict(function=IndexedFunction.log(), kind=CharismaKind.IMAG, branches=tuple(range(-80, 80)),
+                  grid=DomainGrid(0.5, 2.0, 1000, 20)), EXIT_DOMAIN),
         ],
     )
     def test_hand_built_job_maps_every_invalid_value_to_an_exit_code(self, tmp_path, capsys, changes, code):
@@ -357,6 +390,39 @@ class TestWriteAtomic:
         with pytest.raises(PermissionError):
             cli._write_atomic({tmp_path / "a.ply": ["ply\n"], tmp_path / "b.json": ["{}\n"]})
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("link", [True, False], ids=["hard-link", "no-hard-link"])
+    @pytest.mark.parametrize("old", [False, True], ids=["new-files", "over-old-files"])
+    def test_a_failed_later_rename_leaves_the_directory_as_it_was(self, tmp_path, capsys, monkeypatch, old, link):
+        out, sidecar = tmp_path / "m.ply", tmp_path / "m.seams.json"
+        if old:
+            out.write_bytes(b"old mesh\n")
+            sidecar.write_bytes(b"old seams\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        replace, targets = os.replace, []
+
+        def second_fails(src, dst):
+            targets.append(dst)
+            if len(targets) == 2:
+                raise PermissionError(errno.EPERM, "refused", str(dst))
+            replace(src, dst)
+
+        def no_link(*args, **kwargs):
+            raise PermissionError(errno.EPERM, "no hard links here")
+
+        monkeypatch.setattr(cli.os, "replace", second_fails)
+        if not link:
+            monkeypatch.setattr(cli.os, "link", no_link)
+        assert main([*FAST_GRID, "-o", str(out)]) == EXIT_IO
+        assert "refused" in capsys.readouterr().err
+        assert targets[:2] == [sidecar, out]  # the sidecar was renamed, then the mesh's rename failed
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_replacing_old_files_leaves_only_the_new_ones(self, tmp_path):
+        for name in ("a.ply", "b.json"):
+            (tmp_path / name).write_text("old\n")
+        cli._write_atomic({tmp_path / "a.ply": ["ply\n"], tmp_path / "b.json": ["{}\n"]})
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.ply": "ply\n", "b.json": "{}\n"}
 
     def test_a_failing_write_leaves_no_file(self, tmp_path):
         # the lone surrogate cannot be encoded, so the second file fails
