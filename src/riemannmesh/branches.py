@@ -47,6 +47,14 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+# the largest |k| of a log branch whose shift 2 k pi is a finite float;
+# compared, not tested with `in range(...)`, which costs 0.4 us at this size
+_MAX_FLOAT_BRANCH = 2**1021
+_BEYOND_FLOAT = "branch index beyond -2**1021..2**1021: 2 k pi must be a finite float"
+# the least root degree refused: below it every root branch k has
+# |k| <= _MAX_FLOAT_BRANCH, and ph(w) n in branch_of is a finite float
+_ROOT_DEGREE_LIMIT = 2**1022
+
 
 class DomainError(ValueError):
     """An input at which no branch is defined (z = 0, or non-finite)."""
@@ -99,7 +107,10 @@ def log_branch(z: complex, k: int) -> complex:
 
 
 def _log_core(z: complex, k: int) -> complex:
-    # the value alone, for a z and k the caller has already checked
+    # the value alone, for a z and k the caller has already checked, but for
+    # k's float range, which require_admissible does not bound for log
+    if abs(k) > _MAX_FLOAT_BRANCH:
+        raise BranchIndexError(_BEYOND_FLOAT)
     return complex(math.log(abs(z)), _phase(z) + TWO_PI * k)
 
 
@@ -109,7 +120,8 @@ def root_indices(n: int) -> range:
     Odd n gives the symmetric set {-(n-1)/2, ..., (n-1)/2}; even n gives
     {-n/2 + 1, ..., n/2}. Either way k = 0 is the principal branch and
     branch k owns the range sector ((2k - 1) pi/n, (2k + 1) pi/n]. The one
-    check of a root degree: raises ValueError unless n is an integer >= 2.
+    check of a root degree: raises ValueError unless n is an integer >= 2
+    and below 2**1022, where a branch angle would overflow a float.
     """
     try:
         n = operator.index(n)
@@ -117,6 +129,8 @@ def root_indices(n: int) -> range:
         n = None
     if n is None or n < 2:
         raise ValueError("root degree n must be an integer >= 2")
+    if n >= _ROOT_DEGREE_LIMIT:
+        raise ValueError("root degree n must be below 2**1022: its branch angles must be finite floats")
     return range(-((n - 1) // 2), n // 2 + 1)
 
 
@@ -170,7 +184,7 @@ class IndexedFunction:
                 raise ValueError("log takes no root degree")
             indices = None
         elif self.kind == "root":
-            indices = root_indices(self.n)  # raises ValueError unless n is an integer >= 2
+            indices = root_indices(self.n)  # raises ValueError unless n is an integer in 2..2**1022 - 1
         else:
             raise ValueError(f"unknown function kind {self.kind!r}")
         object.__setattr__(self, "_indices", indices)
@@ -269,6 +283,8 @@ def evaluate_charisma(z: complex, k: int, f: IndexedFunction, kind: CharismaKind
     z = _as_nonzero_complex(z)
     k = _require_branch(k, f._indices)
     if kind is _INDEX:  # needs no w
+        if abs(k) > _MAX_FLOAT_BRANCH:
+            raise BranchIndexError(_BEYOND_FLOAT)
         return float(k)
     if kind is _IMAG:  # f is log
         return _log_core(z, k).imag
@@ -290,11 +306,30 @@ def _phases(z: np.ndarray) -> np.ndarray:
 
 
 def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the distinct values of x by bit pattern, so -0.0 and 0.0 stay apart, and
-    # the index into them of every value of x; a 1-D key, as numpy 1.x and 2.x
-    # shape the inverse of an n-D input differently
-    keys, inverse = np.unique(x.ravel().view(np.int64), return_inverse=True)
-    return keys.view(float), inverse
+    """The sorted distinct values of x (float64 or int), and the index into
+    them of every value of x in C order, as a 1-D array: int32 where that
+    holds every index. Floats are keyed by bit pattern, so -0.0 and 0.0 stay
+    apart, and the values are those np.unique gives for the int64 view.
+
+    One argsort of the key, no copy of x when a 1-D view of it exists, and
+    each temporary freed once used: the writers dedupe whole vertex tables
+    with this, and np.unique's flattened copy, sorted copy and int64 inverse
+    would make the writer, not the mesh, set a run's peak memory.
+    """
+    key = (x.view(np.int64) if x.dtype.kind == "f" else x).reshape(-1)
+    order = key.argsort()
+    ordered = key[order]
+    new = np.empty(key.size, bool)
+    new[:1] = True  # the first value is new; an empty x has none
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    values = ordered[new].view(x.dtype)
+    del ordered  # freed before the index arrays are made
+    group = np.cumsum(new, dtype=np.int32 if key.size < 2**31 else np.intp)
+    del new
+    group -= 1
+    inverse = np.empty_like(group)
+    inverse[order] = group
+    return values, inverse
 
 
 def _batch_values(

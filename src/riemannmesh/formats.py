@@ -15,6 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .branches import _distinct
 from .mesh import Seam, SurfaceMesh, branch_color
 
 __all__ = ["PlyData", "csv_text", "json_text", "obj_text", "ply_text", "read_ply", "seams_json_text"]
@@ -68,11 +69,7 @@ def _blocks(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between:
     for column in columns:
         column = column.reshape(n, -1)
         if column.dtype.kind == "f":
-            key = np.ascontiguousarray(column, dtype=np.float64).ravel().view(np.int64)
-            # a 1-D key, because numpy 1.x and 2.x shape the inverse of an
-            # n-D input differently
-            distinct, inverse = np.unique(key, return_inverse=True)
-            values = distinct.view(np.float64)
+            values, inverse = _distinct(column.astype(np.float64, copy=False))
             texts = np.concatenate([  # numpy sizes each chunk's S width
                 np.array(list(map(repr, values[i:i + _REPR_CHUNK].tolist())), dtype="S")
                 for i in range(0, len(values), _REPR_CHUNK)
@@ -83,8 +80,8 @@ def _blocks(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between:
         if hi - lo < column.size:
             cells.append((_int_texts(lo + np.arange(hi - lo + 1)), column, lo))
         else:
-            distinct, inverse = np.unique(column.ravel(), return_inverse=True)
-            cells.append((_int_texts(distinct), inverse.reshape(column.shape), 0))
+            values, inverse = _distinct(column)
+            cells.append((_int_texts(values), inverse.reshape(column.shape), 0))
     pieces = [np.frombuffer(sep.encode(), np.uint8) for sep in (*seps, end + between)]
     width = sum(map(len, pieces)) + sum(texts.shape[1] * index.shape[1] for texts, index, _ in cells)
     for start in range(0, n, _BLOCK_ROWS):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sized
 
 import numpy as np
 
@@ -52,13 +52,13 @@ __all__ = [
 DEFAULT_WELD_TOL = 1e-9
 
 # the most lattice points n_r * (n_theta + 1) a DomainGrid may hold: 4.4
-# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.72 KB
-# (PLY) to 0.78 KB (JSON) of peak RSS per lattice point above a tiny run's
-# 30 MB, so at the cap such a run needs about 0.85 GB.
+# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.58 KB
+# (PLY) to 0.66 KB (JSON) of peak RSS per lattice point above a tiny run's
+# 30 MB, so at the cap such a run needs about 0.7 GB.
 MAX_GRID_POINTS = 1 << 20
 
 # the most vertices len(branches) * n_r * (n_theta + 1) a surface may hold:
-# three sheets at MAX_GRID_POINTS, about 0.26 KB each, the 0.85 GB run above
+# three sheets at MAX_GRID_POINTS, about 0.22 KB each, the 0.7 GB run above
 _MAX_SURFACE_POINTS = 3 * MAX_GRID_POINTS
 
 # finite window of the infinite log surface built when no branch range is given
@@ -198,6 +198,13 @@ def _require_surface_size(n_branches: int, grid: DomainGrid) -> None:
                                f"{points} vertices; a surface holds at most {_MAX_SURFACE_POINTS}")
 
 
+def _count(branches: Sized) -> int:
+    # len(branches), counted for a range, whose len() raises OverflowError past sys.maxsize
+    if isinstance(branches, range):
+        return max(0, -((branches.start - branches.stop) // branches.step))
+    return len(branches)
+
+
 @dataclass(frozen=True)
 class SheetStack:
     """Every branch of a surface lifted over one sampled domain. Sheet i is
@@ -232,6 +239,8 @@ def build_sheets(
     list, a branch outside int64 (the mesh's index type), or a surface
     with more vertices than the cap.
     """
+    if isinstance(branches, Sized):  # counted before it is materialised
+        _require_surface_size(_count(branches), grid)
     branches = tuple(function.require_admissible(k) for k in branches)
     for k in branches:
         if not -2**63 <= k < 2**63:
@@ -241,7 +250,7 @@ def build_sheets(
         raise BranchIndexError("no branches to lift")
     if len(set(branches)) != len(branches):
         raise BranchIndexError(f"repeated branches: {list(branches)}")
-    _require_surface_size(len(branches), grid)
+    _require_surface_size(len(branches), grid)  # an iterator, counted once materialised
     z = _checked_samples(grid)
     w, c = _batch_charisma(function, z, branches, kind)
     faces = lattice_faces(grid.n_r, grid.n_cols)
@@ -324,12 +333,6 @@ def assemble_surface(
     n_per = n_r * n_cols
     total = n_per * n_sheets
 
-    positions = np.empty((n_sheets, n_r, n_cols, 3))
-    positions[..., 0] = sheets.z.real
-    positions[..., 1] = sheets.z.imag
-    positions[..., 2] = c
-    positions = positions.reshape(total, 3)
-
     sheet_of = {k: i for i, k in enumerate(branches)}
     # the cut edges of sheet 0, innermost radius first: its theta = -pi and +pi columns
     lower_edge = np.arange(n_r, dtype=np.int64) * n_cols
@@ -376,12 +379,18 @@ def assemble_surface(
             upper = upper_edge + sheet_of[seam.upper_branch] * n_per
             seam.merged_vertices = tuple(new_index[upper].tolist())
 
-    branch_arr = np.repeat(np.array(branches, dtype=np.int64), n_per)[keep]
+    # filled at its kept size, one column at a time, so that no pre-weld
+    # copy of the vertex table is made
+    kept = keep.reshape(c.shape)
+    positions = np.empty((np.count_nonzero(keep), 3))
+    for column, values in enumerate((sheets.z.real, sheets.z.imag, c)):
+        positions[:, column] = np.broadcast_to(values, c.shape)[kept]
+    branch_arr = np.broadcast_to(np.array(branches, dtype=np.int64)[:, None, None], c.shape)[kept]
     return SurfaceMesh(
         function=sheets.function,
         kind=sheets.kind,
         sheet_branches=branches,
-        positions=positions[keep],
+        positions=positions,
         branch=branch_arr,
         w=sheets.w.reshape(-1)[keep],
         colors=_PALETTE_RGB[branch_arr % len(PALETTE)],

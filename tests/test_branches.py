@@ -19,6 +19,7 @@ from riemannmesh import (
     DomainError,
     IndexedFunction,
     branch_of,
+    compatible_kinds,
     continuation_branch,
     evaluate_charisma,
     in_branch_range,
@@ -360,3 +361,44 @@ def test_a_non_integer_branch_or_degree_raises_a_value_error(call, error):
     with pytest.raises(error, match="must be an integer") as exc:
         call()
     assert type(exc.value) is error
+
+
+HUGE = 10**400  # beyond the float range: float(HUGE) raises OverflowError
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        pytest.param(lambda: log_branch(1j, HUGE), BranchIndexError, id="log_branch"),
+        pytest.param(lambda: log_branch(1j, -(2**1021) - 1), BranchIndexError, id="log_branch-finite-float-k"),
+        pytest.param(lambda: LOG.branch_value(1j, HUGE), BranchIndexError, id="log-branch_value"),
+        pytest.param(lambda: evaluate_charisma(1j, HUGE, LOG, CharismaKind.IMAG), BranchIndexError, id="imag"),
+        pytest.param(lambda: evaluate_charisma(1j, HUGE, LOG, CharismaKind.INDEX), BranchIndexError, id="index"),
+        pytest.param(lambda: IndexedFunction.root(HUGE).branch_value(1j, 0), ValueError, id="root-branch_value"),
+        pytest.param(lambda: branch_of(1j, IndexedFunction.root(HUGE)), ValueError, id="branch_of"),
+        pytest.param(lambda: evaluate_charisma(1j, 0, IndexedFunction.root(HUGE), CharismaKind.SIN), ValueError,
+                     id="sin"),
+        pytest.param(lambda: root_branch(1j, 2**1022, 0), ValueError, id="root_branch-first-degree-refused"),
+    ],
+)
+def test_a_branch_or_degree_beyond_the_float_range_raises_a_value_error(call, error):
+    # README: every invalid input raises a ValueError subclass, never
+    # OverflowError; 2 k pi and every branch angle must be finite floats
+    with pytest.raises(error, match="finite float") as exc:
+        call()
+    assert type(exc.value) is error
+
+
+def test_the_float_range_of_branches_and_degrees_is_inclusive_at_its_edges():
+    for k in (-(2**1021), 2**1021):
+        w = log_branch(1j, k)
+        assert math.isfinite(w.imag) and evaluate_charisma(1j, k, LOG, CharismaKind.INDEX) == float(k)
+    widest = IndexedFunction.root(2**1022 - 1)
+    for k in (widest.branch_indices()[0], 0, widest.branch_indices()[-1]):
+        for kind in compatible_kinds(widest):
+            assert math.isfinite(evaluate_charisma(-1, k, widest, kind))
+        branch_of(widest.branch_value(-1, k), widest)
+    # checks that make no float of k keep taking any integer
+    assert LOG.require_admissible(HUGE) == HUGE
+    assert continuation_branch(LOG, HUGE) == HUGE + 1
+    assert in_branch_range(1j, LOG, HUGE) is False

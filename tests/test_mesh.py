@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -294,6 +296,33 @@ class TestBuildSheets:
         edge = build_sheets(LOG, [2**63 - 1, -2**63], CharismaKind.INDEX, SMALL)
         mesh = assemble_surface(edge, weld=False)
         assert mesh.branch.min() == -2**63 and mesh.branch.max() == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "function,branches",
+        [
+            ("IndexedFunction.root(10**12)", "function.branch_indices()"),
+            ("IndexedFunction.root(10**30)", "function.branch_indices()"),  # longer than sys.maxsize
+            ("IndexedFunction.log()", "range(-10**12, 10**12, 3)"),
+            ("IndexedFunction.log()", "[0] * 10**7"),
+        ],
+        ids=["root-1e12", "root-1e30", "log-stepped-range", "list"],
+    )
+    def test_the_surface_cap_is_checked_before_the_branches_are_materialised(self, function, branches):
+        # in a child under a 1 GiB address-space limit and a timeout, so a
+        # materialised window fails fast here instead of filling memory
+        code = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from riemannmesh import BranchIndexError, CharismaKind, DomainGrid, IndexedFunction, build_sheets\n"
+            f"function = {function}\n"
+            "try:\n"
+            f"    build_sheets(function, {branches}, CharismaKind.INDEX, DomainGrid(n_r=2, n_theta=8))\n"
+            "except BranchIndexError as e:\n"
+            "    print(e)\n"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "a surface holds at most 3145728" in proc.stdout
 
 
 class TestAssembleIndexSurface:
