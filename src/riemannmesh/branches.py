@@ -317,14 +317,15 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     would make the writer, not the mesh, set a run's peak memory.
     """
     key = (x.view(np.int64) if x.dtype.kind == "f" else x).reshape(-1)
-    order = key.argsort()
+    index_dtype = np.int32 if key.size < 2**31 else np.intp
+    order = key.argsort().astype(index_dtype, copy=False)  # narrowed before the sorted copy is made
     ordered = key[order]
     new = np.empty(key.size, bool)
     new[:1] = True  # the first value is new; an empty x has none
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     values = ordered[new].view(x.dtype)
     del ordered  # freed before the index arrays are made
-    group = np.cumsum(new, dtype=np.int32 if key.size < 2**31 else np.intp)
+    group = np.cumsum(new, dtype=index_dtype)
     del new
     group -= 1
     inverse = np.empty_like(group)

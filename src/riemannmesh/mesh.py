@@ -52,14 +52,19 @@ __all__ = [
 DEFAULT_WELD_TOL = 1e-9
 
 # the most lattice points n_r * (n_theta + 1) a DomainGrid may hold: 4.4
-# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.58 KB
-# (PLY) to 0.66 KB (JSON) of peak RSS per lattice point above a tiny run's
-# 30 MB, so at the cap such a run needs about 0.7 GB.
+# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.41 KB
+# (PLY) to 0.56 KB (JSON) of peak RSS per lattice point above a tiny run's
+# 30 MB, and the same at 400x1200, so at the cap such a run needs about 0.6 GB.
 MAX_GRID_POINTS = 1 << 20
 
 # the most vertices len(branches) * n_r * (n_theta + 1) a surface may hold:
-# three sheets at MAX_GRID_POINTS, about 0.22 KB each, the 0.7 GB run above
+# three sheets at MAX_GRID_POINTS, about 0.19 KB each, the 0.6 GB run above
 _MAX_SURFACE_POINTS = 3 * MAX_GRID_POINTS
+
+# the dtype of every vertex index (lattice and mesh faces, assembly's
+# renumbering): PLY's 32-bit int, and far above the surface cap. Branch
+# indices stay int64, as a branch may be any int64.
+_VERTEX_INDEX = np.int32
 
 # finite window of the infinite log surface built when no branch range is given
 DEFAULT_LOG_BRANCHES = range(-2, 3)
@@ -181,10 +186,10 @@ def lattice_faces(n_rows: int, n_cols: int) -> np.ndarray:
     """Two triangles per lattice quad, all split along the same
     low-r/low-theta to high-r/high-theta diagonal."""
     # a: the low-r/low-theta corner of each quad, row-major
-    a = (np.arange(n_rows - 1, dtype=np.int64)[:, None] * n_cols
-         + np.arange(n_cols - 1, dtype=np.int64)).ravel()
+    a = (np.arange(n_rows - 1, dtype=_VERTEX_INDEX)[:, None] * n_cols
+         + np.arange(n_cols - 1, dtype=_VERTEX_INDEX)).ravel()
     d = a + n_cols + 1
-    faces = np.empty((2 * a.size, 3), dtype=np.int64)
+    faces = np.empty((2 * a.size, 3), dtype=_VERTEX_INDEX)
     faces[0::2] = np.column_stack([a, a + 1, d])
     faces[1::2] = np.column_stack([a, d, a + n_cols])
     return faces
@@ -219,7 +224,7 @@ class SheetStack:
     z: np.ndarray      # (n_r, n_cols) domain samples, shared by every sheet
     w: np.ndarray      # (n_branches, n_r, n_cols) range values f_k(z)
     c: np.ndarray      # (n_branches, n_r, n_cols) charisma heights
-    faces: np.ndarray  # (2 (n_r - 1) n_theta, 3) indices into one sheet's row-major vertices
+    faces: np.ndarray  # (2 (n_r - 1) n_theta, 3) int32 indices into one sheet's row-major vertices
 
 
 def build_sheets(
@@ -236,15 +241,15 @@ def build_sheets(
     arguments; here each runs once per distinct argument (a modulus, or a
     branch and a phase), and sin and cos heights reuse the branch-angle
     table of w. Raises BranchIndexError for an empty or repeated branch
-    list, a branch outside int64 (the mesh's index type), or a surface
-    with more vertices than the cap.
+    list, a branch outside int64 (the mesh's branch index type), or a
+    surface with more vertices than the cap.
     """
     if isinstance(branches, Sized):  # counted before it is materialised
         _require_surface_size(_count(branches), grid)
     branches = tuple(function.require_admissible(k) for k in branches)
     for k in branches:
         if not -2**63 <= k < 2**63:
-            raise BranchIndexError(f"branch {k} lies outside int64, the mesh's index type")
+            raise BranchIndexError(f"branch {k} lies outside int64, the mesh's branch index type")
     kind = require_compatible(kind, function)
     if not branches:
         raise BranchIndexError("no branches to lift")
@@ -280,11 +285,11 @@ class SurfaceMesh:
     kind: CharismaKind
     sheet_branches: tuple[int, ...]
     positions: np.ndarray    # (N, 3) float: x, y, c
-    branch: np.ndarray       # (N,) int
+    branch: np.ndarray       # (N,) int64
     w: np.ndarray            # (N,) complex range values
     colors: np.ndarray       # (N, 3) uint8
-    faces: np.ndarray        # (M, 3) int
-    face_branch: np.ndarray  # (M,) int: sheet that owns each face
+    faces: np.ndarray        # (M, 3) int32 vertex indices
+    face_branch: np.ndarray  # (M,) int64: sheet that owns each face
     seams: list[Seam] = field(default_factory=list)
     welded: bool = False
     range_chart: bool = False
@@ -335,10 +340,10 @@ def assemble_surface(
 
     sheet_of = {k: i for i, k in enumerate(branches)}
     # the cut edges of sheet 0, innermost radius first: its theta = -pi and +pi columns
-    lower_edge = np.arange(n_r, dtype=np.int64) * n_cols
+    lower_edge = np.arange(n_r, dtype=_VERTEX_INDEX) * n_cols
     upper_edge = lower_edge + (n_cols - 1)
-    weld_map = np.arange(total, dtype=np.int64)
-    dropped = np.zeros(total, dtype=bool)
+    weld_map = np.arange(total, dtype=_VERTEX_INDEX)
+    keep = np.ones(total, dtype=bool)
     seams: list[Seam] = []
     wall_faces: list[np.ndarray] = []
     wall_branch: list[int] = []
@@ -353,7 +358,7 @@ def assemble_surface(
         upper, lower = upper_edge + i * n_per, lower_edge + j * n_per
         if weld and bool(np.all(gaps <= weld_tol)):
             weld_map[lower] = upper
-            dropped[lower] = True
+            keep[lower] = False
             seam.welded = True
         elif walls and sheets.kind is CharismaKind.INDEX:
             # two triangles per radial step, bridging upper[i..i+1] to lower[i..i+1]
@@ -362,12 +367,12 @@ def assemble_surface(
             wall_branch.append(k)
         seams.append(seam)
 
-    keep = ~dropped
     # the index each pre-weld vertex has in the welded mesh
-    new_index = (np.cumsum(keep) - 1)[weld_map]
+    new_index = (np.cumsum(keep, dtype=_VERTEX_INDEX) - 1)[weld_map]
+    del weld_map
     per_sheet = len(sheets.faces)
     n_faces = per_sheet * n_sheets
-    faces = np.empty((n_faces + sum(map(len, wall_faces)), 3), dtype=np.int64)
+    faces = np.empty((n_faces + sum(map(len, wall_faces)), 3), dtype=_VERTEX_INDEX)
     sheet_faces = faces[:n_faces].reshape(n_sheets, per_sheet, 3)
     new_index.reshape(n_sheets, n_per).take(sheets.faces, axis=1, out=sheet_faces)
     if wall_faces:
@@ -378,6 +383,7 @@ def assemble_surface(
         if seam.welded:  # the kept upper-edge vertices, renumbered
             upper = upper_edge + sheet_of[seam.upper_branch] * n_per
             seam.merged_vertices = tuple(new_index[upper].tolist())
+    del new_index  # freed, as the weld map, before the vertex columns are made
 
     # filled at its kept size, one column at a time, so that no pre-weld
     # copy of the vertex table is made
@@ -385,15 +391,16 @@ def assemble_surface(
     positions = np.empty((np.count_nonzero(keep), 3))
     for column, values in enumerate((sheets.z.real, sheets.z.imag, c)):
         positions[:, column] = np.broadcast_to(values, c.shape)[kept]
-    branch_arr = np.broadcast_to(np.array(branches, dtype=np.int64)[:, None, None], c.shape)[kept]
+    # vertices stay in sheet order, so each sheet's value repeats over its kept vertices
+    per_sheet_kept = np.count_nonzero(kept, axis=(1, 2))
     return SurfaceMesh(
         function=sheets.function,
         kind=sheets.kind,
         sheet_branches=branches,
         positions=positions,
-        branch=branch_arr,
+        branch=np.repeat(np.array(branches, dtype=np.int64), per_sheet_kept),
         w=sheets.w.reshape(-1)[keep],
-        colors=_PALETTE_RGB[branch_arr % len(PALETTE)],
+        colors=np.repeat(np.array([branch_color(k) for k in branches], dtype=np.uint8), per_sheet_kept, axis=0),
         faces=faces,
         face_branch=face_branch,
         seams=seams,

@@ -501,8 +501,8 @@ class TestWriterMemory:
     @pytest.mark.parametrize(
         "pieces,bound",
         [
-            (lambda mesh: formats._ply_pieces(mesh), 3.5),
-            (lambda mesh: formats._obj_pieces(mesh, "x.mtl"), 3.5),
+            (lambda mesh: formats._ply_pieces(mesh), 2.5),
+            (lambda mesh: formats._obj_pieces(mesh, "x.mtl"), 2.5),
             (lambda mesh: formats._json_pieces(mesh), 4.5),
         ],
         ids=["ply", "obj", "json"],

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def loop_wall_faces(sheets):
             faces.append((upper[i], lower[i], lower[i + 1]))
             faces.append((upper[i], lower[i + 1], upper[i + 1]))
             branches.extend((k, k))
-    return np.asarray(faces, dtype=np.int64), np.asarray(branches, dtype=np.int64)
+    return np.asarray(faces, dtype=np.int32), np.asarray(branches, dtype=np.int64)
 
 
 def cbrt_case(z, k):
@@ -139,7 +140,7 @@ def loop_lattice_faces(n_rows, n_cols):
         for j in range(n_cols - 1):
             a = i * n_cols + j
             faces += [(a, a + 1, a + n_cols + 1), (a, a + n_cols + 1, a + n_cols)]
-    return np.asarray(faces, dtype=np.int64)
+    return np.asarray(faces, dtype=np.int32)
 
 
 class TestSampleDomain:
@@ -172,7 +173,7 @@ class TestSampleDomain:
         z = sample_domain(grid)
         assert z.tobytes() == loop_sample_domain(grid).tobytes()
         faces = lattice_faces(grid.n_r, grid.n_cols)
-        assert faces.dtype == np.int64
+        assert faces.dtype == np.int32
         assert faces.tobytes() == loop_lattice_faces(grid.n_r, grid.n_cols).tobytes()
 
     def test_row_major_polar_layout(self):
@@ -519,7 +520,7 @@ def loop_assemble_surface(sheets, *, weld, walls):
         positions=np.array([records[v][:3] for v in kept]),
         branch=[records[v][3] for v in kept],
         w=np.array([records[v][4] for v in kept], dtype=complex),
-        faces=np.array(faces, dtype=np.int64),
+        faces=np.array(faces, dtype=np.int32),
         face_branch=face_branch,
         seams=[(k, nxt, gap, welded, merged.get(s, ())) for k, nxt, gap, welded, s in seams],
     )
@@ -540,6 +541,8 @@ class TestAssemblyMatchesTheVertexLoop:
                 mesh = assemble_surface(sheets, weld=weld, walls=walls)
                 want = loop_assemble_surface(sheets, weld=weld, walls=walls)
                 assert mesh.sheet_branches == tuple(ks) and mesh.welded == weld
+                assert mesh.faces.dtype == np.int32
+                assert mesh.branch.dtype == mesh.face_branch.dtype == np.int64
                 assert mesh.positions.tobytes() == want["positions"].tobytes()
                 assert mesh.branch.tolist() == want["branch"]
                 assert mesh.w.tobytes() == want["w"].tobytes()
@@ -548,6 +551,26 @@ class TestAssemblyMatchesTheVertexLoop:
                 assert mesh.face_branch.tolist() == want["face_branch"]
                 got = [(s.upper_branch, s.lower_branch, s.max_gap, s.welded, s.merged_vertices) for s in mesh.seams]
                 assert got == want["seams"]
+
+
+class TestAssemblyMemory:
+    @pytest.mark.parametrize(
+        "kind,walls", [(CharismaKind.SIN, False), (CharismaKind.INDEX, True)], ids=["welded", "walled"]
+    )
+    def test_peak_stays_near_the_mesh_it_returns(self, kind, walls):
+        # the default grid, its sheets built before tracing: assembly frees
+        # its weld map and renumbering before it makes the vertex columns,
+        # and repeats each sheet's branch and color without a per-vertex index
+        sheets = build_sheets(ROOT3, ROOT3.branch_indices(), kind, DomainGrid())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mesh = assemble_surface(sheets, walls=walls)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        arrays = (mesh.positions, mesh.branch, mesh.w, mesh.colors, mesh.faces, mesh.face_branch)
+        assert peak - sum(a.nbytes for a in arrays) < 0.5 * mesh.positions.nbytes
 
 
 class TestAssemblyErrors:
@@ -606,6 +629,7 @@ class TestRangeChart:
             assert tuple(chart.colors[i]) == branch_color(int(chart.branch[i]))
         assert sorted(chart.sheet_branches) == [-1, 0, 1]
         assert chart.seams == []
+        assert chart.faces.dtype == np.int32 and chart.branch.dtype == chart.face_branch.dtype == np.int64
 
     def test_refuses_a_log_index_beyond_int64(self):
         # Im w reaches 1e20, so ceil((Im w - pi) / 2 pi) passes 2**63
