@@ -9,10 +9,10 @@ branch cut of every branch runs along the negative real axis. The
 f_k(z), that lifts the stack of branch sheets into a Riemann surface.
 
 Each formula is coded twice: once per value for the scalar API, and once
-per array for the mesh builder. Both codings make the same libm calls on
-the same arguments, math's mapped over lists in the batch coding (once per
-distinct argument) and the IEEE arithmetic (+, *, /, ceil) in numpy, so
-their results agree bit for bit.
+per array in one batch entry point, _batch_charisma, for the mesh builder.
+Both make the same libm calls on the same arguments, math's mapped over
+lists in the batch coding (once per distinct argument) and the IEEE
+arithmetic (+, *, /, ceil) in numpy, so their results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def _root_core(z: complex, n: int, k: int) -> complex:
 
 @dataclass(frozen=True)
 class IndexedFunction:
-    """A multivalued inverse chosen for evaluation: log, or an n-th root."""
+    """A multivalued inverse chosen for evaluation: log, or an n-th root (n stored as an int)."""
 
     kind: str
     n: int | None = None
@@ -185,6 +185,7 @@ class IndexedFunction:
             indices = None
         elif self.kind == "root":
             indices = root_indices(self.n)  # raises ValueError unless n is an integer in 2..2**1022 - 1
+            object.__setattr__(self, "n", operator.index(self.n))  # an int, whatever integer type n came as
         else:
             raise ValueError(f"unknown function kind {self.kind!r}")
         object.__setattr__(self, "_indices", indices)
@@ -195,8 +196,7 @@ class IndexedFunction:
 
     @classmethod
     def root(cls, n: int) -> "IndexedFunction":
-        root_indices(n)  # the degree check, before operator.index can raise TypeError
-        return cls("root", operator.index(n))
+        return cls("root", n)
 
     @classmethod
     def from_label(cls, label: str) -> "IndexedFunction":
@@ -333,17 +333,14 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, inverse
 
 
-def _batch_values(
-    f: IndexedFunction, z: np.ndarray, branches: Sequence[int]
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
-    """Branch k of f at every point of z for each k in branches, as an array
-    w of shape (len(branches), *z.shape). For a root also (cos, sin,
-    at_phase): the cosine and sine of each branch angle (ph z + 2 k pi)/n
-    per distinct phase, and the index of every point's phase into them
-    (None for log). The caller has checked z (finite, non-zero) and every k
-    (admissible for f). atan2 and abs run per point, log or pow per distinct
-    modulus, cos and sin per branch and distinct phase; each value is
-    bit-for-bit what _log_core or _root_core returns."""
+def _batch_charisma(
+    f: IndexedFunction, z: np.ndarray, branches: Sequence[int], kind: CharismaKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """w = f_k(z) and the charisma at every point of z for each k in branches,
+    as two arrays of shape (len(branches), *z.shape), for a z, branches and
+    kind the caller has checked. atan2 and abs run per point, log or pow per
+    distinct modulus, cos and sin per branch and distinct phase; each value
+    is bit-for-bit what branch_value or evaluate_charisma returns."""
     shape = (len(branches),) + z.shape
     ph = _phases(z).ravel()
     moduli, at_modulus = _distinct(_floats(map(abs, z.ravel().tolist()), ph.shape))
@@ -352,35 +349,26 @@ def _batch_values(
     if f.is_log:
         w.real = _floats(map(math.log, moduli.tolist()), moduli.shape)[at_modulus]
         w.imag = ph + shifts
-        return w.reshape(shape), None
-    phases, at_phase = _distinct(ph)
-    angles = (phases + shifts) / f.n
-    radius = _floats(map(pow, moduli.tolist(), itertools.repeat(1.0 / f.n)), moduli.shape)[at_modulus]
-    cos, sin = (_floats(map(fn, angles.ravel().tolist()), angles.shape) for fn in (math.cos, math.sin))
-    w.real = radius * cos[:, at_phase]
-    w.imag = radius * sin[:, at_phase]
-    return w.reshape(shape), (cos, sin, at_phase)
-
-
-def _batch_charisma(
-    f: IndexedFunction, z: np.ndarray, branches: Sequence[int], kind: CharismaKind
-) -> tuple[np.ndarray, np.ndarray]:
-    # w = f_k(z) and the charisma at every point of z for each k in branches,
-    # as two arrays of shape (len(branches), *z.shape), for a z, branches and
-    # kind the caller has checked; each value is bit-for-bit branch_value's
-    # and evaluate_charisma's
-    w, trig = _batch_values(f, z, branches)
-    if kind is CharismaKind.INDEX:
-        c = np.empty(w.shape)
+    else:  # the cosine and sine of each branch angle (ph z + 2 k pi)/n per distinct phase
+        phases, at_phase = _distinct(ph)
+        angles = (phases + shifts) / f.n
+        radius = _floats(map(pow, moduli.tolist(), itertools.repeat(1.0 / f.n)), moduli.shape)[at_modulus]
+        cos, sin = (_floats(map(fn, angles.ravel().tolist()), angles.shape) for fn in (math.cos, math.sin))
+        w.real = radius * cos[:, at_phase]
+        w.imag = radius * sin[:, at_phase]
+        del radius
+    w = w.reshape(shape)
+    del ph, at_modulus  # per point: kept while the heights are made, they raised peak RSS 7% at 200x1200
+    if kind is _INDEX:
+        c = np.empty(shape)
         for row, k in zip(c, branches):
             row.fill(float(k))
-    elif kind is CharismaKind.IMAG:
+    elif kind is _IMAG:
         c = w.imag.copy()
-    elif kind is CharismaKind.PHASE:
+    elif kind is _PHASE:
         c = _phases(w)
     else:  # from the per-phase table w was built from; gathered before w, it raised peak RSS
-        cos, sin, at_phase = trig
-        c = (cos if kind is CharismaKind.COS else sin)[:, at_phase].reshape(w.shape)
+        c = (cos if kind is _COS else sin)[:, at_phase].reshape(shape)
     return w, c
 
 
@@ -406,20 +394,13 @@ def branch_of(w: complex, f: IndexedFunction) -> int:
     rejected since no root branch attains it. Computed by ceiling
     arithmetic so boundary ownership is deterministic.
     """
-    w = _as_finite_complex(w) if f.is_log else _as_nonzero_complex(w)
-    return _branch_index(w, f)
-
-
-def _branch_index(w: complex, f: IndexedFunction) -> int:
-    # branch_of for a w already checked: finite, and non-zero for roots
     if f.is_log:
-        return _log_branch_index(w.imag)
-    n = f.n
-    return _wrap_root_index(math.ceil(_phase(w) * n / TWO_PI - 0.5), n)
+        return _log_branch_index(_as_finite_complex(w).imag)
+    return _wrap_root_index(math.ceil(_phase(_as_nonzero_complex(w)) * f.n / TWO_PI - 0.5), f.n)
 
 
 def _batch_branch_index(w: np.ndarray, f: IndexedFunction) -> np.ndarray:
-    """_branch_index at every point of w, as int64: the same ceiling
+    """branch_of at every point of w, as int64: the same ceiling
     arithmetic in numpy. Raises DomainError where an index would not fit
     int64; the cast alone would wrap it silently."""
     if f.is_root and f.n >= 2**63:  # the wrap modulo n below needs n in int64

@@ -157,8 +157,17 @@ def _rows(section: list[str], count: int, dtype: np.dtype, width: int, what: str
     raise ValueError(problem)
 
 
+def _require_below(values: np.ndarray, stop: int, row_name: str, value_name: str) -> None:
+    # every value of an int64 table in 0..stop - 1, in one pass: as uint64 a negative value exceeds any stop
+    unsigned = values.view(np.uint64)
+    if unsigned.size and unsigned.max() >= stop:
+        row = int(np.argmax((unsigned >= stop).any(axis=1)))
+        raise ValueError(f"{row_name} row {row} has a {value_name} outside 0..{stop - 1}")
+
+
 def read_ply(text: str) -> PlyData:
-    """Parse an ascii PLY of the layout ply_text writes."""
+    """Parse an ascii PLY of the layout ply_text writes; raises ValueError
+    for a count, row, colour or face index that its header forbids."""
     lines = text.splitlines()
     if lines[:2] != ["ply", "format ascii 1.0"]:
         raise ValueError("not an ascii PLY 1.0 file")
@@ -167,6 +176,8 @@ def read_ply(text: str) -> PlyData:
         if line.startswith("element "):
             _, name, num = line.split()
             sizes[name] = int(num)
+            if sizes[name] < 0:
+                raise ValueError(f"element {name} has a negative count {num}")
         elif line == "end_header":
             body = i + 1
             break
@@ -179,6 +190,8 @@ def read_ply(text: str) -> PlyData:
     faces = _rows(lines[body + n_vertices:body + n_vertices + n_faces], n_faces, _FACE_ROW, 4, "face")
     if np.any(faces["n"] != 3):
         raise ValueError("only triangle faces are supported")
+    _require_below(vertices["rgb"], 256, "vertex", "colour")
+    _require_below(faces["v"], n_vertices, "face", "vertex index")
     return PlyData(vertices["xyz"], vertices["rgb"], faces["v"])
 
 

@@ -13,9 +13,10 @@ seams that are continuous.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sized
+from typing import Iterable
 
 import numpy as np
 
@@ -195,19 +196,13 @@ def lattice_faces(n_rows: int, n_cols: int) -> np.ndarray:
     return faces
 
 
-def _require_surface_size(n_branches: int, grid: DomainGrid) -> None:
-    # the one whole-surface cap, on a count the caller need not materialise
+def _require_surface_size(n_branches: int, grid: DomainGrid, *, at_least: bool = False) -> None:
+    # the one whole-surface cap; at_least: n_branches counts the branches read, and there may be more
     points = n_branches * int(grid.n_r) * (int(grid.n_theta) + 1)
     if points > _MAX_SURFACE_POINTS:
-        raise BranchIndexError(f"{n_branches} sheets of {grid.n_r}x{grid.n_cols} lattice points make "
-                               f"{points} vertices; a surface holds at most {_MAX_SURFACE_POINTS}")
-
-
-def _count(branches: Sized) -> int:
-    # len(branches), counted for a range, whose len() raises OverflowError past sys.maxsize
-    if isinstance(branches, range):
-        return max(0, -((branches.start - branches.stop) // branches.step))
-    return len(branches)
+        more = " or more" if at_least else ""
+        raise BranchIndexError(f"{n_branches}{more} sheets of {grid.n_r}x{grid.n_cols} lattice points make "
+                               f"{points}{more} vertices; a surface holds at most {_MAX_SURFACE_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -244,8 +239,10 @@ def build_sheets(
     list, a branch outside int64 (the mesh's branch index type), or a
     surface with more vertices than the cap.
     """
-    if isinstance(branches, Sized):  # counted before it is materialised
-        _require_surface_size(_count(branches), grid)
+    # read one branch past the cap at most, so an endless iterable fails at once
+    most = _MAX_SURFACE_POINTS // (int(grid.n_r) * (int(grid.n_theta) + 1))
+    branches = tuple(itertools.islice(branches, most + 1))
+    _require_surface_size(len(branches), grid, at_least=True)
     branches = tuple(function.require_admissible(k) for k in branches)
     for k in branches:
         if not -2**63 <= k < 2**63:
@@ -255,7 +252,6 @@ def build_sheets(
         raise BranchIndexError("no branches to lift")
     if len(set(branches)) != len(branches):
         raise BranchIndexError(f"repeated branches: {list(branches)}")
-    _require_surface_size(len(branches), grid)  # an iterator, counted once materialised
     z = _checked_samples(grid)
     w, c = _batch_charisma(function, z, branches, kind)
     faces = lattice_faces(grid.n_r, grid.n_cols)
@@ -336,15 +332,14 @@ def assemble_surface(
     branches, c = sheets.branches, sheets.c
     n_sheets, n_r, n_cols = c.shape
     n_per = n_r * n_cols
-    total = n_per * n_sheets
 
     sheet_of = {k: i for i, k in enumerate(branches)}
     # the cut edges of sheet 0, innermost radius first: its theta = -pi and +pi columns
     lower_edge = np.arange(n_r, dtype=_VERTEX_INDEX) * n_cols
     upper_edge = lower_edge + (n_cols - 1)
-    weld_map = np.arange(total, dtype=_VERTEX_INDEX)
-    keep = np.ones(total, dtype=bool)
+    keep = np.ones(c.size, dtype=bool)
     seams: list[Seam] = []
+    welds: list[tuple[Seam, np.ndarray, np.ndarray]] = []  # each welded seam, its upper and lower edge
     wall_faces: list[np.ndarray] = []
     wall_branch: list[int] = []
 
@@ -357,9 +352,9 @@ def assemble_surface(
         seam = Seam(k, nxt, float(gaps.max()), float(gaps.mean()))
         upper, lower = upper_edge + i * n_per, lower_edge + j * n_per
         if weld and bool(np.all(gaps <= weld_tol)):
-            weld_map[lower] = upper
             keep[lower] = False
             seam.welded = True
+            welds.append((seam, upper, lower))
         elif walls and sheets.kind is CharismaKind.INDEX:
             # two triangles per radial step, bridging upper[i..i+1] to lower[i..i+1]
             u0, u1, l0, l1 = upper[:-1], upper[1:], lower[:-1], lower[1:]
@@ -367,9 +362,13 @@ def assemble_surface(
             wall_branch.append(k)
         seams.append(seam)
 
-    # the index each pre-weld vertex has in the welded mesh
-    new_index = (np.cumsum(keep, dtype=_VERTEX_INDEX) - 1)[weld_map]
-    del weld_map
+    # each pre-weld vertex's index in the welded mesh (decremented in place: a freed temporary
+    # raised peak RSS 6% at 200x1200); a dropped lower edge takes its welded upper edge's
+    new_index = np.cumsum(keep, dtype=_VERTEX_INDEX)
+    new_index -= 1
+    for seam, upper, lower in welds:
+        new_index[lower] = new_index[upper]
+        seam.merged_vertices = tuple(new_index[upper].tolist())
     per_sheet = len(sheets.faces)
     n_faces = per_sheet * n_sheets
     faces = np.empty((n_faces + sum(map(len, wall_faces)), 3), dtype=_VERTEX_INDEX)
@@ -379,11 +378,7 @@ def assemble_surface(
         faces[n_faces:] = new_index[np.concatenate(wall_faces)]
     face_branch = np.repeat(np.array(branches + tuple(wall_branch), dtype=np.int64),
                             [per_sheet] * n_sheets + [len(f) for f in wall_faces])
-    for seam in seams:
-        if seam.welded:  # the kept upper-edge vertices, renumbered
-            upper = upper_edge + sheet_of[seam.upper_branch] * n_per
-            seam.merged_vertices = tuple(new_index[upper].tolist())
-    del new_index  # freed, as the weld map, before the vertex columns are made
+    del new_index  # freed before the vertex columns are made
 
     # filled at its kept size, one column at a time, so that no pre-weld
     # copy of the vertex table is made

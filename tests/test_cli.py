@@ -1,7 +1,9 @@
 """CLI parsing, exit codes, file output, and determinism tests."""
 
+import contextlib
 import dataclasses
 import errno
+import io
 import itertools
 import json
 import os
@@ -13,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from riemannmesh import CharismaKind, DomainGrid, IndexedFunction, JobSpec, parse_args, root_indices, run
 from riemannmesh import cli, formats
@@ -555,8 +557,64 @@ def _no_constant(name):
     raise AssertionError(f"{name} in strict JSON")
 
 
+_SURFACE_CAP = 3145728  # vertices before welding: three sheets of MAX_GRID_POINTS
+
+
+@st.composite
+def wide_windows(draw):
+    """(function, --branches or None, n_r, n_theta) for parse_args alone:
+    window ends up to +-10**12, root degrees up to 10**6, small grids, and
+    widths and degrees drawn near the surface cap's edge for the grid."""
+    n_r, n_theta = draw(st.integers(2, 8)), draw(st.integers(8, 40))
+    most = _SURFACE_CAP // (n_r * (n_theta + 1))  # the most sheets the cap admits on this grid
+    near_edge = st.integers(most - 2, most + 2)
+    function = draw(st.just("log") | (st.integers(2, 10**6) | near_edge).map(lambda n: f"root:{n}"))
+    lo = draw(st.integers(-10**12, 10**12) | st.integers(-10**12, -10**6) | st.integers(-most, 3))
+    hi = min(lo + draw(st.integers(most + 3, 2 * 10**12) | near_edge | st.integers(0, 5)), 10**12)
+    window = draw(st.sampled_from([None, f"{lo}..{hi}", str(lo)]))
+    return function, window, n_r, n_theta
+
+
 class TestFlagGrammar:
     HEADERS = {"ply": "ply\n", "obj": "mtllib ", "json": '{"schema":1', "csv": "x,y,c,k\n"}
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(wide_windows())
+    # the cap's edge on a 2x9 lattice: 174762 sheets fit, 174763 do not
+    @example(("log", "0..174761", 2, 8))
+    @example(("log", "-174762..0", 2, 8))
+    @example(("root:174762", None, 2, 8))
+    @example(("root:174763", None, 2, 8))
+    def test_the_surface_cap_alone_decides_a_wide_window(self, drawn):
+        # parse_args only: no surface is built, so windows of any width are cheap
+        function, window, n_r, n_theta = drawn
+        argv = ["--function", function, "--charisma", "index", "--n-r", str(n_r), "--n-theta", str(n_theta)]
+        f = IndexedFunction.from_label(function)
+        admissible = range(-10**13, 10**13) if f.is_log else root_indices(f.n)
+        if window is None:
+            want = range(-2, 3) if f.is_log else admissible
+        else:
+            argv += ["--branches", window]
+            lo, _, hi = window.partition("..")
+            asked = range(int(lo), int(hi or lo) + 1)
+            want = range(max(asked.start, admissible.start), min(asked.stop, admissible.stop))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                job = parse_args(argv)
+            except SystemExit as e:
+                job, code = None, e.code
+        if want and len(want) * n_r * (n_theta + 1) <= _SURFACE_CAP:
+            assert job is not None, err.getvalue()
+            assert job.branches == tuple(want)
+            return
+        assert job is None and code == EXIT_USAGE
+        if not want:
+            assert "argument --branches: no admissible branch" in err.getvalue()
+        else:
+            flag = "--function" if window is None else "--branches"
+            assert f"error: argument {flag}: " in err.getvalue()
+            assert f"a surface holds at most {_SURFACE_CAP}" in err.getvalue()
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(cli_argv())

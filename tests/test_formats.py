@@ -366,6 +366,52 @@ class TestPly:
         with pytest.raises(ValueError, match=value):
             read_ply("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("element", ["vertex", "face"])
+    def test_reader_rejects_a_negative_element_count(self, mesh, element):
+        lines = ply_text(mesh).splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"element {element} "))
+        lines[i] = f"element {element} -1"
+        with pytest.raises(ValueError, match=f"element {element} has a negative count -1"):
+            read_ply("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "index", [lambda n: -1, lambda n: n, lambda n: n + 4, lambda n: 2**63 - 1], ids=["-1", "n", "n+4", "int64-max"]
+    )
+    def test_reader_rejects_a_face_index_outside_the_vertices(self, mesh, index):
+        lines = ply_text(mesh).splitlines()
+        i = lines.index("end_header") + 1 + mesh.n_vertices + 5
+        cells = lines[i].split()
+        cells[2] = str(index(mesh.n_vertices))
+        lines[i] = " ".join(cells)
+        with pytest.raises(ValueError, match=f"face row 5 has a vertex index outside 0..{mesh.n_vertices - 1}"):
+            read_ply("\n".join(lines) + "\n")
+        cells[2] = str(mesh.n_vertices - 1)  # the last vertex is in range
+        lines[i] = " ".join(cells)
+        assert read_ply("\n".join(lines) + "\n").faces[5, 1] == mesh.n_vertices - 1
+
+    def test_reader_rejects_a_face_over_three_vertices_that_names_a_fourth(self):
+        head = ["ply", "format ascii 1.0", "element vertex 3", "property double x", "property double y",
+                "property double z", "property uchar red", "property uchar green", "property uchar blue",
+                "element face 1", "property list uchar int vertex_indices", "end_header"]
+        rows = ["0 0 0 1 2 3", "1 0 0 1 2 3", "0 1 0 1 2 3"]
+        with pytest.raises(ValueError, match="face row 0 has a vertex index outside 0..2"):
+            read_ply("\n".join(head + rows + ["3 0 1 7"]) + "\n")
+        assert read_ply("\n".join(head + rows + ["3 0 1 2"]) + "\n").faces.tolist() == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("colour", [256, 300, -1, 2**63 - 1])
+    def test_reader_rejects_a_colour_outside_the_uchar_range(self, mesh, colour):
+        lines = ply_text(mesh).splitlines()
+        i = lines.index("end_header") + 1 + 3
+        cells = lines[i].split()
+        cells[4] = str(colour)  # green
+        lines[i] = " ".join(cells)
+        with pytest.raises(ValueError, match="vertex row 3 has a colour outside 0..255"):
+            read_ply("\n".join(lines) + "\n")
+        for edge in (0, 255):
+            cells[4] = str(edge)
+            lines[i] = " ".join(cells)
+            assert read_ply("\n".join(lines) + "\n").colors[3, 1] == edge
+
     @pytest.mark.parametrize("n_vertices", [0, 5])
     def test_reader_reads_an_empty_section(self, n_vertices):
         data = read_ply(ply_text(synthetic_mesh(n_vertices, 0, seed=1)))

@@ -305,25 +305,33 @@ class TestBuildSheets:
             ("IndexedFunction.root(10**30)", "function.branch_indices()"),  # longer than sys.maxsize
             ("IndexedFunction.log()", "range(-10**12, 10**12, 3)"),
             ("IndexedFunction.log()", "[0] * 10**7"),
+            ("IndexedFunction.log()", "itertools.count()"),  # endless
+            ("IndexedFunction.log()", "(k for k in range(10**7))"),
         ],
-        ids=["root-1e12", "root-1e30", "log-stepped-range", "list"],
+        ids=["root-1e12", "root-1e30", "log-stepped-range", "list", "endless-iterator", "generator"],
     )
     def test_the_surface_cap_is_checked_before_the_branches_are_materialised(self, function, branches):
         # in a child under a 1 GiB address-space limit and a timeout, so a
         # materialised window fails fast here instead of filling memory
         code = (
-            "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import itertools, resource, time; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from riemannmesh import BranchIndexError, CharismaKind, DomainGrid, IndexedFunction, build_sheets\n"
             f"function = {function}\n"
+            "start = time.perf_counter()\n"
             "try:\n"
             f"    build_sheets(function, {branches}, CharismaKind.INDEX, DomainGrid(n_r=2, n_theta=8))\n"
             "except BranchIndexError as e:\n"
             "    print(e)\n"
+            "print(time.perf_counter() - start)\n"
         )
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20, env=env)
         assert proc.returncode == 0, proc.stderr
-        assert "a surface holds at most 3145728" in proc.stdout
+        message, seconds = proc.stdout.splitlines()
+        assert "a surface holds at most 3145728" in message
+        # the branches are read only up to the cap, so the count read is a lower bound
+        assert message.startswith("174763 or more sheets of 2x9 lattice points"), message
+        assert float(seconds) < 1.0
 
 
 class TestAssembleIndexSurface:

@@ -22,7 +22,7 @@ from riemannmesh import (
     evaluate_charisma,
     sample_domain,
 )
-from riemannmesh.branches import _batch_charisma, _batch_values
+from riemannmesh.branches import _batch_charisma
 
 mp = pytest.importorskip("mpmath")
 
@@ -83,7 +83,7 @@ def ulps_off(w: complex, exact) -> float:
 def test_both_codings_are_within_8_ulp(function):
     z = np.concatenate([sample_domain(GRID).ravel(), np.array(edge_points())])
     ks = list(function.branch_indices() or range(-2, 3))
-    batch = _batch_values(function, z, ks)[0]
+    batch = _batch_charisma(function, z, ks, CharismaKind.INDEX)[0]
     worst = 0.0
     for row, k in zip(batch, ks):
         for zi, wb in zip(z.tolist(), row.tolist()):

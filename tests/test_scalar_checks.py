@@ -153,6 +153,10 @@ class TestIndexedFunctionValue:
         assert LOG == IndexedFunction("log") and hash(LOG) == hash(IndexedFunction("log"))
         assert ROOT3 != IndexedFunction.root(4) and ROOT3 != LOG
         assert list(inspect.signature(IndexedFunction).parameters) == ["kind", "n"]
+        # a numpy degree is stored as an int, built directly or through root()
+        for direct in (IndexedFunction("root", np.int64(3)), IndexedFunction.root(np.int64(3))):
+            assert type(direct.n) is int and repr(direct) == repr(ROOT3)
+            assert direct == ROOT3 and hash(direct) == hash(ROOT3)
 
     @pytest.mark.parametrize("f", [LOG, ROOT3, IndexedFunction.root(6)], ids=lambda f: f.label())
     def test_a_pickled_function_is_the_same_function(self, f):
