@@ -305,6 +305,10 @@ def _phases(z: np.ndarray) -> np.ndarray:
     return _floats(map(math.atan2, (z.imag + 0.0).ravel().tolist(), z.real.ravel().tolist()), z.shape)
 
 
+# sorted keys handled at a time by _distinct
+_DISTINCT_CHUNK = 1 << 14
+
+
 def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of x (float64 or int), and the index into
     them of every value of x in C order, as a 1-D array: int32 where that
@@ -312,25 +316,30 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     apart, and the values are those np.unique gives for the int64 view.
 
     One argsort of the key, no copy of x when a 1-D view of it exists, and
-    each temporary freed once used: the writers dedupe whole vertex tables
-    with this, and np.unique's flattened copy, sorted copy and int64 inverse
-    would make the writer, not the mesh, set a run's peak memory.
+    the run starts and the inverse found a chunk of the sort order at a
+    time: the writers dedupe whole vertex tables with this, and np.unique's
+    flattened copy, sorted copy and int64 inverse, or a whole-table sorted
+    key and group array, would make the writer, not the mesh, set a run's
+    peak memory.
     """
     key = (x.view(np.int64) if x.dtype.kind == "f" else x).reshape(-1)
     index_dtype = np.int32 if key.size < 2**31 else np.intp
-    order = key.argsort().astype(index_dtype, copy=False)  # narrowed before the sorted copy is made
-    ordered = key[order]
-    new = np.empty(key.size, bool)
-    new[:1] = True  # the first value is new; an empty x has none
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    values = ordered[new].view(x.dtype)
-    del ordered  # freed before the index arrays are made
-    group = np.cumsum(new, dtype=index_dtype)
-    del new
-    group -= 1
-    inverse = np.empty_like(group)
-    inverse[order] = group
-    return values, inverse
+    order = key.argsort().astype(index_dtype, copy=False)
+    inverse = np.empty(key.size, index_dtype)
+    values = []  # the distinct keys of each chunk
+    count = 0  # distinct keys before the chunk
+    for i in range(0, key.size, _DISTINCT_CHUNK):
+        at = order[i:i + _DISTINCT_CHUNK].astype(np.intp)  # once, for the gather and the scatter
+        ordered = key[at]
+        new = np.empty(len(ordered), bool)
+        new[0] = not i or ordered[0] != last
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        values.append(ordered[new])
+        group = np.cumsum(new, dtype=index_dtype)
+        group += count - 1
+        inverse[at] = group
+        count, last = int(group[-1]) + 1, ordered[-1]
+    return (np.concatenate(values) if values else key[:0]).view(x.dtype), inverse
 
 
 def _batch_charisma(

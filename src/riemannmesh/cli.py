@@ -218,27 +218,28 @@ def build_mesh(job: JobSpec) -> SurfaceMesh:
     return assemble_surface(sheets, weld=job.weld, weld_tol=job.weld_tol, walls=job.walls)
 
 
-def render_outputs(job: JobSpec, mesh: SurfaceMesh) -> dict[Path, Iterable[str]]:
-    """Serialize the mesh and its seam sidecar to {path: pieces of text},
+def render_outputs(job: JobSpec, mesh: SurfaceMesh) -> dict[Path, Iterable[bytes]]:
+    """Serialize the mesh and its seam sidecar to {path: pieces of bytes},
     rendering the mesh lazily; ValueError if two files would share a path."""
     if job.fmt == "ply":
         files = [(job.output, _ply_pieces(mesh))]
     elif job.fmt == "obj":
         mtl_path = job.output.with_suffix(".mtl")
-        files = [(job.output, _obj_pieces(mesh, mtl_path.name)), (mtl_path, [_mtl_text(mesh)])]
+        files = [(job.output, _obj_pieces(mesh, mtl_path.name)), (mtl_path, [_mtl_text(mesh).encode()])]
     elif job.fmt == "json":
         files = [(job.output, _json_pieces(mesh))]
     elif job.fmt == "csv":
         files = [(job.output, _csv_pieces(mesh))]
     else:
         raise ValueError(f"unknown format {job.fmt!r}")
-    files.append((job.output.with_suffix(".seams.json"), [seams_json_text(mesh, require_weld_tol(job.weld_tol))]))
+    seams = seams_json_text(mesh, require_weld_tol(job.weld_tol))
+    files.append((job.output.with_suffix(".seams.json"), [seams.encode()]))
     if len(dict(files)) < len(files):
         raise ValueError(f"the output files would share a path: {', '.join(str(path) for path, _ in files)}")
     return dict(files)
 
 
-def _write_atomic(files: dict[Path, Iterable[str]]) -> None:
+def _write_atomic(files: dict[Path, Iterable[bytes]]) -> None:
     # stage everything, then rename; an error, even a later rename's, leaves the directory as it was
     staged: list[tuple[str, Path]] = []
     renamed: list[tuple[Path, str | None]] = []  # each target, with a link to the file it replaced
@@ -252,7 +253,7 @@ def _write_atomic(files: dict[Path, Iterable[str]]) -> None:
             fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
             staged.append((tmp, path))
             os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600, as open() would have made the file
-            with os.fdopen(fd, "w", newline="\n") as fh:
+            with os.fdopen(fd, "wb") as fh:
                 fh.writelines(pieces)
         while staged:
             tmp, path = staged[-1]

@@ -2,8 +2,10 @@
 
 All floats are written with their shortest round-trip decimal
 representation, so identical meshes serialize to identical bytes. Each
-distinct value of a table is formatted once, and each block of rows is
-assembled from those texts as one numpy byte grid.
+distinct value of a table is formatted once. A block of rows is one numpy
+record array, with one field per cell and one per separator, sized to a
+fixed byte budget; each cell field is filled with one gather from its
+texts, and the block's bytes, less their padding, go to disk as they are.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from .mesh import Seam, SurfaceMesh, branch_color
 
 __all__ = ["PlyData", "csv_text", "json_text", "obj_text", "ply_text", "read_ply", "seams_json_text"]
 
-# rows written per block. Each block holds a byte grid of its rows at the
-# widest cell texts; at 2048 rows a 40x240 JSON run peaked 0.9 MB (2%) higher
-# in RSS than at 1024, which matches the old 256-row writer.
-_BLOCK_ROWS = 1024
+# bytes per block of rows: a block holds as many records as fit, and at
+# least one. A record pads each cell to the widest text of its column.
+# 64 KiB keeps a 40x240 run's peak RSS at the level of the 1024-row blocks
+# it replaced; 128 KiB saved about 2% of the block assembly at 100x600.
+_BLOCK_BYTES = 1 << 16
 
 # distinct floats formatted per chunk, so the repr strings of one chunk are alive at a time
 _REPR_CHUNK = 1 << 13
@@ -32,7 +35,7 @@ _JSON_SEPARATORS = (",", ":")
 
 
 def _int_texts(values: np.ndarray) -> np.ndarray:
-    """Decimal texts of integers as the rows of a NUL-padded uint8 table."""
+    """Decimal texts of integers as a NUL-padded "S" array."""
     neg = values < 0
     mag = values.astype(np.uint64)
     mag = np.where(neg, np.uint64(0) - mag, mag)  # |-2**63| fits a uint64
@@ -40,12 +43,31 @@ def _int_texts(values: np.ndarray) -> np.ndarray:
     while (mag := mag // 10).any():
         digits.append(np.where(mag > 0, 48 + mag % 10, 0).astype(np.uint8))
     sign = [np.where(neg, 45, 0).astype(np.uint8)] if neg.any() else []
-    return np.stack([*sign, *digits[::-1]], axis=1)
+    planes = [*sign, *digits[::-1]]
+    return np.stack(planes, axis=1).view(f"S{len(planes)}").reshape(-1)
 
 
-def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: str = "") -> Iterator[str]:
+def _cell_texts(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The texts of a 2-D column as an "S" array, the array indexing them
+    per cell, and the offset to take from those indices."""
+    if column.dtype.kind == "f":
+        values, inverse = _distinct(column.astype(np.float64, copy=False))
+        texts = np.concatenate([  # numpy sizes each chunk's S width
+            np.array(list(map(repr, values[i:i + _REPR_CHUNK].tolist())), dtype="S")
+            for i in range(0, len(values), _REPR_CHUNK)
+        ])
+        return texts, inverse.reshape(column.shape), 0
+    lo, hi = int(column.min()), int(column.max())
+    if hi - lo < column.size:
+        return _int_texts(lo + np.arange(hi - lo + 1)), column, lo
+    values, inverse = _distinct(column)
+    return _int_texts(values), inverse.reshape(column.shape), 0
+
+
+def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: str = "") -> Iterator[bytes]:
     """One text row per array row, seps[0] v0 seps[1] v1 ... v_last end,
-    rows joined by `between`; returned lazily, as one piece per block of rows.
+    rows joined by `between`; returned lazily, as ASCII bytes, one piece
+    per block of rows.
 
     The arrays share their length and are 1-D or 2-D. Every value is
     written as the repr of its Python float or int. A surface repeats few
@@ -61,51 +83,46 @@ def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: 
     return _blocks(columns, seps, end, between)
 
 
-def _blocks(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: str) -> Iterator[str]:
+def _blocks(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: str) -> Iterator[bytes]:
     n = len(columns[0])
     if not n:
         return
-    cells = []  # per array: its texts, the array indexing them, and the offset of those indices
-    for column in columns:
-        column = column.reshape(n, -1)
-        if column.dtype.kind == "f":
-            values, inverse = _distinct(column.astype(np.float64, copy=False))
-            texts = np.concatenate([  # numpy sizes each chunk's S width
-                np.array(list(map(repr, values[i:i + _REPR_CHUNK].tolist())), dtype="S")
-                for i in range(0, len(values), _REPR_CHUNK)
-            ])
-            cells.append((texts.view(np.uint8).reshape(len(texts), -1), inverse.reshape(column.shape), 0))
-            continue
-        lo, hi = int(column.min()), int(column.max())
-        if hi - lo < column.size:
-            cells.append((_int_texts(lo + np.arange(hi - lo + 1)), column, lo))
-        else:
-            values, inverse = _distinct(column)
-            cells.append((_int_texts(values), inverse.reshape(column.shape), 0))
-    pieces = [np.frombuffer(sep.encode(), np.uint8) for sep in (*seps, end + between)]
-    width = sum(map(len, pieces)) + sum(texts.shape[1] * index.shape[1] for texts, index, _ in cells)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        grid = np.empty((stop - start, width), np.uint8)
-        at, sep = 0, iter(pieces)
-        for texts, index, offset in cells:
-            # offset per block, since offsetting the whole column would copy it
-            idx = np.subtract(index[start:stop], offset, dtype=np.intp)
-            for j in range(idx.shape[1]):
-                for piece in (next(sep), texts.take(idx[:, j], axis=0)):
-                    grid[:, at:at + piece.shape[-1]] = piece
-                    at += piece.shape[-1]
-        grid[:, at:] = next(sep)
-        text = grid.tobytes().translate(None, b"\0").decode()
-        yield text[:-len(between)] if between and stop == n else text
+    cells = [  # per cell: its texts, the column indexing them, and the offset of those indices
+        (texts, index[:, j], offset)
+        for texts, index, offset in (_cell_texts(column.reshape(n, -1)) for column in columns)
+        for j in range(index.shape[1])
+    ]
+    separators = [text.encode() for text in (*seps, end + between)]  # separators[i] comes before cell i
+    fields = []  # the record: an "S" field per non-empty separator and per cell, in row order
+    for i, sep in enumerate(separators):
+        if sep:
+            fields.append((f"s{i}", f"S{len(sep)}"))
+        if i < len(cells):
+            fields.append((f"c{i}", cells[i][0].dtype))
+    record = np.dtype(fields)
+    rows = max(1, _BLOCK_BYTES // record.itemsize)
+    block = np.empty(min(rows, n), record)
+    for i, sep in enumerate(separators):
+        if sep:  # once: every block reuses them
+            block[f"s{i}"] = sep
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        part = block[:stop - start]
+        for i, (texts, index, offset) in enumerate(cells):
+            idx = index[start:stop]
+            if offset:  # per block, since offsetting the whole column would copy it
+                idx = np.subtract(idx, offset, dtype=np.intp)
+            part[f"c{i}"] = texts.take(idx)
+        data = part.tobytes().translate(None, b"\0")
+        yield data[:-len(between)] if between and stop == n else data
 
 
 def ply_text(mesh: SurfaceMesh) -> str:
     """Ascii PLY 1.0 with per-vertex uchar RGB; z carries the charisma."""
-    return "".join(_ply_pieces(mesh))
+    return b"".join(_ply_pieces(mesh)).decode()
 
 
-def _ply_pieces(mesh: SurfaceMesh) -> Iterator[str]:
+def _ply_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     yield "\n".join([
         "ply",
         "format ascii 1.0",
@@ -120,7 +137,7 @@ def _ply_pieces(mesh: SurfaceMesh) -> Iterator[str]:
         f"element face {mesh.n_faces}",
         "property list uchar int vertex_indices",
         "end_header",
-    ]) + "\n"
+    ]).encode() + b"\n"
     yield from _table([mesh.positions, mesh.colors], ("", " ", " ", " ", " ", " "), "\n")
     yield from _table([mesh.faces], ("3 ", " ", " "), "\n")
 
@@ -174,7 +191,11 @@ def read_ply(text: str) -> PlyData:
     sizes: dict[str, int] = {}
     for i, line in enumerate(lines[2:], start=2):
         if line.startswith("element "):
-            _, name, num = line.split()
+            parts = line.split()
+            if len(parts) != 3:
+                element = f"element {parts[1]}" if len(parts) > 1 else "an element"
+                raise ValueError(f"header line {i} {line!r}: {element} is not 'element <name> <count>'")
+            _, name, num = parts
             sizes[name] = int(num)
             if sizes[name] < 0:
                 raise ValueError(f"element {name} has a negative count {num}")
@@ -198,17 +219,17 @@ def read_ply(text: str) -> PlyData:
 def obj_text(mesh: SurfaceMesh, mtl_filename: str) -> tuple[str, str]:
     """Wavefront OBJ plus MTL; branch color is carried by one material per
     branch since core OBJ has no vertex colors."""
-    return "".join(_obj_pieces(mesh, mtl_filename)), _mtl_text(mesh)
+    return b"".join(_obj_pieces(mesh, mtl_filename)).decode(), _mtl_text(mesh)
 
 
-def _obj_pieces(mesh: SurfaceMesh, mtl_filename: str) -> Iterator[str]:
-    yield f"mtllib {mtl_filename}\n"
+def _obj_pieces(mesh: SurfaceMesh, mtl_filename: str) -> Iterator[bytes]:
+    yield f"mtllib {mtl_filename}\n".encode()
     yield from _table([mesh.positions], ("v ", " ", " "), "\n")
     # one group per run of faces owned by the same branch
     starts = [0, *(np.flatnonzero(np.diff(mesh.face_branch)) + 1).tolist()] if mesh.n_faces else []
     for start, stop in zip(starts, starts[1:] + [mesh.n_faces]):
         k = int(mesh.face_branch[start])
-        yield f"g branch_{k}\nusemtl branch_{k}\n"
+        yield f"g branch_{k}\nusemtl branch_{k}\n".encode()
         yield from _table([mesh.faces[start:stop] + 1], ("f ", " ", " "), "\n")
 
 
@@ -236,10 +257,10 @@ def json_text(mesh: SurfaceMesh) -> str:
 
     Raises ValueError for a non-finite value, which strict JSON cannot hold.
     """
-    return "".join(_json_pieces(mesh))
+    return b"".join(_json_pieces(mesh)).decode()
 
 
-def _json_pieces(mesh: SurfaceMesh) -> Iterator[str]:
+def _json_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     if not (np.isfinite(mesh.positions).all() and np.isfinite(mesh.w).all()):
         raise ValueError("Out of range float values are not JSON compliant")
     head = json.dumps({
@@ -251,25 +272,25 @@ def _json_pieces(mesh: SurfaceMesh) -> Iterator[str]:
         "sheets": [int(k) for k in mesh.sheet_branches],
     }, separators=_JSON_SEPARATORS, allow_nan=False)
     seams = json.dumps([_seam_record(s) for s in mesh.seams], separators=_JSON_SEPARATORS, allow_nan=False)
-    yield head[:-1] + ',"vertices":['
+    yield head[:-1].encode() + b',"vertices":['
     yield from _table(
         [mesh.positions, mesh.branch, mesh.w.real, mesh.w.imag],
         ('{"x":', ',"y":', ',"c":', ',"k":', ',"w":[', ","),
         "]}",
         ",",
     )
-    yield '],"faces":['
+    yield b'],"faces":['
     yield from _table([mesh.faces], ("[", ",", ","), "]", ",")
-    yield f'],"seams":{seams}}}\n'
+    yield f'],"seams":{seams}}}\n'.encode()
 
 
 def csv_text(mesh: SurfaceMesh) -> str:
     """Vertex table with header x,y,c,k."""
-    return "".join(_csv_pieces(mesh))
+    return b"".join(_csv_pieces(mesh)).decode()
 
 
-def _csv_pieces(mesh: SurfaceMesh) -> Iterator[str]:
-    yield "x,y,c,k\n"
+def _csv_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
+    yield b"x,y,c,k\n"
     yield from _table([mesh.positions, mesh.branch], ("", ",", ",", ","), "\n")
 
 

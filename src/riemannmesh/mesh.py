@@ -127,7 +127,8 @@ class DomainGrid:
                 raise GridError(f"{name} must be an integer", name)
             if count < least:
                 raise GridError(f"{name} must be at least {least}", name)
-        points = int(self.n_r) * (int(self.n_theta) + 1)  # Python ints: a numpy product may wrap
+            object.__setattr__(self, name, int(count))  # a numpy integer would wrap in n_cols and products
+        points = self.n_r * (self.n_theta + 1)
         if points > MAX_GRID_POINTS:
             raise GridError(
                 f"n_r * (n_theta + 1) must be at most {MAX_GRID_POINTS}, got {points}",

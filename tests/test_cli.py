@@ -367,20 +367,20 @@ class TestWriteAtomic:
     def test_writes_every_piece_byte_for_byte_as_it_comes(self, tmp_path):
         # pieces larger than any write buffer reach the staged file as each is
         # consumed, so joining them first would leave the file empty here
-        piece = "0.5 -0.0 1e-300 7\n" * 4000
+        piece = b"0.5 -0.0 1e-300 7\n" * 4000
 
         def pieces():
-            yield "ply 10\n"
+            yield b"ply 10\n"
             for i in range(3):
                 yield piece
                 if i:
                     (staged,) = tmp_path.glob(".a.ply.*.tmp")
                     assert staged.stat().st_size >= i * len(piece)
-            yield ""
-            yield "end"
+            yield b""
+            yield b"end"
 
-        cli._write_atomic({tmp_path / "a.ply": pieces(), tmp_path / "b.json": ["{", "}\n"]})
-        assert (tmp_path / "a.ply").read_bytes() == ("ply 10\n" + 3 * piece + "end").encode()
+        cli._write_atomic({tmp_path / "a.ply": pieces(), tmp_path / "b.json": [b"{", b"}\n"]})
+        assert (tmp_path / "a.ply").read_bytes() == b"ply 10\n" + 3 * piece + b"end"
         assert (tmp_path / "b.json").read_bytes() == b"{}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ply", "b.json"]
 
@@ -390,7 +390,7 @@ class TestWriteAtomic:
 
         monkeypatch.setattr(cli.os, "replace", refused)
         with pytest.raises(PermissionError):
-            cli._write_atomic({tmp_path / "a.ply": ["ply\n"], tmp_path / "b.json": ["{}\n"]})
+            cli._write_atomic({tmp_path / "a.ply": [b"ply\n"], tmp_path / "b.json": [b"{}\n"]})
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("link", [True, False], ids=["hard-link", "no-hard-link"])
@@ -423,13 +423,13 @@ class TestWriteAtomic:
     def test_replacing_old_files_leaves_only_the_new_ones(self, tmp_path):
         for name in ("a.ply", "b.json"):
             (tmp_path / name).write_text("old\n")
-        cli._write_atomic({tmp_path / "a.ply": ["ply\n"], tmp_path / "b.json": ["{}\n"]})
+        cli._write_atomic({tmp_path / "a.ply": [b"ply\n"], tmp_path / "b.json": [b"{}\n"]})
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.ply": "ply\n", "b.json": "{}\n"}
 
     def test_a_failing_write_leaves_no_file(self, tmp_path):
-        # the lone surrogate cannot be encoded, so the second file fails
-        pieces = {tmp_path / "a.ply": ["ply\n"] * 9, tmp_path / "b.ply": ["x" * 15, "\ud800"]}
-        with pytest.raises(UnicodeEncodeError):
+        # the files are written as bytes, so the text piece fails the second file
+        pieces = {tmp_path / "a.ply": [b"ply\n"] * 9, tmp_path / "b.ply": [b"x" * 15, "not bytes"]}
+        with pytest.raises(TypeError):
             cli._write_atomic(pieces)
         assert list(tmp_path.iterdir()) == []
 
@@ -491,14 +491,16 @@ class TestRenderOutputs:
 
     @pytest.mark.parametrize("fmt", ["ply", "obj", "json", "csv"])
     def test_no_piece_holds_more_than_a_block_of_rows(self, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(formats, "_BLOCK_ROWS", 16)
+        monkeypatch.setattr(formats, "_BLOCK_BYTES", 128)
         job = parse_args([*FAST_GRID, "--format", fmt, "-o", str(tmp_path / f"m.{fmt}")])
         mesh = cli.build_mesh(job)
         pieces = list(cli.render_outputs(job, mesh)[job.output])
+        assert all(type(p) is bytes for p in pieces)
         # a JSON row holds one "[", a row of the other formats ends in a newline
-        rows = [p.count("[" if fmt == "json" else "\n") for p in pieces]
-        assert max(rows) <= 16
-        assert sum(rows) >= mesh.n_vertices + (0 if fmt == "csv" else mesh.n_faces) > 4 * 16
+        rows = [p.count(b"[" if fmt == "json" else b"\n") for p in pieces]
+        # a block holds as many rows as fit the byte budget, and no row is narrower than 8 bytes ("3 0 1 2\n")
+        assert max(rows) <= 128 // 8
+        assert sum(rows) >= mesh.n_vertices + (0 if fmt == "csv" else mesh.n_faces) > 4 * 128 // 8
 
 
 # values each flag accepts, on grids small enough to build in milliseconds;

@@ -173,8 +173,63 @@ def non_finite(mesh):
     mesh.positions[3::8, 2] = -np.nan
 
 
-B = formats._BLOCK_ROWS
+# a writer budget that keeps the row-at-a-time writers fast on tables of
+# several blocks, and a table length that fills more than two blocks of it in
+# every format: no row is narrower than 8 bytes ("3 0 0 0\n", "[0,0,0],")
+SMALL_BLOCK_BYTES = 1 << 12
+MANY = 2 * SMALL_BLOCK_BYTES // 8 + 3
 I64_MIN, I64_MAX = -2**63, 2**63 - 1
+WIDEST_FLOAT = -2.2250738585072014e-308  # 24 characters, the longest repr of a float64
+
+PIECES = {
+    "ply": formats._ply_pieces,
+    "obj": lambda mesh: formats._obj_pieces(mesh, "m.mtl"),
+    "json": formats._json_pieces,
+    "csv": formats._csv_pieces,
+}
+# the pieces of each format besides the blocks of its tables: the texts
+# before, between and after them (OBJ: one face group)
+FIXED_PIECES = {"ply": 1, "obj": 2, "json": 3, "csv": 1}
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(formats, "_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+
+
+def anchored_mesh(n_vertices, n_faces, seed):
+    """synthetic_mesh with the widest text of every column in row 0, so that
+    a table's record, each cell padded to the widest text of its column, is
+    as wide as the table's first row at any size; and with one face group,
+    so that OBJ writes one face table."""
+    mesh = synthetic_mesh(n_vertices, n_faces, seed)
+    mesh.positions[0] = WIDEST_FLOAT
+    mesh.w[0] = complex(WIDEST_FLOAT, WIDEST_FLOAT)
+    mesh.branch[0] = -9
+    mesh.colors[0] = 255
+    mesh.faces[:1] = n_vertices - 1
+    mesh.face_branch[:] = 0
+    return mesh
+
+
+def first_rows(fmt, mesh):
+    """Row 0 of a format's vertex table and of its face table (None for
+    CSV), each with the text joining it to the next row, as the row-at-a-time
+    writers write them."""
+    if fmt == "json":
+        doc = json.loads(row_json_text(mesh))
+        return [json.dumps(doc[table][0], separators=(",", ":")) + "," for table in ("vertices", "faces")]
+    text = {"ply": row_ply_text, "obj": lambda m: row_obj_text(m, "m.mtl")[0], "csv": row_csv_text}[fmt](mesh)
+    lines = text.split("\n")
+    vertex = {"ply": 13, "obj": 1, "csv": 1}[fmt]  # header lines
+    face = vertex + mesh.n_vertices + (2 if fmt == "obj" else 0)  # OBJ opens its group with g and usemtl
+    return [lines[vertex] + "\n", None if fmt == "csv" else lines[face] + "\n"]
+
+
+def block_rows(row):
+    """The rows per block of a table whose record is as wide as `row`, from
+    the writer's byte budget; the missing face table of CSV (None) counts one."""
+    return max(1, formats._BLOCK_BYTES // len(row)) if row else 1
 
 
 # A writer texts every value of an int column's range when the range is
@@ -210,7 +265,7 @@ def only_zero(mesh):
 
 def digit_widths(mesh):
     # the digit count changes between neighbouring rows: within blocks, and
-    # from row B - 1 to row B across a block's end
+    # from the last row of a block to the first of the next
     up = (np.arange(mesh.n_vertices) + 1) % 2
     mesh.branch[:] = np.where(up, 100_000, 99_999)
     mesh.colors[:, 0] = np.where(up, 10, 9)
@@ -222,20 +277,42 @@ def digit_widths(mesh):
 
 
 class TestWritersMatchRowReference:
-    @pytest.mark.parametrize(
-        "n_vertices,n_faces",
-        [(1, 0), (B - 1, B + 1), (B, B), (B + 1, B - 1), (2 * B + 1, 3 * B)],
-    )
-    def test_byte_identical_to_the_row_at_a_time_writers(self, n_vertices, n_faces):
-        mesh = synthetic_mesh(n_vertices, n_faces, seed=n_vertices + n_faces)
+    def test_one_vertex_and_no_face(self):
+        mesh = synthetic_mesh(1, 0, seed=1)
         assert_same_text(ply_text(mesh), row_ply_text(mesh))
         assert_same_text(obj_text(mesh, "m.mtl"), row_obj_text(mesh, "m.mtl"))
         assert_same_text(json_text(mesh), row_json_text(mesh))
         assert_same_text(csv_text(mesh), row_csv_text(mesh))
 
+    @pytest.mark.parametrize(
+        "vertices,faces",
+        [
+            (lambda rows: rows - 1, lambda rows: rows + 1),
+            (lambda rows: rows, lambda rows: rows),
+            (lambda rows: rows + 1, lambda rows: rows - 1),
+            (lambda rows: 2 * rows + 1, lambda rows: 3 * rows),
+        ],
+        ids=["rows-1,rows+1", "rows,rows", "rows+1,rows-1", "2rows+1,3rows"],
+    )
+    @pytest.mark.parametrize("fmt", ["ply", "obj", "json", "csv"])
+    def test_tables_at_block_boundaries_match_the_row_at_a_time_writers(self, fmt, vertices, faces):
+        # the vertex and face counts, from each table's rows per block at the writer's budget
+        n_vertices = vertices(block_rows(first_rows(fmt, anchored_mesh(2, 1, seed=0))[0]))
+        n_faces = faces(block_rows(first_rows(fmt, anchored_mesh(n_vertices, 1, seed=0))[1]))
+        mesh = anchored_mesh(n_vertices, n_faces, seed=n_vertices + n_faces)
+        rows = [block_rows(row) for row in first_rows(fmt, mesh)]
+        assert (n_vertices, n_faces) == (vertices(rows[0]), faces(rows[1]))  # the anchors fix every width
+        pieces = list(PIECES[fmt](mesh))
+        want = {"ply": row_ply_text, "obj": lambda m: row_obj_text(m, "m.mtl")[0],
+                "json": row_json_text, "csv": row_csv_text}[fmt](mesh)
+        assert_same_text(b"".join(pieces).decode(), want)
+        # the counts sit where meant: each table takes the blocks its rows per block give
+        blocks = -(-n_vertices // rows[0]) + (0 if fmt == "csv" else -(-n_faces // rows[1]))
+        assert len(pieces) == FIXED_PIECES[fmt] + blocks
+
     @pytest.mark.parametrize("edit", [signed_zeros, one_value, non_finite])
-    def test_awkward_columns_match_the_row_at_a_time_writers(self, edit):
-        mesh = synthetic_mesh(2 * B + 3, B + 2, seed=7)
+    def test_awkward_columns_match_the_row_at_a_time_writers(self, small_blocks, edit):
+        mesh = synthetic_mesh(MANY, MANY, seed=7)
         edit(mesh)
         assert_same_text(ply_text(mesh), row_ply_text(mesh))
         assert_same_text(obj_text(mesh, "m.mtl"), row_obj_text(mesh, "m.mtl"))
@@ -270,11 +347,11 @@ class TestWritersMatchRowReference:
             assert_same_text(out.read_text(), {"ply": ply_text, "json": json_text, "csv": csv_text}[fmt](mesh))
         assert_same_text(out.with_suffix(".seams.json").read_text(), seams_json_text(mesh, job.weld_tol))
 
-    @pytest.mark.parametrize("size", [(5, 4), (2 * B + 3, B + 2)])
+    @pytest.mark.parametrize("size", [(5, 4), (MANY, MANY)])
     @pytest.mark.parametrize(
         "edit", [int64_extremes_narrow, int64_extremes_wide, small_int_dtypes, only_zero, digit_widths]
     )
-    def test_int_columns_match_the_row_at_a_time_writers(self, edit, size):
+    def test_int_columns_match_the_row_at_a_time_writers(self, small_blocks, edit, size):
         mesh = synthetic_mesh(*size, seed=11)
         edit(mesh)
         assert_same_text(ply_text(mesh), row_ply_text(mesh))
@@ -291,8 +368,8 @@ class TestWritersMatchRowReference:
 
     def test_percent_signs_around_the_values_are_written_as_they_are(self):
         columns = [np.array([[0.5, -0.0], [1e300, 2.0]]), np.array([7, 8])]
-        text = "".join(formats._table(columns, ("%s", "%", "%d"), "%\n", "%%"))
-        assert text == "%s0.5%-0.0%d7%\n%%%s1e+300%2.0%d8%\n"
+        text = b"".join(formats._table(columns, ("%s", "%", "%d"), "%\n", "%%"))
+        assert text == b"%s0.5%-0.0%d7%\n%%%s1e+300%2.0%d8%\n"
 
 
 class TestPly:
@@ -348,6 +425,14 @@ class TestPly:
         assert data.vertices.tobytes() == mesh.positions.tobytes()
         assert data.colors.tobytes() == mesh.colors.astype(np.int64).tobytes()
         assert data.faces.tobytes() == mesh.faces.astype(np.int64).tobytes()
+
+    @pytest.mark.parametrize("line", ["element vertex", "element vertex 24 7"], ids=["missing", "extra"])
+    def test_reader_rejects_an_element_line_of_the_wrong_length(self, mesh, line):
+        lines = ply_text(mesh).splitlines()
+        at = lines.index(f"element vertex {mesh.n_vertices}")
+        lines[at] = line
+        with pytest.raises(ValueError, match=f"header line {at} '{line}': element vertex is not"):
+            read_ply("\n".join(lines) + "\n")
 
     def test_reader_rejects_a_blank_vertex_row(self, mesh):
         # a blank line must not be skipped, which would shift every row after it

@@ -113,6 +113,13 @@ class TestDomainGrid:
         with pytest.raises(GridError, match="at most"):
             DomainGrid(n_r=np.int64(2**32), n_theta=np.int64(2**32 - 1))
 
+    def test_numpy_integer_counts_are_stored_as_ints(self):
+        # an int8 n_theta of 127 kept as int8 would make n_cols wrap to -128
+        grid = DomainGrid(n_r=np.int8(2), n_theta=np.int8(127))
+        assert (grid.n_r, grid.n_theta, grid.n_cols) == (2, 127, 128) and type(grid.n_theta) is int
+        sheets = build_sheets(IndexedFunction.root(3), (0,), CharismaKind.SIN, grid)
+        assert sheets.z.tobytes() == sample_domain(DomainGrid(n_r=2, n_theta=127)).tobytes()
+
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     def test_radii_at_the_ends_of_the_float_range(self, spacing):
         # numpy's intermediate for the last radius overflows; no warning escapes
