@@ -8,11 +8,17 @@ branch cut of every branch runs along the negative real axis. The
 "charisma" of z on branch k is the height, read off the same evaluation as
 f_k(z), that lifts the stack of branch sheets into a Riemann surface.
 
-Each formula is coded twice: once per value for the scalar API, and once
-per array in one batch entry point, _batch_charisma, for the mesh builder.
-Both make the same libm calls on the same arguments, math's mapped over
-lists in the batch coding (once per distinct argument) and the IEEE
-arithmetic (+, *, /, ceil) in numpy, so their results agree bit for bit.
+Each formula is written once, as a helper of a phase, a modulus or a
+branch: the -0.0 fold and the phase (_phase), the log height (_log_height),
+the root angle and radius (_root_angle, _root_radius), and the branch that
+owns a log height or a root phase (_log_branch_index, _root_branch_index).
+The scalar API calls them once per value. The batch entry points for the
+mesh builder, _batch_charisma and _batch_branch_index, call the same
+helpers: _log_height and _root_angle, which use only +, * and /, on numpy
+arrays, which round as floats do; _phase on an array, with math.atan2
+mapped over its points; and the rest once per distinct argument, mapped
+over lists. So both paths make the same libm calls on the same arguments
+and agree bit for bit, and a change to a formula is one edit.
 """
 
 from __future__ import annotations
@@ -78,13 +84,16 @@ def _as_nonzero_complex(z: complex) -> complex:
     return z
 
 
-def _phase(z: complex) -> float:
-    # fold a -0.0 imaginary part onto +0.0 so negative real inputs take the
-    # theta = +pi side of the cut
-    im = z.imag
-    if im == 0.0:
-        im = 0.0
-    return math.atan2(im, z.real)
+def _phase(z, atan2=math.atan2):
+    # ph z of a complex, or with atan2=_atan2_each of an array, point by point;
+    # adding 0.0 folds a -0.0 imaginary part onto +0.0, so negative real
+    # inputs take the theta = +pi side of the cut
+    return atan2(z.imag + 0.0, z.real)
+
+
+def _atan2_each(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # math.atan2 at every point of two arrays of one shape
+    return _floats(map(math.atan2, y.ravel().tolist(), x.ravel().tolist()), y.shape)
 
 
 def principal_phase(z: complex) -> float:
@@ -111,7 +120,17 @@ def _log_core(z: complex, k: int) -> complex:
     # k's float range, which require_admissible does not bound for log
     if abs(k) > _MAX_FLOAT_BRANCH:
         raise BranchIndexError(_BEYOND_FLOAT)
-    return complex(math.log(abs(z)), _phase(z) + TWO_PI * k)
+    return complex(math.log(abs(z)), _log_height(_phase(z), k))
+
+
+def _log_height(ph, k):
+    # Im ln_k z = ph z + 2 k pi, of floats, or of arrays that broadcast
+    return ph + TWO_PI * k
+
+
+def _log_branch_index(im: float) -> int:
+    # the unique k with (2k - 1) pi < im <= (2k + 1) pi
+    return math.ceil((im - math.pi) / TWO_PI)
 
 
 def root_indices(n: int) -> range:
@@ -158,15 +177,34 @@ def _require_branch(k: int, indices: range | None = None) -> int:
     return k
 
 
-def _root_angle(z: complex, n: int, k: int) -> float:
-    # the branch angle (ph z + 2 k pi)/n, which is ph w_k(z) modulo 2 pi
-    return (_phase(z) + TWO_PI * k) / n
+def _root_angle(ph, n: int, k):
+    # the branch angle (ph z + 2 k pi)/n, which is ph w_k(z) modulo 2 pi, of
+    # floats, or of arrays that broadcast
+    return (ph + TWO_PI * k) / n
+
+
+def _root_radius(r: float, n: int) -> float:
+    # |w_k(z)| = |z|^(1/n)
+    return r ** (1.0 / n)
+
+
+def _wrap_root_index(k: int, n: int) -> int:
+    k %= n
+    if k > n // 2:
+        k -= n
+    return k
+
+
+def _root_branch_index(ph: float, n: int) -> int:
+    # the k in root_indices(n) whose sector ((2k - 1) pi/n, (2k + 1) pi/n],
+    # taken modulo 2 pi, holds the phase ph
+    return _wrap_root_index(math.ceil(ph * n / TWO_PI - 0.5), n)
 
 
 def _root_core(z: complex, n: int, k: int) -> complex:
     # the value alone, for a z and k the caller has already checked
-    angle = _root_angle(z, n, k)
-    radius = abs(z) ** (1.0 / n)
+    angle = _root_angle(_phase(z), n, k)
+    radius = _root_radius(abs(z), n)
     return complex(radius * math.cos(angle), radius * math.sin(angle))
 
 
@@ -282,15 +320,13 @@ def evaluate_charisma(z: complex, k: int, f: IndexedFunction, kind: CharismaKind
     kind = require_compatible(kind, f)
     z = _as_nonzero_complex(z)
     k = _require_branch(k, f._indices)
-    if kind is _INDEX:  # needs no w
+    if kind is _INDEX or kind is _IMAG:  # need no w; imag is the log height, without ln|z|
         if abs(k) > _MAX_FLOAT_BRANCH:
             raise BranchIndexError(_BEYOND_FLOAT)
-        return float(k)
-    if kind is _IMAG:  # f is log
-        return _log_core(z, k).imag
+        return float(k) if kind is _INDEX else _log_height(_phase(z), k)
     if kind is _PHASE:
         return _phase(_root_core(z, f.n, k))
-    angle = _root_angle(z, f.n, k)  # sin or cos, of a root: those of ph(w) are those of the branch angle
+    angle = _root_angle(_phase(z), f.n, k)  # sin or cos, of a root: those of ph(w) are those of the branch angle
     return math.sin(angle) if kind is _SIN else math.cos(angle)
 
 
@@ -298,11 +334,6 @@ def _floats(values, shape: tuple[int, ...]) -> np.ndarray:
     # the Python floats of an iterable as an array: with values a map of a
     # math function over lists, libm runs from C, with no Python frame per call
     return np.fromiter(values, float, math.prod(shape)).reshape(shape)
-
-
-def _phases(z: np.ndarray) -> np.ndarray:
-    # _phase at every point of z; adding 0.0 is the -0.0 fold
-    return _floats(map(math.atan2, (z.imag + 0.0).ravel().tolist(), z.real.ravel().tolist()), z.shape)
 
 
 # sorted keys handled at a time by _distinct
@@ -347,21 +378,24 @@ def _batch_charisma(
 ) -> tuple[np.ndarray, np.ndarray]:
     """w = f_k(z) and the charisma at every point of z for each k in branches,
     as two arrays of shape (len(branches), *z.shape), for a z, branches and
-    kind the caller has checked. atan2 and abs run per point, log or pow per
-    distinct modulus, cos and sin per branch and distinct phase; each value
-    is bit-for-bit what branch_value or evaluate_charisma returns."""
+    kind the caller has checked. atan2 and abs run per point, log or
+    _root_radius per distinct modulus, cos and sin per branch and distinct
+    phase, and _log_height and _root_angle on arrays of every branch; each
+    value is bit-for-bit what branch_value or evaluate_charisma returns."""
     shape = (len(branches),) + z.shape
-    ph = _phases(z).ravel()
+    ph = _phase(z, _atan2_each).ravel()
     moduli, at_modulus = _distinct(_floats(map(abs, z.ravel().tolist()), ph.shape))
-    shifts = np.array([TWO_PI * k for k in branches])[:, None]
-    w = np.empty(shifts.shape[:1] + ph.shape, dtype=complex)
+    # each k as the float that 2 pi k makes of it in the scalar helpers; an
+    # int64 array would add numpy's buffered cast to the peak RSS
+    ks = np.array(branches, float)[:, None]
+    w = np.empty((len(branches),) + ph.shape, dtype=complex)
     if f.is_log:
         w.real = _floats(map(math.log, moduli.tolist()), moduli.shape)[at_modulus]
-        w.imag = ph + shifts
-    else:  # the cosine and sine of each branch angle (ph z + 2 k pi)/n per distinct phase
+        w.imag = _log_height(ph, ks)
+    else:  # the cosine and sine of each branch angle per distinct phase
         phases, at_phase = _distinct(ph)
-        angles = (phases + shifts) / f.n
-        radius = _floats(map(pow, moduli.tolist(), itertools.repeat(1.0 / f.n)), moduli.shape)[at_modulus]
+        angles = _root_angle(phases, f.n, ks)
+        radius = _floats(map(_root_radius, moduli.tolist(), itertools.repeat(f.n)), moduli.shape)[at_modulus]
         cos, sin = (_floats(map(fn, angles.ravel().tolist()), angles.shape) for fn in (math.cos, math.sin))
         w.real = radius * cos[:, at_phase]
         w.imag = radius * sin[:, at_phase]
@@ -375,22 +409,10 @@ def _batch_charisma(
     elif kind is _IMAG:
         c = w.imag.copy()
     elif kind is _PHASE:
-        c = _phases(w)
+        c = _phase(w, _atan2_each)
     else:  # from the per-phase table w was built from; gathered before w, it raised peak RSS
         c = (cos if kind is _COS else sin)[:, at_phase].reshape(shape)
     return w, c
-
-
-def _log_branch_index(im: float) -> int:
-    # the unique k with (2k - 1) pi < im <= (2k + 1) pi
-    return math.ceil((im - math.pi) / TWO_PI)
-
-
-def _wrap_root_index(k: int, n: int) -> int:
-    k %= n
-    if k > n // 2:
-        k -= n
-    return k
 
 
 def branch_of(w: complex, f: IndexedFunction) -> int:
@@ -405,27 +427,23 @@ def branch_of(w: complex, f: IndexedFunction) -> int:
     """
     if f.is_log:
         return _log_branch_index(_as_finite_complex(w).imag)
-    return _wrap_root_index(math.ceil(_phase(_as_nonzero_complex(w)) * f.n / TWO_PI - 0.5), f.n)
+    return _root_branch_index(_phase(_as_nonzero_complex(w)), f.n)
 
 
 def _batch_branch_index(w: np.ndarray, f: IndexedFunction) -> np.ndarray:
-    """branch_of at every point of w, as int64: the same ceiling
-    arithmetic in numpy. Raises DomainError where an index would not fit
-    int64; the cast alone would wrap it silently."""
-    if f.is_root and f.n >= 2**63:  # the wrap modulo n below needs n in int64
-        raise DomainError(f"the branch indices of {f.label()} reach outside int64")
-    if f.is_log:
-        index = np.ceil((w.imag - math.pi) / TWO_PI)
+    """branch_of at every point of w, as int64: _log_branch_index per
+    point, or _root_branch_index per distinct phase. Raises DomainError
+    where an index does not fit int64."""
+    if f.is_log:  # Im w of a lattice is mostly distinct: a dedupe costs more than it saves
+        args, at = w.imag.ravel(), ...
+        index = map(_log_branch_index, args.tolist())
     else:
-        index = np.ceil(_phases(w) * f.n / TWO_PI - 0.5)
-    if not np.all(np.abs(index) < 2.0**63):
-        raise DomainError(f"a branch index of {f.label()} on this grid lies outside int64")
-    ks = index.astype(np.int64)
-    if f.is_root:  # _wrap_root_index
-        n = f.n
-        ks %= n
-        ks[ks > n // 2] -= n
-    return ks
+        args, at = _distinct(_phase(w, _atan2_each))
+        index = map(_root_branch_index, args.tolist(), itertools.repeat(f.n))
+    try:
+        return np.fromiter(index, np.int64, args.size)[at].reshape(w.shape)
+    except OverflowError:
+        raise DomainError(f"a branch index of {f.label()} on this grid lies outside int64") from None
 
 
 def continuation_branch(f: IndexedFunction, k: int) -> int:

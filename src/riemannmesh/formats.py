@@ -192,13 +192,17 @@ def read_ply(text: str) -> PlyData:
     for i, line in enumerate(lines[2:], start=2):
         if line.startswith("element "):
             parts = line.split()
-            if len(parts) != 3:
-                element = f"element {parts[1]}" if len(parts) > 1 else "an element"
-                raise ValueError(f"header line {i} {line!r}: {element} is not 'element <name> <count>'")
-            _, name, num = parts
-            sizes[name] = int(num)
-            if sizes[name] < 0:
+            element = f"element {parts[1]}" if len(parts) > 1 else "an element"
+            try:  # three tokens, the last an integer
+                _, name, num = parts
+                count = int(num)
+            except ValueError:
+                raise ValueError(f"header line {i} {line!r}: {element} is not 'element <name> <count>'") from None
+            if name in sizes:
+                raise ValueError(f"header line {i} {line!r}: {element} is declared twice")
+            if count < 0:
                 raise ValueError(f"element {name} has a negative count {num}")
+            sizes[name] = count
         elif line == "end_header":
             body = i + 1
             break

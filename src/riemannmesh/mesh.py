@@ -233,12 +233,12 @@ def build_sheets(
     c = charisma per vertex, all branches in one pass.
 
     Every stored value is recomputable bit-for-bit through branch_value and
-    evaluate_charisma, which make the same libm calls on the same
-    arguments; here each runs once per distinct argument (a modulus, or a
-    branch and a phase), and sin and cos heights reuse the branch-angle
-    table of w. Raises BranchIndexError for an empty or repeated branch
-    list, a branch outside int64 (the mesh's branch index type), or a
-    surface with more vertices than the cap.
+    evaluate_charisma: both call the one helper of each formula in
+    branches, here once per distinct argument (a modulus, or a branch and a
+    phase) or on arrays of every branch, and sin and cos heights reuse the
+    branch-angle table of w. Raises BranchIndexError for an empty or
+    repeated branch list, a branch outside int64 (the mesh's branch index
+    type), or a surface with more vertices than the cap.
     """
     # read one branch past the cap at most, so an endless iterable fails at once
     most = _MAX_SURFACE_POINTS // (int(grid.n_r) * (int(grid.n_theta) + 1))

@@ -1,9 +1,10 @@
-"""The batch coding of the evaluation core against the scalar API, byte for
-byte, on hand-built arrays, and its libm call counts on a lattice.
+"""The batch path of the evaluation core against the scalar API, byte for
+byte, on hand-built arrays; its libm call counts on a lattice; and the one
+helper per formula that both paths call.
 
 DomainGrid never samples a -0.0 imaginary part, a subnormal modulus or an
 exact sector edge, so only arrays built by hand reach the -0.0 fold and
-the edge rules in the batch coding.
+the edge rules in the batch path.
 """
 
 import collections
@@ -24,6 +25,7 @@ from riemannmesh import (
     evaluate_charisma,
     sample_domain,
 )
+from riemannmesh import branches
 from riemannmesh.branches import _batch_branch_index, _batch_charisma
 
 LOG = IndexedFunction.log()
@@ -116,13 +118,23 @@ def _range_edges(function) -> list[complex]:
     return [complex(-x, zero) for x in (1.0, 5e-324, 1e300) for zero in (0.0, -0.0)]
 
 
-@pytest.mark.parametrize("function", FUNCTIONS, ids=lambda f: f.label())
+@pytest.mark.parametrize(
+    "function",
+    FUNCTIONS + [IndexedFunction.root(n) for n in (2**63 - 1, 2**63, 2**70)],
+    ids=lambda f: f.label(),
+)
 def test_range_classifier_matches_branch_of_on_region_edges(function):
-    # a log index of Im = 1e300 overflows int64; see the test below
+    # a log index of Im = 1e300 overflows int64, see the test below; a root
+    # index lies within +-n/2, so it fits int64 up to n = 2**64 at least
     ws = _range_edges(function) + [w for w in POINTS if function.is_root or abs(w.imag) < 5e19]
+    want = [branch_of(w, function) for w in ws]
+    if not all(-2**63 <= k < 2**63 for k in want):
+        with pytest.raises(DomainError, match="int64"):
+            _batch_branch_index(np.array(ws, dtype=complex), function)
+        return
     got = _batch_branch_index(np.array(ws, dtype=complex), function)
     assert got.dtype == np.int64
-    assert got.tolist() == [branch_of(w, function) for w in ws]
+    assert got.tolist() == want
 
 
 def test_range_classifier_refuses_an_index_beyond_int64():
@@ -132,6 +144,43 @@ def test_range_classifier_refuses_an_index_beyond_int64():
     for im in (6e19, -6e19):
         with pytest.raises(DomainError, match="int64"):
             _batch_branch_index(np.array([complex(1.0, im)]), LOG)
+
+
+# each formula's helper, a nudge of its result, and a function whose scalar
+# and batch paths both go through it
+_NUDGED = {
+    "_phase": (lambda ph: ph / 2, IndexedFunction.root(3)),
+    "_log_height": (lambda height: height + 1.0, LOG),
+    "_root_angle": (lambda angle: angle + 0.25, IndexedFunction.root(3)),
+    "_root_radius": (lambda radius: 2.0 * radius, IndexedFunction.root(3)),
+    "_log_branch_index": (lambda k: k + 1, LOG),
+    "_root_branch_index": (lambda k: k + 1, IndexedFunction.root(3)),
+}
+
+
+@pytest.mark.parametrize("name", _NUDGED)
+def test_scalar_and_batch_paths_share_one_coding_of_each_formula(name, monkeypatch):
+    # a change to the one helper of a formula moves both paths, in step
+    nudge, function = _NUDGED[name]
+    ks, kind = branches_of(function), compatible_kinds(function)[-1]
+    ws = [w for w in POINTS if abs(w.imag) < 5e19]  # log indices within int64
+
+    def both_paths():
+        w, c = _batch_charisma(function, Z, ks, kind)
+        index = _batch_branch_index(np.array(ws), function)
+        scalar_w = np.array([[function.branch_value(z, k) for z in POINTS] for k in ks])
+        scalar_c = np.array([[evaluate_charisma(z, k, function, kind) for z in POINTS] for k in ks])
+        scalar_index = np.array([branch_of(w, function) for w in ws])
+        return [(batch.tobytes(), scalar.tobytes()) for batch, scalar in
+                ((w, scalar_w), (c, scalar_c), (index, scalar_index))]
+
+    before = both_paths()
+    helper = getattr(branches, name)
+    monkeypatch.setattr(branches, name, lambda *args: nudge(helper(*args)))
+    after = both_paths()
+    assert after != before
+    for batch, scalar in after:
+        assert batch == scalar
 
 
 def test_shared_sheet_arrays_are_read_only():

@@ -434,6 +434,22 @@ class TestPly:
         with pytest.raises(ValueError, match=f"header line {at} '{line}': element vertex is not"):
             read_ply("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("count", ["x", "1.5"])
+    def test_reader_rejects_an_element_count_that_is_no_integer(self, mesh, count):
+        lines = ply_text(mesh).splitlines()
+        at = lines.index(f"element vertex {mesh.n_vertices}")
+        lines[at] = f"element vertex {count}"
+        with pytest.raises(ValueError, match=f"header line {at} 'element vertex {count}': element vertex is not"):
+            read_ply("\n".join(lines) + "\n")
+
+    def test_reader_rejects_a_repeated_element(self, mesh):
+        # a second count must not replace the first: here it would load no vertex and skip a data row
+        lines = ply_text(mesh).splitlines()
+        at = lines.index(f"element vertex {mesh.n_vertices}")
+        lines[at:at + 1] = ["element vertex 1", "element vertex 0"]
+        with pytest.raises(ValueError, match=f"header line {at + 1} 'element vertex 0': element vertex is declared twice"):
+            read_ply("\n".join(lines) + "\n")
+
     def test_reader_rejects_a_blank_vertex_row(self, mesh):
         # a blank line must not be skipped, which would shift every row after it
         lines = ply_text(mesh).splitlines()

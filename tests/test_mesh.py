@@ -651,13 +651,15 @@ class TestRangeChart:
         with pytest.raises(DomainError, match="int64"):
             build_range_chart(LOG, DomainGrid(0.5, 1e20, 3, 8))
         assert build_range_chart(LOG, DomainGrid(0.5, 1e18, 3, 8)).branch.max() > 10**16
-        # root indices are wrapped modulo n, which int64 cannot hold from 2**63 on
+        # a root index lies within +-n/2, so a degree from 2**63 on fits int64
+        # until an index on the grid passes 2**63
         with pytest.raises(DomainError, match="int64"):
-            build_range_chart(IndexedFunction.root(2**63), SMALL)
-        huge = IndexedFunction.root(2**63 - 1)
-        chart = build_range_chart(huge, SMALL)
-        assert chart.branch.tolist() == [branch_of(w, huge) for w in chart.w.tolist()]
-        assert chart.branch.min() < -(10**18)
+            build_range_chart(IndexedFunction.root(2**70), SMALL)
+        for n in (2**63 - 1, 2**63):
+            huge = IndexedFunction.root(n)
+            chart = build_range_chart(huge, SMALL)
+            assert chart.branch.tolist() == [branch_of(w, huge) for w in chart.w.tolist()]
+            assert chart.branch.min() < -(10**18)
 
 
 class TestPalette:
