@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .branches import CharismaCompatibilityError, CharismaKind, IndexedFunction, require_compatible
-from .formats import _csv_pieces, _json_pieces, _mtl_text, _obj_pieces, _ply_pieces, seams_json_text
+from .formats import FORMATS, render_outputs
 from .mesh import (
     DEFAULT_LOG_BRANCHES,
     DEFAULT_WELD_TOL,
@@ -43,8 +43,6 @@ EXIT_USAGE = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_IO = 4
 EXIT_DOMAIN = 5
-
-_FORMAT_SUFFIX = {"ply": ".ply", "obj": ".obj", "json": ".json", "csv": ".csv"}
 
 # one preset per reference surface, applied as parser defaults
 FIGURE_PRESETS: dict[str, dict] = {
@@ -102,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="pointwise seam gap tolerance (default %(default)s)")
     p.add_argument("--walls", action=argparse.BooleanOptionalAction, default=False,
                    help="bridge open seams with wall quads (index charisma only; default %(default)s)")
-    p.add_argument("--format", choices=sorted(_FORMAT_SUFFIX), default="ply",
+    p.add_argument("--format", choices=FORMATS, default="ply",
                    help="output format (default %(default)s)")
     p.add_argument("--output", "-o", metavar="PATH",
                    help="output path (default derived from function and charisma)")
@@ -194,7 +192,7 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
     if out is None:
         stem = function.label().replace(":", "")
         stem += "_range" if ns.range_chart else f"_{kind.value}"
-        out = stem + _FORMAT_SUFFIX[ns.format]
+        out = f"{stem}.{ns.format}"
 
     return JobSpec(
         function=function,
@@ -216,27 +214,6 @@ def build_mesh(job: JobSpec) -> SurfaceMesh:
         return build_range_chart(job.function, job.grid)
     sheets = build_sheets(job.function, job.branches, job.kind, job.grid)
     return assemble_surface(sheets, weld=job.weld, weld_tol=job.weld_tol, walls=job.walls)
-
-
-def render_outputs(job: JobSpec, mesh: SurfaceMesh) -> dict[Path, Iterable[bytes]]:
-    """Serialize the mesh and its seam sidecar to {path: pieces of bytes},
-    rendering the mesh lazily; ValueError if two files would share a path."""
-    if job.fmt == "ply":
-        files = [(job.output, _ply_pieces(mesh))]
-    elif job.fmt == "obj":
-        mtl_path = job.output.with_suffix(".mtl")
-        files = [(job.output, _obj_pieces(mesh, mtl_path.name)), (mtl_path, [_mtl_text(mesh).encode()])]
-    elif job.fmt == "json":
-        files = [(job.output, _json_pieces(mesh))]
-    elif job.fmt == "csv":
-        files = [(job.output, _csv_pieces(mesh))]
-    else:
-        raise ValueError(f"unknown format {job.fmt!r}")
-    seams = seams_json_text(mesh, require_weld_tol(job.weld_tol))
-    files.append((job.output.with_suffix(".seams.json"), [seams.encode()]))
-    if len(dict(files)) < len(files):
-        raise ValueError(f"the output files would share a path: {', '.join(str(path) for path, _ in files)}")
-    return dict(files)
 
 
 def _write_atomic(files: dict[Path, Iterable[bytes]]) -> None:
@@ -285,7 +262,7 @@ def run(job: JobSpec) -> int:
     """
     try:
         mesh = build_mesh(job)
-        _write_atomic(render_outputs(job, mesh))
+        _write_atomic(render_outputs(mesh, job.fmt, job.output, job.weld_tol))
     except OSError as e:
         print(f"riemannmesh: i/o error: {e}", file=sys.stderr)
         return EXIT_IO

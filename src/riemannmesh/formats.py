@@ -1,5 +1,9 @@
 """Deterministic text serialization of surface meshes.
 
+render_outputs is the one writer entry: for a mesh and one of FORMATS it
+returns every file a run writes as {path: pieces of bytes}, the mesh file
+rendered lazily.
+
 All floats are written with their shortest round-trip decimal
 representation, so identical meshes serialize to identical bytes. Each
 distinct value of a table is formatted once. A block of rows is one numpy
@@ -11,16 +15,21 @@ texts, and the block's bytes, less their padding, go to disk as they are.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
+from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .branches import _distinct
-from .mesh import Seam, SurfaceMesh, branch_color
+from .mesh import Seam, SurfaceMesh, branch_color, require_weld_tol
 
-__all__ = ["PlyData", "csv_text", "json_text", "obj_text", "ply_text", "read_ply", "seams_json_text"]
+__all__ = ["FORMATS", "PlyData", "read_ply", "render_outputs", "seams_json_text"]
+
+# the output formats; each names its mesh file's suffix
+FORMATS = ("csv", "json", "obj", "ply")
 
 # bytes per block of rows: a block holds as many records as fit, and at
 # least one. A record pads each cell to the widest text of its column.
@@ -117,11 +126,7 @@ def _blocks(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between:
         yield data[:-len(between)] if between and stop == n else data
 
 
-def ply_text(mesh: SurfaceMesh) -> str:
-    """Ascii PLY 1.0 with per-vertex uchar RGB; z carries the charisma."""
-    return b"".join(_ply_pieces(mesh)).decode()
-
-
+# Ascii PLY 1.0 with per-vertex uchar RGB; z carries the charisma.
 def _ply_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     yield "\n".join([
         "ply",
@@ -183,8 +188,8 @@ def _require_below(values: np.ndarray, stop: int, row_name: str, value_name: str
 
 
 def read_ply(text: str) -> PlyData:
-    """Parse an ascii PLY of the layout ply_text writes; raises ValueError
-    for a count, row, colour or face index that its header forbids."""
+    """Parse an ascii PLY of the layout render_outputs writes; raises
+    ValueError for a count, row, colour or face index that its header forbids."""
     lines = text.splitlines()
     if lines[:2] != ["ply", "format ascii 1.0"]:
         raise ValueError("not an ascii PLY 1.0 file")
@@ -193,11 +198,11 @@ def read_ply(text: str) -> PlyData:
         if line.startswith("element "):
             parts = line.split()
             element = f"element {parts[1]}" if len(parts) > 1 else "an element"
-            try:  # three tokens, the last an integer
-                _, name, num = parts
-                count = int(num)
-            except ValueError:
-                raise ValueError(f"header line {i} {line!r}: {element} is not 'element <name> <count>'") from None
+            # three tokens, the last plain decimal digits: int() would also take "1_8", "+18" and non-ASCII digits
+            if len(parts) != 3 or not re.fullmatch("-?[0-9]+", parts[2]):
+                raise ValueError(f"header line {i} {line!r}: {element} is not 'element <name> <count>'")
+            _, name, num = parts
+            count = int(num)
             if name in sizes:
                 raise ValueError(f"header line {i} {line!r}: {element} is declared twice")
             if count < 0:
@@ -220,12 +225,8 @@ def read_ply(text: str) -> PlyData:
     return PlyData(vertices["xyz"], vertices["rgb"], faces["v"])
 
 
-def obj_text(mesh: SurfaceMesh, mtl_filename: str) -> tuple[str, str]:
-    """Wavefront OBJ plus MTL; branch color is carried by one material per
-    branch since core OBJ has no vertex colors."""
-    return b"".join(_obj_pieces(mesh, mtl_filename)).decode(), _mtl_text(mesh)
-
-
+# Wavefront OBJ plus MTL; branch color is carried by one material per
+# branch since core OBJ has no vertex colors.
 def _obj_pieces(mesh: SurfaceMesh, mtl_filename: str) -> Iterator[bytes]:
     yield f"mtllib {mtl_filename}\n".encode()
     yield from _table([mesh.positions], ("v ", " ", " "), "\n")
@@ -256,14 +257,8 @@ def _seam_record(s: Seam) -> dict:
     }
 
 
-def json_text(mesh: SurfaceMesh) -> str:
-    """Versioned JSON with full surface-point records.
-
-    Raises ValueError for a non-finite value, which strict JSON cannot hold.
-    """
-    return b"".join(_json_pieces(mesh)).decode()
-
-
+# Versioned JSON with full surface-point records; ValueError for a
+# non-finite value, which strict JSON cannot hold.
 def _json_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     if not (np.isfinite(mesh.positions).all() and np.isfinite(mesh.w).all()):
         raise ValueError("Out of range float values are not JSON compliant")
@@ -288,11 +283,7 @@ def _json_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     yield f'],"seams":{seams}}}\n'.encode()
 
 
-def csv_text(mesh: SurfaceMesh) -> str:
-    """Vertex table with header x,y,c,k."""
-    return b"".join(_csv_pieces(mesh)).decode()
-
-
+# Vertex table with header x,y,c,k.
 def _csv_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     yield b"x,y,c,k\n"
     yield from _table([mesh.positions, mesh.branch], ("", ",", ",", ","), "\n")
@@ -309,3 +300,28 @@ def seams_json_text(mesh: SurfaceMesh, weld_tol: float) -> str:
         "seams": [_seam_record(s) for s in mesh.seams],
     }
     return json.dumps(doc, separators=_JSON_SEPARATORS, allow_nan=False) + "\n"
+
+
+def render_outputs(mesh: SurfaceMesh, fmt: str, output: Path, weld_tol: float) -> dict[Path, Iterable[bytes]]:
+    """Every file a run writes, as {path: pieces of bytes}, in the order:
+    the mesh in format fmt at output, rendered lazily; for "obj" its MTL
+    beside it, with output's last suffix replaced by .mtl; and the seam
+    sidecar, by .seams.json. ValueError for a format not in FORMATS, a
+    weld_tol that require_weld_tol refuses, or two files that would share
+    a path."""
+    if fmt == "ply":
+        files = [(output, _ply_pieces(mesh))]
+    elif fmt == "obj":
+        mtl_path = output.with_suffix(".mtl")
+        files = [(output, _obj_pieces(mesh, mtl_path.name)), (mtl_path, [_mtl_text(mesh).encode()])]
+    elif fmt == "json":
+        files = [(output, _json_pieces(mesh))]
+    elif fmt == "csv":
+        files = [(output, _csv_pieces(mesh))]
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    seams = seams_json_text(mesh, require_weld_tol(weld_tol))
+    files.append((output.with_suffix(".seams.json"), [seams.encode()]))
+    if len(dict(files)) < len(files):
+        raise ValueError(f"the output files would share a path: {', '.join(str(path) for path, _ in files)}")
+    return dict(files)

@@ -128,7 +128,7 @@ class DomainGrid:
             if count < least:
                 raise GridError(f"{name} must be at least {least}", name)
             object.__setattr__(self, name, int(count))  # a numpy integer would wrap in n_cols and products
-        points = self.n_r * (self.n_theta + 1)
+        points = self.n_r * self.n_cols
         if points > MAX_GRID_POINTS:
             raise GridError(
                 f"n_r * (n_theta + 1) must be at most {MAX_GRID_POINTS}, got {points}",
@@ -199,7 +199,7 @@ def lattice_faces(n_rows: int, n_cols: int) -> np.ndarray:
 
 def _require_surface_size(n_branches: int, grid: DomainGrid, *, at_least: bool = False) -> None:
     # the one whole-surface cap; at_least: n_branches counts the branches read, and there may be more
-    points = n_branches * int(grid.n_r) * (int(grid.n_theta) + 1)
+    points = n_branches * grid.n_r * grid.n_cols
     if points > _MAX_SURFACE_POINTS:
         more = " or more" if at_least else ""
         raise BranchIndexError(f"{n_branches}{more} sheets of {grid.n_r}x{grid.n_cols} lattice points make "
@@ -241,7 +241,7 @@ def build_sheets(
     type), or a surface with more vertices than the cap.
     """
     # read one branch past the cap at most, so an endless iterable fails at once
-    most = _MAX_SURFACE_POINTS // (int(grid.n_r) * (int(grid.n_theta) + 1))
+    most = _MAX_SURFACE_POINTS // (grid.n_r * grid.n_cols)
     branches = tuple(itertools.islice(branches, most + 1))
     _require_surface_size(len(branches), grid, at_least=True)
     branches = tuple(function.require_admissible(k) for k in branches)

@@ -192,9 +192,9 @@ def test_criterion_11_mesh_bookkeeping(tmp_path):
         assert sheets.c[0].size == 40 * 241
         assert len(sheets.faces) == 2 * 39 * 240
         mesh = assemble_surface(sheets)
-        from riemannmesh.formats import ply_text
+        from test_formats import rendered
 
-        data = read_ply(ply_text(mesh))
+        data = read_ply(rendered("ply", mesh))
         assert len(data.vertices) == 40 * 241
         assert len(data.faces) == 2 * 39 * 240
 

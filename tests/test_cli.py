@@ -1,5 +1,6 @@
 """CLI parsing, exit codes, file output, and determinism tests."""
 
+import ast
 import contextlib
 import dataclasses
 import errno
@@ -440,11 +441,11 @@ class TestWriteAtomic:
         render = cli.render_outputs
         out = tmp_path / "m.ply"
 
-        def failing(job, mesh):
+        def failing(mesh, fmt, output, weld_tol):
             # the mesh file moves behind the fully staged sidecar and fails
             # after its first pieces are on disk
-            files = render(job, mesh)
-            pieces = files.pop(job.output)
+            files = render(mesh, fmt, output, weld_tol)
+            pieces = files.pop(output)
             assert iter(pieces) is pieces
 
             def broken():
@@ -455,7 +456,7 @@ class TestWriteAtomic:
                 assert sorted(p.suffix for p in tmp_path.iterdir()) == [".tmp", ".tmp"]  # nothing renamed yet
                 raise error
 
-            files[job.output] = broken()
+            files[output] = broken()
             return files
 
         monkeypatch.setattr(cli, "render_outputs", failing)
@@ -475,17 +476,33 @@ class TestWriteAtomic:
         monkeypatch.setattr(cli, "build_mesh", with_nan)
         job = parse_args([*FAST_GRID, "--format", "json", "-o", str(tmp_path / "m.json")])
         # rendering is lazy: the value is refused while the file is staged
-        cli.render_outputs(job, with_nan(job))
+        cli.render_outputs(with_nan(job), job.fmt, job.output, job.weld_tol)
         assert run(job) == EXIT_DOMAIN
         assert "not JSON compliant" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
 class TestRenderOutputs:
+    @pytest.mark.parametrize("fmt", formats.FORMATS)
+    def test_formats_alone_knows_the_formats_and_their_files(self, tmp_path, fmt):
+        job = parse_args([*FAST_GRID, "--format", fmt, "-o", str(tmp_path / f"a.b.{fmt}")])
+        files = formats.render_outputs(cli.build_mesh(job), fmt, job.output, job.weld_tol)
+        mtl = [tmp_path / "a.b.mtl"] if fmt == "obj" else []
+        assert list(files) == [job.output, *mtl, tmp_path / "a.b.seams.json"]
+        (choices,) = [a.choices for a in cli._build_parser()._actions if a.dest == "format"]
+        assert tuple(choices) == formats.FORMATS
+        imported = [
+            alias.name
+            for node in ast.walk(ast.parse(Path(cli.__file__).read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module == "formats"
+            for alias in node.names
+        ]
+        assert imported and not [name for name in imported if name.startswith("_")]
+
     @pytest.mark.parametrize("fmt", ["ply", "obj", "json", "csv"])
     def test_the_mesh_file_is_a_lazy_iterator(self, tmp_path, fmt):
         job = parse_args([*FAST_GRID, "--format", fmt, "-o", str(tmp_path / f"m.{fmt}")])
-        pieces = cli.render_outputs(job, cli.build_mesh(job))[job.output]
+        pieces = cli.render_outputs(cli.build_mesh(job), fmt, job.output, job.weld_tol)[job.output]
         assert not isinstance(pieces, (str, list, tuple))
         assert iter(pieces) is pieces
 
@@ -494,7 +511,7 @@ class TestRenderOutputs:
         monkeypatch.setattr(formats, "_BLOCK_BYTES", 128)
         job = parse_args([*FAST_GRID, "--format", fmt, "-o", str(tmp_path / f"m.{fmt}")])
         mesh = cli.build_mesh(job)
-        pieces = list(cli.render_outputs(job, mesh)[job.output])
+        pieces = list(cli.render_outputs(mesh, fmt, job.output, job.weld_tol)[job.output])
         assert all(type(p) is bytes for p in pieces)
         # a JSON row holds one "[", a row of the other formats ends in a newline
         rows = [p.count(b"[" if fmt == "json" else b"\n") for p in pieces]

@@ -1,12 +1,15 @@
 """Serialization tests: determinism, fidelity, and re-parsing."""
 
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from riemannmesh import (
+    DEFAULT_WELD_TOL,
     PALETTE,
     CharismaKind,
     DomainGrid,
@@ -21,7 +24,7 @@ from riemannmesh import (
 from riemannmesh import formats
 from riemannmesh.branches import _distinct
 from riemannmesh.cli import FIGURE_PRESETS, build_mesh, parse_args, run
-from riemannmesh.formats import csv_text, json_text, obj_text, ply_text, read_ply, seams_json_text
+from riemannmesh.formats import read_ply, render_outputs, seams_json_text
 
 ROOT3 = IndexedFunction.root(3)
 GRID = DomainGrid(0.5, 2.0, 3, 8)
@@ -57,8 +60,16 @@ def assert_same_text(got, want):
         )
 
 
+def rendered(fmt, mesh, stem="m"):
+    """The text render_outputs writes for a mesh in a format, to stem.<fmt>:
+    for "obj" the OBJ and MTL texts as a tuple. The seam sidecar is left out."""
+    files = render_outputs(mesh, fmt, Path(f"{stem}.{fmt}"), DEFAULT_WELD_TOL)
+    texts = tuple(b"".join(pieces).decode() for pieces in list(files.values())[:-1])
+    return texts if fmt == "obj" else texts[0]
+
+
 def row_ply_text(mesh):
-    """Line-at-a-time PLY writer: the reference ply_text must match."""
+    """Line-at-a-time PLY writer: the ply text must match."""
     lines = [
         "ply", "format ascii 1.0", "comment riemannmesh surface",
         f"element vertex {mesh.n_vertices}",
@@ -76,7 +87,7 @@ def row_ply_text(mesh):
 
 
 def row_obj_text(mesh, mtl_filename):
-    """Line-at-a-time OBJ and MTL writer: the reference obj_text must match."""
+    """Line-at-a-time OBJ and MTL writer: the obj texts must match."""
     obj = [f"mtllib {mtl_filename}"]
     for x, y, c in mesh.positions:
         obj.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(c)}")
@@ -94,7 +105,7 @@ def row_obj_text(mesh, mtl_filename):
 
 
 def row_json_text(mesh):
-    """Record-at-a-time JSON writer: the reference json_text must match."""
+    """Record-at-a-time JSON writer: the json text must match."""
     doc = {
         "schema": 1,
         "function": mesh.function.label(),
@@ -117,7 +128,7 @@ def row_json_text(mesh):
 
 
 def row_csv_text(mesh):
-    """Line-at-a-time CSV writer: the reference csv_text must match."""
+    """Line-at-a-time CSV writer: the csv text must match."""
     lines = ["x,y,c,k"]
     for (x, y, c), k in zip(mesh.positions.tolist(), mesh.branch.tolist()):
         lines.append(f"{_fmt(x)},{_fmt(y)},{_fmt(c)},{k}")
@@ -279,10 +290,10 @@ def digit_widths(mesh):
 class TestWritersMatchRowReference:
     def test_one_vertex_and_no_face(self):
         mesh = synthetic_mesh(1, 0, seed=1)
-        assert_same_text(ply_text(mesh), row_ply_text(mesh))
-        assert_same_text(obj_text(mesh, "m.mtl"), row_obj_text(mesh, "m.mtl"))
-        assert_same_text(json_text(mesh), row_json_text(mesh))
-        assert_same_text(csv_text(mesh), row_csv_text(mesh))
+        assert_same_text(rendered("ply", mesh), row_ply_text(mesh))
+        assert_same_text(rendered("obj", mesh), row_obj_text(mesh, "m.mtl"))
+        assert_same_text(rendered("json", mesh), row_json_text(mesh))
+        assert_same_text(rendered("csv", mesh), row_csv_text(mesh))
 
     @pytest.mark.parametrize(
         "vertices,faces",
@@ -314,14 +325,14 @@ class TestWritersMatchRowReference:
     def test_awkward_columns_match_the_row_at_a_time_writers(self, small_blocks, edit):
         mesh = synthetic_mesh(MANY, MANY, seed=7)
         edit(mesh)
-        assert_same_text(ply_text(mesh), row_ply_text(mesh))
-        assert_same_text(obj_text(mesh, "m.mtl"), row_obj_text(mesh, "m.mtl"))
-        assert_same_text(csv_text(mesh), row_csv_text(mesh))
+        assert_same_text(rendered("ply", mesh), row_ply_text(mesh))
+        assert_same_text(rendered("obj", mesh), row_obj_text(mesh, "m.mtl"))
+        assert_same_text(rendered("csv", mesh), row_csv_text(mesh))
         if np.isfinite(mesh.positions).all():
-            assert_same_text(json_text(mesh), row_json_text(mesh))
+            assert_same_text(rendered("json", mesh), row_json_text(mesh))
         else:
             with pytest.raises(ValueError):
-                json_text(mesh)
+                rendered("json", mesh)
 
     @pytest.mark.parametrize("figure", sorted(FIGURE_PRESETS))
     def test_every_preset_matches_the_row_at_a_time_writers(self, figure):
@@ -330,10 +341,10 @@ class TestWritersMatchRowReference:
         # sheets share one lattice, so values repeat and each distinct
         # float is formatted for many cells
         assert len(np.unique(mesh.positions)) < mesh.positions.size / 2
-        assert_same_text(ply_text(mesh), row_ply_text(mesh))
-        assert_same_text(obj_text(mesh, "m.mtl"), row_obj_text(mesh, "m.mtl"))
-        assert_same_text(json_text(mesh), row_json_text(mesh))
-        assert_same_text(csv_text(mesh), row_csv_text(mesh))
+        assert_same_text(rendered("ply", mesh), row_ply_text(mesh))
+        assert_same_text(rendered("obj", mesh), row_obj_text(mesh, "m.mtl"))
+        assert_same_text(rendered("json", mesh), row_json_text(mesh))
+        assert_same_text(rendered("csv", mesh), row_csv_text(mesh))
 
     @pytest.mark.parametrize("fmt", ["ply", "obj", "json", "csv"])
     def test_the_cli_streams_the_texts_of_the_public_writers(self, tmp_path, fmt):
@@ -342,9 +353,9 @@ class TestWritersMatchRowReference:
         assert run(job) == 0
         mesh = build_mesh(job)
         if fmt == "obj":
-            assert_same_text((out.read_text(), out.with_suffix(".mtl").read_text()), obj_text(mesh, "m.mtl"))
+            assert_same_text((out.read_text(), out.with_suffix(".mtl").read_text()), rendered("obj", mesh))
         else:
-            assert_same_text(out.read_text(), {"ply": ply_text, "json": json_text, "csv": csv_text}[fmt](mesh))
+            assert_same_text(out.read_text(), rendered(fmt, mesh))
         assert_same_text(out.with_suffix(".seams.json").read_text(), seams_json_text(mesh, job.weld_tol))
 
     @pytest.mark.parametrize("size", [(5, 4), (MANY, MANY)])
@@ -354,11 +365,11 @@ class TestWritersMatchRowReference:
     def test_int_columns_match_the_row_at_a_time_writers(self, small_blocks, edit, size):
         mesh = synthetic_mesh(*size, seed=11)
         edit(mesh)
-        assert_same_text(ply_text(mesh), row_ply_text(mesh))
-        assert_same_text(json_text(mesh), row_json_text(mesh))
-        assert_same_text(csv_text(mesh), row_csv_text(mesh))
+        assert_same_text(rendered("ply", mesh), row_ply_text(mesh))
+        assert_same_text(rendered("json", mesh), row_json_text(mesh))
+        assert_same_text(rendered("csv", mesh), row_csv_text(mesh))
         if mesh.faces.max() < np.iinfo(mesh.faces.dtype).max:  # obj writes faces + 1
-            assert_same_text(obj_text(mesh, "m.mtl"), row_obj_text(mesh, "m.mtl"))
+            assert_same_text(rendered("obj", mesh), row_obj_text(mesh, "m.mtl"))
 
     @pytest.mark.parametrize("seps,end,between", [(("\0",), "\n", ""), (("",), "\0", ""), (("",), "\n", "\0")])
     def test_a_separator_holding_nul_is_refused(self, seps, end, between):
@@ -374,7 +385,7 @@ class TestWritersMatchRowReference:
 
 class TestPly:
     def test_header_declares_vertex_colors(self, mesh):
-        text = ply_text(mesh)
+        text = rendered("ply", mesh)
         head = text.split("end_header")[0]
         for prop in ("property double x", "property uchar red", "property uchar blue"):
             assert prop in head
@@ -382,7 +393,7 @@ class TestPly:
         assert f"element face {mesh.n_faces}" in head
 
     def test_reparses_to_identical_counts_and_values(self, mesh):
-        data = read_ply(ply_text(mesh))
+        data = read_ply(rendered("ply", mesh))
         assert len(data.vertices) == mesh.n_vertices
         assert len(data.faces) == mesh.n_faces
         # shortest round-trip decimals reparse to the exact doubles
@@ -391,27 +402,27 @@ class TestPly:
         assert np.array_equal(data.faces, mesh.faces)
 
     def test_byte_determinism(self, mesh):
-        assert_same_text(ply_text(mesh), ply_text(mesh))
+        assert_same_text(rendered("ply", mesh), rendered("ply", mesh))
 
     def test_reader_rejects_foreign_input(self):
         with pytest.raises(ValueError):
             read_ply("solid something\n")
 
     def test_reader_rejects_a_truncated_vertex_row(self, mesh):
-        lines = ply_text(mesh).splitlines()
+        lines = rendered("ply", mesh).splitlines()
         row = lines.index("end_header") + 4
         lines[row] = lines[row].rsplit(" ", 1)[0]
         with pytest.raises(ValueError, match="vertex row 3 has 5 values, expected 6"):
             read_ply("\n".join(lines) + "\n")
 
     def test_reader_rejects_a_file_cut_short(self, mesh):
-        text = ply_text(mesh)
+        text = rendered("ply", mesh)
         with pytest.raises(ValueError, match=f"expected {mesh.n_faces} face rows"):
             read_ply(text[: text.rindex("\n3 ")] + "\n")
 
     @pytest.mark.parametrize("quad", ["4 0 1 2 3", "4 0 1 2"])
     def test_reader_rejects_a_quad_face(self, mesh, quad):
-        lines = ply_text(mesh).splitlines()
+        lines = rendered("ply", mesh).splitlines()
         lines[-1] = quad
         with pytest.raises(ValueError, match="face row|only triangle faces"):
             read_ply("\n".join(lines) + "\n")
@@ -420,7 +431,7 @@ class TestPly:
         mesh = synthetic_mesh(4, 2, seed=3)
         mesh.positions[0] = [-0.0, 5e-324, 1.7976931348623157e308]
         mesh.positions[1] = [-5e-324, -1.7976931348623157e308, 0.0]
-        data = read_ply(ply_text(mesh))
+        data = read_ply(rendered("ply", mesh))
         assert data.vertices.dtype == np.float64
         assert data.vertices.tobytes() == mesh.positions.tobytes()
         assert data.colors.tobytes() == mesh.colors.astype(np.int64).tobytes()
@@ -428,23 +439,24 @@ class TestPly:
 
     @pytest.mark.parametrize("line", ["element vertex", "element vertex 24 7"], ids=["missing", "extra"])
     def test_reader_rejects_an_element_line_of_the_wrong_length(self, mesh, line):
-        lines = ply_text(mesh).splitlines()
+        lines = rendered("ply", mesh).splitlines()
         at = lines.index(f"element vertex {mesh.n_vertices}")
         lines[at] = line
         with pytest.raises(ValueError, match=f"header line {at} '{line}': element vertex is not"):
             read_ply("\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("count", ["x", "1.5"])
+    # int() reads the last three as 18, and each would load the 18 vertices of a 2x8 range chart
+    @pytest.mark.parametrize("count", ["x", "1.5", "1_8", "+18", "\u0661\u0668"])
     def test_reader_rejects_an_element_count_that_is_no_integer(self, mesh, count):
-        lines = ply_text(mesh).splitlines()
+        lines = rendered("ply", mesh).splitlines()
         at = lines.index(f"element vertex {mesh.n_vertices}")
         lines[at] = f"element vertex {count}"
-        with pytest.raises(ValueError, match=f"header line {at} 'element vertex {count}': element vertex is not"):
+        with pytest.raises(ValueError, match=re.escape(f"header line {at} 'element vertex {count}': element vertex is not")):
             read_ply("\n".join(lines) + "\n")
 
     def test_reader_rejects_a_repeated_element(self, mesh):
         # a second count must not replace the first: here it would load no vertex and skip a data row
-        lines = ply_text(mesh).splitlines()
+        lines = rendered("ply", mesh).splitlines()
         at = lines.index(f"element vertex {mesh.n_vertices}")
         lines[at:at + 1] = ["element vertex 1", "element vertex 0"]
         with pytest.raises(ValueError, match=f"header line {at + 1} 'element vertex 0': element vertex is declared twice"):
@@ -452,14 +464,14 @@ class TestPly:
 
     def test_reader_rejects_a_blank_vertex_row(self, mesh):
         # a blank line must not be skipped, which would shift every row after it
-        lines = ply_text(mesh).splitlines()
+        lines = rendered("ply", mesh).splitlines()
         lines[lines.index("end_header") + 4] = ""
         with pytest.raises(ValueError, match="vertex row 3 has 0 values, expected 6"):
             read_ply("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("row,value", [("vertex", "1.5"), ("face", "1e2")])
     def test_reader_rejects_a_non_integer_color_or_index(self, mesh, row, value):
-        lines = ply_text(mesh).splitlines()
+        lines = rendered("ply", mesh).splitlines()
         i = lines.index("end_header") + 1 + (mesh.n_vertices if row == "face" else 0)
         cells = lines[i].split()
         cells[-1] = value
@@ -469,7 +481,7 @@ class TestPly:
 
     @pytest.mark.parametrize("element", ["vertex", "face"])
     def test_reader_rejects_a_negative_element_count(self, mesh, element):
-        lines = ply_text(mesh).splitlines()
+        lines = rendered("ply", mesh).splitlines()
         i = next(i for i, line in enumerate(lines) if line.startswith(f"element {element} "))
         lines[i] = f"element {element} -1"
         with pytest.raises(ValueError, match=f"element {element} has a negative count -1"):
@@ -479,7 +491,7 @@ class TestPly:
         "index", [lambda n: -1, lambda n: n, lambda n: n + 4, lambda n: 2**63 - 1], ids=["-1", "n", "n+4", "int64-max"]
     )
     def test_reader_rejects_a_face_index_outside_the_vertices(self, mesh, index):
-        lines = ply_text(mesh).splitlines()
+        lines = rendered("ply", mesh).splitlines()
         i = lines.index("end_header") + 1 + mesh.n_vertices + 5
         cells = lines[i].split()
         cells[2] = str(index(mesh.n_vertices))
@@ -501,7 +513,7 @@ class TestPly:
 
     @pytest.mark.parametrize("colour", [256, 300, -1, 2**63 - 1])
     def test_reader_rejects_a_colour_outside_the_uchar_range(self, mesh, colour):
-        lines = ply_text(mesh).splitlines()
+        lines = rendered("ply", mesh).splitlines()
         i = lines.index("end_header") + 1 + 3
         cells = lines[i].split()
         cells[4] = str(colour)  # green
@@ -515,14 +527,14 @@ class TestPly:
 
     @pytest.mark.parametrize("n_vertices", [0, 5])
     def test_reader_reads_an_empty_section(self, n_vertices):
-        data = read_ply(ply_text(synthetic_mesh(n_vertices, 0, seed=1)))
+        data = read_ply(rendered("ply", synthetic_mesh(n_vertices, 0, seed=1)))
         assert data.vertices.shape == data.colors.shape == (n_vertices, 3)
         assert data.faces.shape == (0, 3) and data.faces.dtype == np.int64
 
 
 class TestObj:
     def test_groups_and_materials_per_branch(self, mesh):
-        obj, mtl = obj_text(mesh, "surface.mtl")
+        obj, mtl = rendered("obj", mesh, "surface")
         assert obj.startswith("mtllib surface.mtl\n")
         assert obj.count("\nv ") == mesh.n_vertices
         assert obj.count("\nf ") == mesh.n_faces
@@ -533,7 +545,7 @@ class TestObj:
         assert f"Kd {r / 255!r} {g / 255!r} {b / 255!r}" in mtl
 
     def test_face_indices_are_one_based(self, mesh):
-        obj, _ = obj_text(mesh, "m.mtl")
+        obj, _ = rendered("obj", mesh)
         faces = [line for line in obj.splitlines() if line.startswith("f ")]
         first = min(int(p) for line in faces for p in line.split()[1:])
         assert first == 1
@@ -541,7 +553,7 @@ class TestObj:
 
 class TestJson:
     def test_schema_and_full_point_records(self, mesh):
-        doc = json.loads(json_text(mesh))
+        doc = json.loads(rendered("json", mesh))
         assert doc["schema"] == 1
         assert doc["function"] == "root:3"
         assert doc["charisma"] == "sin"
@@ -554,7 +566,7 @@ class TestJson:
         assert set(v) == {"x", "y", "c", "k", "w"}
 
     def test_records_recompute_through_the_library(self, mesh):
-        doc = json.loads(json_text(mesh))
+        doc = json.loads(rendered("json", mesh))
         for v in doc["vertices"][:: max(1, len(doc["vertices"]) // 17)]:
             z = complex(v["x"], v["y"])
             assert v["c"] == evaluate_charisma(z, v["k"], ROOT3, CharismaKind.SIN)
@@ -565,12 +577,12 @@ class TestJson:
         bad = synthetic_mesh(4, 2, seed=0)
         bad.positions[2, 2] = np.nan
         with pytest.raises(ValueError):
-            json_text(bad)
+            rendered("json", bad)
         with pytest.raises(ValueError):
             seams_json_text(mesh, float("inf"))
 
     def test_seam_records(self, mesh):
-        doc = json.loads(json_text(mesh))
+        doc = json.loads(rendered("json", mesh))
         for s in doc["seams"]:
             assert s["welded"] is True
             assert s["max_gap"] < 1e-9
@@ -579,7 +591,7 @@ class TestJson:
 
 class TestCsv:
     def test_header_and_rows(self, mesh):
-        lines = csv_text(mesh).splitlines()
+        lines = rendered("csv", mesh).splitlines()
         assert lines[0] == "x,y,c,k"
         assert len(lines) == 1 + mesh.n_vertices
         x, y, c, k = lines[1].split(",")
