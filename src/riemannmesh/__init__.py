@@ -1,74 +1,15 @@
 """Branch-indexed evaluation of multivalued complex functions and
-synthesis of colored Riemann-surface meshes."""
+synthesis of colored Riemann-surface meshes.
 
-from .branches import (
-    BranchIndexError,
-    CharismaCompatibilityError,
-    CharismaKind,
-    DomainError,
-    IndexedFunction,
-    branch_of,
-    compatible_kinds,
-    continuation_branch,
-    evaluate_charisma,
-    in_branch_range,
-    log_branch,
-    principal_phase,
-    root_branch,
-    root_indices,
-)
-from .cli import JobSpec, build_mesh, main, parse_args, run
-from .mesh import (
-    DEFAULT_LOG_BRANCHES,
-    DEFAULT_WELD_TOL,
-    PALETTE,
-    DomainGrid,
-    GridError,
-    Seam,
-    SheetStack,
-    SurfaceMesh,
-    assemble_surface,
-    branch_color,
-    build_range_chart,
-    build_sheets,
-    sample_domain,
-    seam_report,
-)
+The public API is the union of the __all__ lists of branches, cli and
+mesh; each module's list is the one place a public name is stated. The
+writers and the PLY reader are reached as riemannmesh.formats."""
+
+from .branches import *
+from .cli import *
+from .mesh import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BranchIndexError",
-    "CharismaCompatibilityError",
-    "CharismaKind",
-    "DEFAULT_LOG_BRANCHES",
-    "DEFAULT_WELD_TOL",
-    "DomainError",
-    "DomainGrid",
-    "GridError",
-    "IndexedFunction",
-    "JobSpec",
-    "PALETTE",
-    "Seam",
-    "SheetStack",
-    "SurfaceMesh",
-    "assemble_surface",
-    "branch_color",
-    "branch_of",
-    "build_mesh",
-    "build_range_chart",
-    "build_sheets",
-    "compatible_kinds",
-    "continuation_branch",
-    "evaluate_charisma",
-    "in_branch_range",
-    "log_branch",
-    "main",
-    "parse_args",
-    "principal_phase",
-    "root_branch",
-    "root_indices",
-    "run",
-    "sample_domain",
-    "seam_report",
-]
+# importing a submodule binds its name here too
+__all__ = sorted([*branches.__all__, *cli.__all__, *mesh.__all__])

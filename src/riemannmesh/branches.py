@@ -46,7 +46,6 @@ __all__ = [
     "in_branch_range",
     "log_branch",
     "principal_phase",
-    "require_compatible",
     "root_branch",
     "root_indices",
 ]
@@ -255,10 +254,6 @@ class IndexedFunction:
     @property
     def is_log(self) -> bool:
         return self._indices is None
-
-    @property
-    def is_root(self) -> bool:
-        return self._indices is not None
 
     def branch_indices(self) -> range | None:
         """Admissible branch indices; None means all integers (log)."""

@@ -16,7 +16,6 @@ import os
 import re
 import shutil
 import sys
-import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
@@ -67,7 +66,7 @@ class JobSpec:
     weld_tol: float = DEFAULT_WELD_TOL
     walls: bool = False
     fmt: str = "ply"
-    output: Path = Path("surface.ply")
+    output: str | os.PathLike = Path("surface.ply")
     range_chart: bool = False
 
 
@@ -180,7 +179,7 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
     try:  # counted from the window's ends, before any tuple is built
         _require_surface_size(window.stop - window.start, grid)
     except ValueError as e:
-        parser.error(f"argument {'--function' if ns.branches is None and function.is_root else '--branches'}: {e}")
+        parser.error(f"argument {'--function' if ns.branches is None and not function.is_log else '--branches'}: {e}")
     branches = tuple(window)
 
     try:
@@ -221,15 +220,14 @@ def _write_atomic(files: dict[Path, Iterable[bytes]]) -> None:
     staged: list[tuple[str, Path]] = []
     renamed: list[tuple[Path, str | None]] = []  # each target, with a link to the file it replaced
     links: list[str] = []
-    umask = os.umask(0)  # reading the umask means setting it
-    os.umask(umask)
     try:
         for path, pieces in files.items():
             if path.is_dir():  # os.replace onto it would fail only after the files before it are renamed
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-            fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
+            tmp = str(path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp"))
+            # the kernel applies the umask to 0o666, as open() does; reading the umask would mean setting it
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
-            os.fchmod(fd, 0o666 & ~umask)  # mkstemp's 0600, as open() would have made the file
             with os.fdopen(fd, "wb") as fh:
                 fh.writelines(pieces)
         while staged:

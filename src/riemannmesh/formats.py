@@ -15,6 +15,7 @@ texts, and the block's bytes, less their padding, go to disk as they are.
 from __future__ import annotations
 
 import json
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -302,13 +303,16 @@ def seams_json_text(mesh: SurfaceMesh, weld_tol: float) -> str:
     return json.dumps(doc, separators=_JSON_SEPARATORS, allow_nan=False) + "\n"
 
 
-def render_outputs(mesh: SurfaceMesh, fmt: str, output: Path, weld_tol: float) -> dict[Path, Iterable[bytes]]:
+def render_outputs(
+    mesh: SurfaceMesh, fmt: str, output: str | os.PathLike, weld_tol: float
+) -> dict[Path, Iterable[bytes]]:
     """Every file a run writes, as {path: pieces of bytes}, in the order:
-    the mesh in format fmt at output, rendered lazily; for "obj" its MTL
-    beside it, with output's last suffix replaced by .mtl; and the seam
-    sidecar, by .seams.json. ValueError for a format not in FORMATS, a
-    weld_tol that require_weld_tol refuses, or two files that would share
-    a path."""
+    the mesh in format fmt at output, a str or path-like, rendered lazily;
+    for "obj" its MTL beside it, with output's last suffix replaced by
+    .mtl; and the seam sidecar, by .seams.json. ValueError for a format not
+    in FORMATS, a weld_tol that require_weld_tol refuses, or two files that
+    would share a path."""
+    output = Path(output)
     if fmt == "ply":
         files = [(output, _ply_pieces(mesh))]
     elif fmt == "obj":

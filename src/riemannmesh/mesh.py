@@ -44,8 +44,6 @@ __all__ = [
     "branch_color",
     "build_range_chart",
     "build_sheets",
-    "lattice_faces",
-    "require_weld_tol",
     "sample_domain",
     "seam_report",
 ]

@@ -114,6 +114,18 @@ class TestParseArgs:
         with pytest.raises(CharismaCompatibilityError):
             parse_args(["--function", "log", "--charisma", "sin"])
 
+    @pytest.mark.parametrize(
+        "window,message",
+        [
+            ("2..1", "empty range '2..1'"),
+            ("1..", "expected KMIN..KMAX or a single integer, got '1..'"),
+            ("x", "expected KMIN..KMAX or a single integer, got 'x'"),
+        ],
+    )
+    def test_a_malformed_branch_range_is_usage_error(self, capsys, window, message):
+        assert main(["--branches", window, *FAST_GRID]) == EXIT_USAGE
+        assert f"argument --branches: {message}\n" in capsys.readouterr().err
+
     def test_bad_function_label_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["--function", "root:one"])
@@ -311,6 +323,14 @@ class TestRun:
         assert "out of memory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_str_output_path_writes_the_mesh_and_its_sidecar(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        job = JobSpec(ROOT3, CharismaKind.SIN, (-1, 0, 1), DomainGrid(0.5, 2.0, 3, 8), output="x.ply")
+        assert run(job) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.ply", "x.seams.json"]
+        files = formats.render_outputs(cli.build_mesh(job), "ply", "x.ply", 1e-9)
+        assert list(files) == [Path("x.ply"), Path("x.seams.json")]
+
     @pytest.mark.parametrize("tol", [Decimal("1e-9"), 0])
     def test_hand_built_weld_tolerance_is_written_as_a_float(self, tmp_path, tol):
         out = tmp_path / "m.ply"
@@ -364,6 +384,15 @@ class TestWriteAtomic:
             os.umask(old)
         for name in ("m.obj", "m.seams.json", "m.mtl"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+
+    def test_staging_never_touches_the_umask(self, tmp_path, monkeypatch):
+        # setting the umask to read it would give a file another thread makes meanwhile mode 0o666
+        def touched(*args):
+            raise AssertionError("staging set the process umask")
+
+        monkeypatch.setattr(os, "umask", touched)
+        assert main(["--format", "obj", "-o", str(tmp_path / "m.obj"), *FAST_GRID]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mtl", "m.obj", "m.seams.json"]
 
     def test_writes_every_piece_byte_for_byte_as_it_comes(self, tmp_path):
         # pieces larger than any write buffer reach the staged file as each is

@@ -408,6 +408,12 @@ class TestPly:
         with pytest.raises(ValueError):
             read_ply("solid something\n")
 
+    def test_reader_rejects_a_header_without_end_header(self, mesh):
+        lines = rendered("ply", mesh).splitlines()
+        lines.remove("end_header")
+        with pytest.raises(ValueError, match="missing end_header"):
+            read_ply("\n".join(lines) + "\n")
+
     def test_reader_rejects_a_truncated_vertex_row(self, mesh):
         lines = rendered("ply", mesh).splitlines()
         row = lines.index("end_header") + 4

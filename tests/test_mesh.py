@@ -370,7 +370,7 @@ class TestAssembleIndexSurface:
         plain = assemble_surface(sheets, walls=False)
         walled = assemble_surface(sheets, walls=True)
         wall, wall_branch = loop_wall_faces(sheets)
-        assert len(wall) == (3 if function.is_root else 2) * 2 * (WITNESS.n_r - 1)
+        assert len(wall) == (2 if function.is_log else 3) * 2 * (WITNESS.n_r - 1)
         assert walled.faces.tobytes() == np.concatenate([plain.faces, wall]).tobytes()
         assert walled.face_branch.tobytes() == np.concatenate([plain.face_branch, wall_branch]).tobytes()
 
