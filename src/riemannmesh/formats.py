@@ -14,6 +14,7 @@ texts, and the block's bytes, less their padding, go to disk as they are.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -127,23 +128,30 @@ def _blocks(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between:
         yield data[:-len(between)] if between and stop == n else data
 
 
-# Ascii PLY 1.0 with per-vertex uchar RGB; z carries the charisma.
+# The PLY layout, stated once: the header _ply_pieces writes, with the vertex and face counts in its {},
+# and read_ply requires line for line. Ascii PLY 1.0 with per-vertex uchar RGB; z carries the charisma.
+_PLY_HEADER = """ply
+format ascii 1.0
+comment riemannmesh surface
+element vertex {}
+property double x
+property double y
+property double z
+property uchar red
+property uchar green
+property uchar blue
+element face {}
+property list uchar int vertex_indices
+end_header
+"""
+# per header line, the pattern it must match in full: a count is ASCII digits, where int() would also take
+# "-1", "1_8", "+18" and non-ASCII digits. re compiles the joined patterns on first use and caches them.
+_PLY_LINES = [re.escape(line).replace(r"\{\}", "([0-9]+)") for line in _PLY_HEADER.splitlines()]
+_PLY_PATTERN = "\n".join(_PLY_LINES)
+
+
 def _ply_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
-    yield "\n".join([
-        "ply",
-        "format ascii 1.0",
-        "comment riemannmesh surface",
-        f"element vertex {mesh.n_vertices}",
-        "property double x",
-        "property double y",
-        "property double z",
-        "property uchar red",
-        "property uchar green",
-        "property uchar blue",
-        f"element face {mesh.n_faces}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]).encode() + b"\n"
+    yield _PLY_HEADER.format(mesh.n_vertices, mesh.n_faces).encode()
     yield from _table([mesh.positions, mesh.colors], ("", " ", " ", " ", " ", " "), "\n")
     yield from _table([mesh.faces], ("3 ", " ", " "), "\n")
 
@@ -189,36 +197,24 @@ def _require_below(values: np.ndarray, stop: int, row_name: str, value_name: str
 
 
 def read_ply(text: str) -> PlyData:
-    """Parse an ascii PLY of the layout render_outputs writes; raises
-    ValueError for a count, row, colour or face index that its header forbids."""
+    """Parse an ascii PLY whose header is the writer's, line for line; raises
+    ValueError, naming the line or row, for a header line that differs, a row
+    or value that the header forbids, or a line after the last face row."""
     lines = text.splitlines()
-    if lines[:2] != ["ply", "format ascii 1.0"]:
-        raise ValueError("not an ascii PLY 1.0 file")
-    sizes: dict[str, int] = {}
-    for i, line in enumerate(lines[2:], start=2):
-        if line.startswith("element "):
-            parts = line.split()
-            element = f"element {parts[1]}" if len(parts) > 1 else "an element"
-            # three tokens, the last plain decimal digits: int() would also take "1_8", "+18" and non-ASCII digits
-            if len(parts) != 3 or not re.fullmatch("-?[0-9]+", parts[2]):
-                raise ValueError(f"header line {i} {line!r}: {element} is not 'element <name> <count>'")
-            _, name, num = parts
-            count = int(num)
-            if name in sizes:
-                raise ValueError(f"header line {i} {line!r}: {element} is declared twice")
-            if count < 0:
-                raise ValueError(f"element {name} has a negative count {num}")
-            sizes[name] = count
-        elif line == "end_header":
-            body = i + 1
-            break
-    else:
-        raise ValueError("missing end_header")
-    n_vertices = sizes.get("vertex", 0)
-    n_faces = sizes.get("face", 0)
+    body = len(_PLY_LINES)
+    header = re.fullmatch(_PLY_PATTERN, "\n".join(lines[:body]))
+    if header is None:  # name the first line that differs
+        i = next(i for i, pattern in enumerate(_PLY_LINES) if i >= len(lines) or not re.fullmatch(pattern, lines[i]))
+        found = repr(lines[i]) if i < len(lines) else "(end of file)"
+        expected = _PLY_HEADER.splitlines()[i].replace("{}", "<count>")
+        raise ValueError(f"header line {i} {found} is not {expected!r}")
+    n_vertices, n_faces = map(int, header.groups())
+    end = body + n_vertices + n_faces
     vertices = _rows(lines[body:body + n_vertices], n_vertices, _VERTEX_ROW, 6, "vertex")
     # a polygon with more vertices than 3 already fails the row width check
-    faces = _rows(lines[body + n_vertices:body + n_vertices + n_faces], n_faces, _FACE_ROW, 4, "face")
+    faces = _rows(lines[body + n_vertices:end], n_faces, _FACE_ROW, 4, "face")
+    if len(lines) > end:
+        raise ValueError(f"line {end} follows the last face row")
     if np.any(faces["n"] != 3):
         raise ValueError("only triangle faces are supported")
     _require_below(vertices["rgb"], 256, "vertex", "colour")
@@ -309,10 +305,13 @@ def render_outputs(
     """Every file a run writes, as {path: pieces of bytes}, in the order:
     the mesh in format fmt at output, a str or path-like, rendered lazily;
     for "obj" its MTL beside it, with output's last suffix replaced by
-    .mtl; and the seam sidecar, by .seams.json. ValueError for a format not
-    in FORMATS, a weld_tol that require_weld_tol refuses, or two files that
+    .mtl; and the seam sidecar, by .seams.json. IsADirectoryError for an
+    output that is an existing directory; ValueError for a format not in
+    FORMATS, a weld_tol that require_weld_tol refuses, or two files that
     would share a path."""
     output = Path(output)
+    if output.is_dir():  # with_suffix would fail on ".", "" and "/"; this is the error _write_atomic raises
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(output))
     if fmt == "ply":
         files = [(output, _ply_pieces(mesh))]
     elif fmt == "obj":

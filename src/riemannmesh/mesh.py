@@ -345,7 +345,7 @@ def assemble_surface(
     for i, k in enumerate(branches):
         nxt = continuation_branch(sheets.function, k)
         j = sheet_of.get(nxt)
-        if nxt == k or j is None:
+        if j is None:
             continue
         gaps = np.abs(c[i, :, -1] - c[j, :, 0])
         seam = Seam(k, nxt, float(gaps.max()), float(gaps.mean()))

@@ -247,6 +247,14 @@ class TestRun:
         assert "Is a directory" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [target]
 
+    @pytest.mark.parametrize("output", [".", "", "/"])
+    def test_a_directory_without_a_name_exits_four_and_leaves_no_file(self, tmp_path, capsys, monkeypatch, output):
+        # a path with an empty name has no suffix to replace, so this must be refused before the sidecar is named
+        monkeypatch.chdir(tmp_path)
+        assert main(["--figure", "4", "--n-r", "4", "--n-theta", "8", "-o", output]) == EXIT_IO
+        assert "Is a directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_files_sharing_a_path_exit_five_and_write_nothing(self, tmp_path, capsys):
         # an OBJ mesh and its material file would both be x.mtl
         out = tmp_path / "x.mtl"

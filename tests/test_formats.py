@@ -411,8 +411,14 @@ class TestPly:
     def test_reader_rejects_a_header_without_end_header(self, mesh):
         lines = rendered("ply", mesh).splitlines()
         lines.remove("end_header")
-        with pytest.raises(ValueError, match="missing end_header"):
+        with pytest.raises(ValueError, match=re.escape(f"header line 12 {lines[12]!r} is not 'end_header'")):
             read_ply("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("cut", [0, 2, 12])
+    def test_reader_rejects_a_file_cut_in_its_header(self, mesh, cut):
+        lines = rendered("ply", mesh).splitlines()
+        with pytest.raises(ValueError, match=re.escape(f"header line {cut} (end of file) is not {lines[cut]!r}")):
+            read_ply("".join(line + "\n" for line in lines[:cut]))
 
     def test_reader_rejects_a_truncated_vertex_row(self, mesh):
         lines = rendered("ply", mesh).splitlines()
@@ -448,7 +454,7 @@ class TestPly:
         lines = rendered("ply", mesh).splitlines()
         at = lines.index(f"element vertex {mesh.n_vertices}")
         lines[at] = line
-        with pytest.raises(ValueError, match=f"header line {at} '{line}': element vertex is not"):
+        with pytest.raises(ValueError, match=f"header line {at} '{line}' is not 'element vertex <count>'"):
             read_ply("\n".join(lines) + "\n")
 
     # int() reads the last three as 18, and each would load the 18 vertices of a 2x8 range chart
@@ -457,7 +463,7 @@ class TestPly:
         lines = rendered("ply", mesh).splitlines()
         at = lines.index(f"element vertex {mesh.n_vertices}")
         lines[at] = f"element vertex {count}"
-        with pytest.raises(ValueError, match=re.escape(f"header line {at} 'element vertex {count}': element vertex is not")):
+        with pytest.raises(ValueError, match=re.escape(f"header line {at} 'element vertex {count}' is not 'element vertex <count>'")):
             read_ply("\n".join(lines) + "\n")
 
     def test_reader_rejects_a_repeated_element(self, mesh):
@@ -465,8 +471,31 @@ class TestPly:
         lines = rendered("ply", mesh).splitlines()
         at = lines.index(f"element vertex {mesh.n_vertices}")
         lines[at:at + 1] = ["element vertex 1", "element vertex 0"]
-        with pytest.raises(ValueError, match=f"header line {at + 1} 'element vertex 0': element vertex is declared twice"):
+        with pytest.raises(ValueError, match=f"header line {at + 1} 'element vertex 0' is not 'property double x'"):
             read_ply("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("at,drop,insert,tail,expected", [
+        # six vertex properties of other names: the u v w columns would be read as the colours
+        (4, 6, [f"property float {name}" for name in ("nx", "ny", "nz", "u", "v", "w")], [], "property double x"),
+        # a seventh vertex property over rows of six values
+        (10, 0, ["property float confidence"], [], "element face <count>"),
+        # an element after the faces, whose row would be ignored
+        (12, 0, ["element edge 1", "property int vertex1", "property int vertex2"], ["0 1"], "end_header"),
+    ], ids=["foreign-properties", "seventh-property", "extra-element"])
+    def test_reader_rejects_a_header_that_is_not_the_writers(self, mesh, at, drop, insert, tail, expected):
+        lines = rendered("ply", mesh).splitlines()
+        lines[at:at + drop] = insert
+        with pytest.raises(ValueError, match=re.escape(f"header line {at} {insert[0]!r} is not {expected!r}")):
+            read_ply("\n".join(lines + tail) + "\n")
+
+    def test_reader_rejects_rows_after_the_last_face_row(self, mesh):
+        # the rows past the declared face count must not be dropped
+        lines = rendered("ply", mesh).splitlines()
+        at = lines.index(f"element face {mesh.n_faces}")
+        lines[at] = "element face 1"
+        stray = lines.index("end_header") + 1 + mesh.n_vertices + 1  # past the header, the vertex rows and one face row
+        with pytest.raises(ValueError, match=f"line {stray} follows the last face row"):
+            read_ply("\n".join(lines + ["stray"]) + "\n")
 
     def test_reader_rejects_a_blank_vertex_row(self, mesh):
         # a blank line must not be skipped, which would shift every row after it
@@ -490,7 +519,7 @@ class TestPly:
         lines = rendered("ply", mesh).splitlines()
         i = next(i for i, line in enumerate(lines) if line.startswith(f"element {element} "))
         lines[i] = f"element {element} -1"
-        with pytest.raises(ValueError, match=f"element {element} has a negative count -1"):
+        with pytest.raises(ValueError, match=f"header line {i} 'element {element} -1' is not 'element {element} <count>'"):
             read_ply("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize(
@@ -509,8 +538,8 @@ class TestPly:
         assert read_ply("\n".join(lines) + "\n").faces[5, 1] == mesh.n_vertices - 1
 
     def test_reader_rejects_a_face_over_three_vertices_that_names_a_fourth(self):
-        head = ["ply", "format ascii 1.0", "element vertex 3", "property double x", "property double y",
-                "property double z", "property uchar red", "property uchar green", "property uchar blue",
+        head = ["ply", "format ascii 1.0", "comment riemannmesh surface", "element vertex 3", "property double x",
+                "property double y", "property double z", "property uchar red", "property uchar green", "property uchar blue",
                 "element face 1", "property list uchar int vertex_indices", "end_header"]
         rows = ["0 0 0 1 2 3", "1 0 0 1 2 3", "0 1 0 1 2 3"]
         with pytest.raises(ValueError, match="face row 0 has a vertex index outside 0..2"):
