@@ -145,8 +145,10 @@ property list uchar int vertex_indices
 end_header
 """
 # per header line, the pattern it must match in full: a count is ASCII digits, where int() would also take
-# "-1", "1_8", "+18" and non-ASCII digits. re compiles the joined patterns on first use and caches them.
-_PLY_LINES = [re.escape(line).replace(r"\{\}", "([0-9]+)") for line in _PLY_HEADER.splitlines()]
+# "-1", "1_8", "+18" and non-ASCII digits, and at most 19 of them: the surface cap keeps every written count
+# far below that, and int() refuses a count past 4,300 digits with a message that names no header line.
+# re compiles the joined patterns on first use and caches them.
+_PLY_LINES = [re.escape(line).replace(r"\{\}", "([0-9]{1,19})") for line in _PLY_HEADER.splitlines()]
 _PLY_PATTERN = "\n".join(_PLY_LINES)
 
 

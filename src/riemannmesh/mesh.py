@@ -259,7 +259,7 @@ def build_sheets(
     return SheetStack(function, kind, grid, branches, z, w, c, faces)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Seam:
     """Pairing of one sheet's upper cut edge with its continuation sheet's
     lower edge; gap statistics are pre-weld, in charisma units."""
@@ -318,65 +318,56 @@ def assemble_surface(
 ) -> SurfaceMesh:
     """Join the sheets into one mesh, measure seams, weld and wall.
 
-    Every sheet's theta = +pi edge is paired with the theta = -pi edge of
-    the sheet carrying its continuation branch, when present. A seam welds
-    only if welding is enabled and every per-vertex gap is <= weld_tol;
-    welding keeps the upper-edge vertex and drops its partner. Wall quads
-    bridge the remaining open seams, for index charisma only: for other
-    kinds an open seam is either a genuine wrap jump that must stay open
-    or would be a degenerate sliver. Raises ValueError for a weld_tol that
-    require_weld_tol rejects, whether or not welding is on.
+    The seams form one table, a row per sheet i whose continuation branch
+    has a sheet j, in sheet order: sheet i's theta = +pi edge against sheet
+    j's theta = -pi edge. Each row's edges, gaps and welded and walled
+    flags are computed for the whole table at once, and each frozen Seam
+    is built once from its row. A seam welds only if welding is enabled
+    and every per-vertex gap is <= weld_tol; welding keeps the upper-edge
+    vertex and drops its partner. Wall quads bridge the remaining open
+    seams, for index charisma only: for other kinds an open seam is either
+    a genuine wrap jump that must stay open or would be a degenerate
+    sliver. Raises ValueError for a weld_tol that require_weld_tol
+    rejects, whether or not welding is on.
     """
     weld_tol = require_weld_tol(weld_tol)
     branches, c = sheets.branches, sheets.c
     n_sheets, n_r, n_cols = c.shape
     n_per = n_r * n_cols
 
-    sheet_of = {k: i for i, k in enumerate(branches)}
-    # the cut edges of sheet 0, innermost radius first: its theta = -pi and +pi columns
-    lower_edge = np.arange(n_r, dtype=_VERTEX_INDEX) * n_cols
-    upper_edge = lower_edge + (n_cols - 1)
+    # the seam table: sheet i and its continuation sheet j, one row per seam
+    sheet_of = {k: s for s, k in enumerate(branches)}
+    pairs = [(s, sheet_of[nxt]) for s, k in enumerate(branches)
+             if (nxt := continuation_branch(sheets.function, k)) in sheet_of]
+    i, j = np.array(pairs, dtype=_VERTEX_INDEX).reshape(-1, 2).T
+    # each seam's cut edges, innermost radius first: sheet i's theta = +pi column, sheet j's theta = -pi column
+    rows = np.arange(n_r, dtype=_VERTEX_INDEX) * n_cols
+    upper = (i * n_per + n_cols - 1)[:, None] + rows
+    lower = (j * n_per)[:, None] + rows
+    gaps = np.abs(c[i, :, -1] - c[j, :, 0])
+    welded = np.all(gaps <= weld_tol, axis=1) & bool(weld)
+    walled = ~welded & (bool(walls) and sheets.kind is CharismaKind.INDEX)
     keep = np.ones(c.size, dtype=bool)
-    seams: list[Seam] = []
-    welds: list[tuple[Seam, np.ndarray, np.ndarray]] = []  # each welded seam, its upper and lower edge
-    wall_faces: list[np.ndarray] = []
-    wall_branch: list[int] = []
-
-    for i, k in enumerate(branches):
-        nxt = continuation_branch(sheets.function, k)
-        j = sheet_of.get(nxt)
-        if j is None:
-            continue
-        gaps = np.abs(c[i, :, -1] - c[j, :, 0])
-        seam = Seam(k, nxt, float(gaps.max()), float(gaps.mean()))
-        upper, lower = upper_edge + i * n_per, lower_edge + j * n_per
-        if weld and bool(np.all(gaps <= weld_tol)):
-            keep[lower] = False
-            seam.welded = True
-            welds.append((seam, upper, lower))
-        elif walls and sheets.kind is CharismaKind.INDEX:
-            # two triangles per radial step, bridging upper[i..i+1] to lower[i..i+1]
-            u0, u1, l0, l1 = upper[:-1], upper[1:], lower[:-1], lower[1:]
-            wall_faces.append(np.stack([u0, l0, l1, u0, l1, u1], axis=1).reshape(-1, 3))
-            wall_branch.append(k)
-        seams.append(seam)
+    keep[lower[welded]] = False
 
     # each pre-weld vertex's index in the welded mesh (decremented in place: a freed temporary
     # raised peak RSS 6% at 200x1200); a dropped lower edge takes its welded upper edge's
     new_index = np.cumsum(keep, dtype=_VERTEX_INDEX)
     new_index -= 1
-    for seam, upper, lower in welds:
-        new_index[lower] = new_index[upper]
-        seam.merged_vertices = tuple(new_index[upper].tolist())
+    new_index[lower[welded]] = new_index[upper[welded]]
+    seams = [Seam(branches[a], branches[b], float(g.max()), float(g.mean()), w, tuple(m) if w else ())
+             for a, b, g, w, m in zip(i.tolist(), j.tolist(), gaps, welded.tolist(), new_index[upper].tolist())]
+    # two triangles per radial step of each walled seam, bridging upper[r..r+1] to lower[r..r+1]
+    u, l = upper[walled], lower[walled]
+    wall = np.stack([u[:, :-1], l[:, :-1], l[:, 1:], u[:, :-1], l[:, 1:], u[:, 1:]], axis=-1).reshape(-1, 3)
     per_sheet = len(sheets.faces)
     n_faces = per_sheet * n_sheets
-    faces = np.empty((n_faces + sum(map(len, wall_faces)), 3), dtype=_VERTEX_INDEX)
+    faces = np.empty((n_faces + len(wall), 3), dtype=_VERTEX_INDEX)
     sheet_faces = faces[:n_faces].reshape(n_sheets, per_sheet, 3)
     new_index.reshape(n_sheets, n_per).take(sheets.faces, axis=1, out=sheet_faces)
-    if wall_faces:
-        faces[n_faces:] = new_index[np.concatenate(wall_faces)]
-    face_branch = np.repeat(np.array(branches + tuple(wall_branch), dtype=np.int64),
-                            [per_sheet] * n_sheets + [len(f) for f in wall_faces])
+    faces[n_faces:] = new_index[wall]
+    ks = np.array(branches, dtype=np.int64)
+    face_branch = np.repeat(np.concatenate([ks, ks[i[walled]]]), [per_sheet] * n_sheets + [2 * (n_r - 1)] * len(u))
     del new_index  # freed before the vertex columns are made
 
     # filled at its kept size, one column at a time, so that no pre-weld
@@ -392,13 +383,13 @@ def assemble_surface(
         kind=sheets.kind,
         sheet_branches=branches,
         positions=positions,
-        branch=np.repeat(np.array(branches, dtype=np.int64), per_sheet_kept),
+        branch=np.repeat(ks, per_sheet_kept),
         w=sheets.w.reshape(-1)[keep],
         colors=np.repeat(np.array([branch_color(k) for k in branches], dtype=np.uint8), per_sheet_kept, axis=0),
         faces=faces,
         face_branch=face_branch,
         seams=seams,
-        welded=weld,
+        welded=bool(weld),
     )
 
 

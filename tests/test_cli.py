@@ -15,6 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -346,6 +347,14 @@ class TestRun:
         assert run(job) == EXIT_OK
         written = json.loads(out.with_suffix(".seams.json").read_text())["weld_tol"]
         assert type(written) is float and written == float(tol)
+
+    @pytest.mark.parametrize("weld", [np.True_, 1], ids=["numpy-bool", "int"])
+    def test_hand_built_weld_flag_is_written_as_a_bool(self, tmp_path, weld):
+        out = tmp_path / "m.json"
+        job = JobSpec(ROOT3, CharismaKind.SIN, (-1, 0, 1), DomainGrid(0.5, 2.0, 3, 8), weld=weld, fmt="json", output=out)
+        assert run(job) == EXIT_OK
+        for path in (out, out.with_suffix(".seams.json")):
+            assert json.loads(path.read_text())["welded"] is True
 
     @pytest.mark.parametrize(
         "argv",

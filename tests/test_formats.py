@@ -466,6 +466,15 @@ class TestPly:
         with pytest.raises(ValueError, match=re.escape(f"header line {at} 'element vertex {count}' is not 'element vertex <count>'")):
             read_ply("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("digits", [20, 5000])
+    def test_reader_rejects_an_element_count_of_more_than_19_digits(self, mesh, digits):
+        # int() would refuse 5,000 digits with its own message, which names neither the line nor the count
+        lines = rendered("ply", mesh).splitlines()
+        at = lines.index(f"element vertex {mesh.n_vertices}")
+        lines[at] = "element vertex " + "9" * digits
+        with pytest.raises(ValueError, match=re.escape(f"header line {at} 'element vertex 9999") + ".* is not 'element vertex <count>'"):
+            read_ply("\n".join(lines) + "\n")
+
     def test_reader_rejects_a_repeated_element(self, mesh):
         # a second count must not replace the first: here it would load no vertex and skip a data row
         lines = rendered("ply", mesh).splitlines()
