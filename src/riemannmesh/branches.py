@@ -183,8 +183,13 @@ def _root_angle(ph, n: int, k):
 
 
 def _root_radius(r: float, n: int) -> float:
-    # |w_k(z)| = |z|^(1/n)
-    return r ** (1.0 / n)
+    # |w_k(z)| = |z|^(1/n). Far from 1, log r scales the rounding of 1/n up to about 100 ulp, so r = m 2**e
+    # goes as (m 2**s)**(1/n) 2**q, e = q n + s; the truncated quotient keeps |s| <= |e|, so m 2**s is exact
+    if 2.0**-8 <= r < 2.0**8:  # every default lattice; a compare is cheaper than frexp
+        return r ** (1.0 / n)
+    m, e = math.frexp(r)
+    q = e // n if e > 0 else -(-e // n)  # e / n truncated, in ints: int(e / n) costs twice as much
+    return math.ldexp(math.ldexp(m, e - q * n) ** (1.0 / n), q)
 
 
 def _wrap_root_index(k: int, n: int) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
-from .branches import CharismaCompatibilityError, CharismaKind, IndexedFunction, require_compatible
+from .branches import BranchIndexError, CharismaCompatibilityError, CharismaKind, IndexedFunction
 from .formats import FORMATS, render_outputs
 from .mesh import (
     DEFAULT_LOG_BRANCHES,
@@ -28,7 +28,7 @@ from .mesh import (
     DomainGrid,
     GridError,
     SurfaceMesh,
-    _require_surface_size,
+    _read_window,
     assemble_surface,
     build_range_chart,
     build_sheets,
@@ -55,8 +55,8 @@ FIGURE_PRESETS: dict[str, dict] = {
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One build-and-export run. parse_args builds only valid jobs; run()
-    maps an invalid value in a job built by hand to an exit code."""
+    """One build-and-export run. parse_args checks each flag; run() maps any
+    invalid value, an incompatible charisma kind included, to an exit code."""
 
     function: IndexedFunction
     kind: CharismaKind
@@ -137,8 +137,8 @@ def _normalize_argv(argv: list[str]) -> list[str]:
 def parse_args(argv: list[str] | None = None) -> JobSpec:
     """Parse and validate CLI flags into a JobSpec.
 
-    Usage problems exit with code 2 via argparse; a charisma/function
-    mismatch raises CharismaCompatibilityError for main() to map to 3.
+    Raises only SystemExit, code 2 via argparse, for a flag fault; a charisma
+    kind the function does not define is left to build_sheets, and run() to map.
     """
     parser = _build_parser()
     argv = _normalize_argv(sys.argv[1:] if argv is None else argv)
@@ -153,8 +153,6 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
     except ValueError as e:
         parser.error(f"argument --function: {e}")
     kind = CharismaKind(ns.charisma)
-    if not ns.range_chart:
-        require_compatible(kind, function)
 
     try:
         grid = DomainGrid(**{f.name: getattr(ns, f.name) for f in fields(DomainGrid)})
@@ -176,11 +174,10 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
             parser.error(
                 f"argument --branches: no admissible branch of {function.label()} in {ns.branches!r}"
             )
-    try:  # counted from the window's ends, before any tuple is built
-        _require_surface_size(window.stop - window.start, grid)
-    except ValueError as e:
+    try:
+        branches = _read_window(function, window, kind, grid)
+    except BranchIndexError as e:
         parser.error(f"argument {'--function' if ns.branches is None and not function.is_log else '--branches'}: {e}")
-    branches = tuple(window)
 
     try:
         require_weld_tol(ns.weld_tol)
@@ -267,15 +264,10 @@ def run(job: JobSpec) -> int:
     except MemoryError:
         print("riemannmesh: out of memory; lower --n-r, --n-theta or the number of branches", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as e:
-        return _exit_code(e)
+    except ValueError as e:  # every library error is a ValueError
+        print(f"riemannmesh: {e}", file=sys.stderr)
+        return EXIT_INCOMPATIBLE if isinstance(e, CharismaCompatibilityError) else EXIT_DOMAIN
     return EXIT_OK
-
-
-def _exit_code(e: ValueError) -> int:
-    # every library error is a ValueError; report it and map it to its code
-    print(f"riemannmesh: {e}", file=sys.stderr)
-    return EXIT_INCOMPATIBLE if isinstance(e, CharismaCompatibilityError) else EXIT_DOMAIN
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -283,6 +275,4 @@ def main(argv: list[str] | None = None) -> int:
         job = parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    except ValueError as e:
-        return _exit_code(e)
     return run(job)

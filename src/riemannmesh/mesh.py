@@ -195,13 +195,20 @@ def lattice_faces(n_rows: int, n_cols: int) -> np.ndarray:
     return faces
 
 
-def _require_surface_size(n_branches: int, grid: DomainGrid, *, at_least: bool = False) -> None:
-    # the one whole-surface cap; at_least: n_branches counts the branches read, and there may be more
-    points = n_branches * grid.n_r * grid.n_cols
-    if points > _MAX_SURFACE_POINTS:
-        more = " or more" if at_least else ""
-        raise BranchIndexError(f"{n_branches}{more} sheets of {grid.n_r}x{grid.n_cols} lattice points make "
-                               f"{points}{more} vertices; a surface holds at most {_MAX_SURFACE_POINTS}")
+def _read_window(function: IndexedFunction, branches: Iterable[int], kind: CharismaKind, grid: DomainGrid):
+    # build_sheets' and parse_args' one reader: one branch past the cap at most, so an endless iterable fails at once
+    most = _MAX_SURFACE_POINTS // (grid.n_r * grid.n_cols)
+    window = tuple(itertools.islice(branches, most + 1))
+    if len(window) > most:
+        raise BranchIndexError(f"{len(window)} or more sheets of {grid.n_r}x{grid.n_cols} lattice points make "
+                               f"{len(window) * grid.n_r * grid.n_cols} or more vertices; "
+                               f"a surface holds at most {_MAX_SURFACE_POINTS}")
+    window = tuple(function.require_admissible(k) for k in window)
+    if kind is CharismaKind.INDEX and all(-2**63 <= k < 2**63 for k in window):  # beyond, build_sheets refuses it
+        if len({float(k) for k in window}) < len(set(window)):  # a repeated branch is not two branches
+            raise BranchIndexError(f"two branches of {min(window)}..{max(window)} share one index height: "
+                                   "from |k| = 2**53 on, not every integer is a float")
+    return window
 
 
 @dataclass(frozen=True)
@@ -234,19 +241,16 @@ def build_sheets(
     evaluate_charisma: both call the one helper of each formula in
     branches, here once per distinct argument (a modulus, or a branch and a
     phase) or on arrays of every branch, and sin and cos heights reuse the
-    branch-angle table of w. Raises BranchIndexError for an empty or
-    repeated branch list, a branch outside int64 (the mesh's branch index
-    type), or a surface with more vertices than the cap.
+    branch-angle table of w. Raises CharismaCompatibilityError for a kind
+    not defined for f, before any branch is read; then BranchIndexError for
+    a surface beyond the cap, index heights that are not distinct floats,
+    or an empty, repeated or non-int64 (the mesh's index type) branch list.
     """
-    # read one branch past the cap at most, so an endless iterable fails at once
-    most = _MAX_SURFACE_POINTS // (grid.n_r * grid.n_cols)
-    branches = tuple(itertools.islice(branches, most + 1))
-    _require_surface_size(len(branches), grid, at_least=True)
-    branches = tuple(function.require_admissible(k) for k in branches)
+    kind = require_compatible(kind, function)
+    branches = _read_window(function, branches, kind, grid)
     for k in branches:
         if not -2**63 <= k < 2**63:
             raise BranchIndexError(f"branch {k} lies outside int64, the mesh's branch index type")
-    kind = require_compatible(kind, function)
     if not branches:
         raise BranchIndexError("no branches to lift")
     if len(set(branches)) != len(branches):

@@ -109,11 +109,37 @@ class TestParseArgs:
         with pytest.raises(SystemExit):
             parse_args(["--function", "root:327", "--charisma", "index"])
 
-    def test_incompatible_charisma_raises_for_exit_three(self):
-        from riemannmesh import CharismaCompatibilityError
+    def test_an_incompatible_pair_is_left_to_build_sheets(self, tmp_path, capsys):
+        # parse_args raises only SystemExit; the pair is build_sheets' rule, and run maps it to 3
+        job = parse_args(["--function", "log", "--charisma", "sin"])
+        assert (job.function, job.kind) == (IndexedFunction.log(), CharismaKind.SIN)
+        # so a flag fault exits 2 first
+        assert main(["--function", "log", "--charisma", "sin", "--n-r", "1"]) == EXIT_USAGE
+        assert "argument --n-r: " in capsys.readouterr().err
+        # the pair is checked before the window is read: a branch beyond int64 still exits 3, not 5
+        argv = ["--function", "log", "--charisma", "sin", "--branches", "100000000000000000000", *FAST_GRID]
+        assert main([*argv, "-o", str(tmp_path / "m.ply")]) == EXIT_INCOMPATIBLE
+        assert "not defined for log" in capsys.readouterr().err
+        # a range chart has no heights, so no pair
+        argv = ["--figure", "3b-range", "--function", "log", "--charisma", "sin", *FAST_GRID]
+        assert main([*argv, "-o", str(tmp_path / "chart.ply")]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chart.ply", "chart.seams.json"]
 
-        with pytest.raises(CharismaCompatibilityError):
-            parse_args(["--function", "log", "--charisma", "sin"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--function", "log", "--branches", "9007199254740992..9007199254740994"],
+            ["--function", "root:1152921504606846976", "--branches", "576460752303423486..576460752303423488"],
+        ],
+        ids=["log-2**53", "root-2**60"],
+    )
+    def test_an_index_window_whose_branches_share_a_height_is_a_usage_error(self, capsys, argv):
+        # from |k| = 2**53 two branches may round to one float; welded, their sheets would be one
+        with pytest.raises(SystemExit) as exc:
+            parse_args([*argv, "--charisma", "index", "--walls"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: argument --branches: two branches of " in err and "share one index height" in err
 
     @pytest.mark.parametrize(
         "window,message",
@@ -247,6 +273,14 @@ class TestRun:
         assert main(["--figure", "4", "--n-r", "4", "--n-theta", "8", "-o", str(target)]) == EXIT_IO
         assert "Is a directory" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [target]
+
+    @pytest.mark.parametrize("fmt,name", [("ply", "x.seams.json"), ("obj", "x.mtl")])
+    def test_a_directory_at_a_companion_path_exits_four_and_leaves_no_file(self, tmp_path, capsys, fmt, name):
+        # render_outputs checks only the mesh path; _write_atomic checks each path before it stages it
+        (tmp_path / name).mkdir()
+        assert main([*FAST_GRID, "--format", fmt, "-o", str(tmp_path / f"x.{fmt}")]) == EXIT_IO
+        assert "Is a directory" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [tmp_path / name]
 
     @pytest.mark.parametrize("output", [".", "", "/"])
     def test_a_directory_without_a_name_exits_four_and_leaves_no_file(self, tmp_path, capsys, monkeypatch, output):

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riemannmesh import (
     DEFAULT_WELD_TOL,
@@ -305,6 +306,27 @@ class TestBuildSheets:
         edge = build_sheets(LOG, [2**63 - 1, -2**63], CharismaKind.INDEX, SMALL)
         mesh = assemble_surface(edge, weld=False)
         assert mesh.branch.min() == -2**63 and mesh.branch.max() == 2**63 - 1
+
+    def test_rejects_an_index_window_whose_branches_share_a_height(self):
+        for window in ([2**53 + 1, 2**53], [-2**53 - 1, -2**53], [0, 2**63 - 2, 2**63 - 1]):
+            with pytest.raises(BranchIndexError, match=f"of {min(window)}..{max(window)} share one index height"):
+                build_sheets(LOG, window, CharismaKind.INDEX, SMALL)
+        with pytest.raises(BranchIndexError, match="repeated branches"):  # one branch twice is not two branches
+            build_sheets(LOG, [2**53, 2**53], CharismaKind.INDEX, SMALL)
+        # the rule is the index heights' own
+        assert build_sheets(LOG, [2**53, 2**53 + 1], CharismaKind.IMAG, SMALL).branches == (2**53, 2**53 + 1)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(st.sampled_from([2**52, 2**53, 2**54, -2**53]), st.integers(-16, 16), st.integers(1, 4))
+    def test_an_index_window_near_2_53_is_built_only_with_distinct_heights(self, base, offset, width):
+        window = range(base + offset, base + offset + width)
+        try:
+            sheets = build_sheets(LOG, window, CharismaKind.INDEX, SMALL)
+        except BranchIndexError as e:
+            assert "share one index height" in str(e)
+            assert len({float(k) for k in window}) < width
+        else:
+            assert len(set(sheets.c[:, 0, 0].tolist())) == width
 
     @pytest.mark.parametrize(
         "function,branches",

@@ -33,10 +33,8 @@ GRID = DomainGrid(0.05, 2.0, 6, 24)
 
 def edge_points() -> list[complex]:
     """Unit-modulus points on the real and imaginary axes, both zero signs,
-    and on every sector edge ph = m pi / n of root:2..6. Extreme moduli are
-    left out: pow(r, 1.0 / n) carries the rounding of 1.0 / n, a relative
-    error up to |ln r| / n * 2**-53, which is 66 ulp at r = 1e300 and 101
-    ulp at r = 1e-300 for n = 3."""
+    and on every sector edge ph = m pi / n of root:2..6; extreme moduli
+    have a test of their own."""
     pts = [complex(re, im) for re in (1.0, -1.0) for im in (0.0, -0.0)]
     pts += [complex(zero, y) for zero in (0.0, -0.0) for y in (1.0, -1.0)]
     for n in range(2, 7):
@@ -90,6 +88,18 @@ def test_both_codings_are_within_8_ulp(function):
             exact = exact_value(function, zi, k)
             worst = max(worst, ulps_off(function.branch_value(zi, k), exact), ulps_off(wb, exact))
     assert worst <= ULPS
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 1500, 4000])
+def test_both_codings_are_within_one_ulp_at_extreme_moduli(n):
+    # r ** (1.0 / n) alone carries the rounding of 1.0 / n times |ln r|: 31 to 101 ulp here for n = 3, 5
+    # and 6; at n = 4000 a floored quotient e // n would overflow ldexp(m, s) at r = 1e-300
+    function = IndexedFunction.root(n)
+    z = [complex(r, 0.0) for r in (5e-324, 1e-300, 1e300, 1.7e308)]
+    batch = _batch_charisma(function, np.array(z), [0], CharismaKind.INDEX)[0][0]
+    for zi, wb in zip(z, batch.tolist()):
+        exact = exact_value(function, zi, 0)
+        assert max(ulps_off(function.branch_value(zi, 0), exact), ulps_off(wb, exact)) <= 1
 
 
 @pytest.mark.parametrize(
