@@ -19,6 +19,11 @@ arrays, which round as floats do; _phase on an array, with math.atan2
 mapped over its points; and the rest once per distinct argument, mapped
 over lists. So both paths make the same libm calls on the same arguments
 and agree bit for bit, and a change to a formula is one edit.
+
+A scalar call checks each input once, one frame per check, and reads what
+IndexedFunction stored when it was built. Where abs(z) overflows, the
+scalar value cores take |z/4| and put the factor back; that fallback runs
+on the scalar path only, and the batch path maps abs as before.
 """
 
 from __future__ import annotations
@@ -69,16 +74,13 @@ class BranchIndexError(ValueError):
     """A branch index outside the function's admissible set."""
 
 
-def _as_finite_complex(z: complex) -> complex:
-    z = complex(z)
+def _as_nonzero_complex(z: complex, zero_ok: bool = False) -> complex:
+    # the one check of a z (or w, or y): finite, and but for zero_ok not 0
+    if z.__class__ is not complex:  # complex(z) of a complex costs a third of the check
+        z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"non-finite value {z!r}")
-    return z
-
-
-def _as_nonzero_complex(z: complex) -> complex:
-    z = _as_finite_complex(z)
-    if z == 0:
+    if z == 0 and not zero_ok:
         raise DomainError("z = 0 is the branch point; no branch is defined there")
     return z
 
@@ -119,7 +121,11 @@ def _log_core(z: complex, k: int) -> complex:
     # k's float range, which require_admissible does not bound for log
     if abs(k) > _MAX_FLOAT_BRANCH:
         raise BranchIndexError(_BEYOND_FLOAT)
-    return complex(math.log(abs(z)), _log_height(_phase(z), k))
+    try:
+        ln_r = math.log(abs(z))
+    except OverflowError:  # |z| beyond the largest float: z/4 is exact, and ln|z| = ln|z/4| + ln 4
+        ln_r = math.log(abs(z / 4)) + math.log(4.0)
+    return complex(ln_r, _log_height(_phase(z), k))
 
 
 def _log_height(ph, k):
@@ -208,7 +214,10 @@ def _root_branch_index(ph: float, n: int) -> int:
 def _root_core(z: complex, n: int, k: int) -> complex:
     # the value alone, for a z and k the caller has already checked
     angle = _root_angle(_phase(z), n, k)
-    radius = _root_radius(abs(z), n)
+    try:
+        radius = _root_radius(abs(z), n)
+    except OverflowError:  # as in _log_core: |z|^(1/n) = |z/4|^(1/n) 4^(1/n), within 2 ulp
+        radius = _root_radius(abs(z / 4), n) * 4.0 ** (1.0 / n)
     return complex(radius * math.cos(angle), radius * math.sin(angle))
 
 
@@ -218,19 +227,24 @@ class IndexedFunction:
 
     kind: str
     n: int | None = None
-    _indices: range | None = field(init=False, repr=False, compare=False)  # branch_indices(), computed once
+    # facts computed once, when the function is built, and read by every scalar call as plain attributes
+    _indices: range | None = field(init=False, repr=False, compare=False)  # branch_indices()
+    is_log: bool = field(init=False, repr=False, compare=False)
+    _kinds: tuple[CharismaKind, ...] = field(init=False, repr=False, compare=False)  # compatible_kinds(f)
 
     def __post_init__(self) -> None:
         if self.kind == "log":
             if self.n is not None:
                 raise ValueError("log takes no root degree")
-            indices = None
+            indices, kinds = None, _LOG_KINDS
         elif self.kind == "root":
-            indices = root_indices(self.n)  # raises ValueError unless n is an integer in 2..2**1022 - 1
+            indices, kinds = root_indices(self.n), _ROOT_KINDS  # ValueError unless n is an integer in 2..2**1022 - 1
             object.__setattr__(self, "n", operator.index(self.n))  # an int, whatever integer type n came as
         else:
             raise ValueError(f"unknown function kind {self.kind!r}")
         object.__setattr__(self, "_indices", indices)
+        object.__setattr__(self, "is_log", indices is None)
+        object.__setattr__(self, "_kinds", kinds)
 
     @classmethod
     def log(cls) -> "IndexedFunction":
@@ -256,10 +270,6 @@ class IndexedFunction:
     def label(self) -> str:
         return "log" if self.is_log else f"root:{self.n}"
 
-    @property
-    def is_log(self) -> bool:
-        return self._indices is None
-
     def branch_indices(self) -> range | None:
         """Admissible branch indices; None means all integers (log)."""
         return self._indices
@@ -271,7 +281,7 @@ class IndexedFunction:
         """Evaluate branch k of this function at z: z is checked, then k."""
         z = _as_nonzero_complex(z)
         k = _require_branch(k, self._indices)
-        return _log_core(z, k) if self._indices is None else _root_core(z, self.n, k)
+        return _log_core(z, k) if self.is_log else _root_core(z, self.n, k)
 
 
 class CharismaKind(str, Enum):
@@ -294,7 +304,7 @@ _LOG_KINDS = (_INDEX, _IMAG)
 def compatible_kinds(f: IndexedFunction) -> tuple[CharismaKind, ...]:
     """Charisma kinds defined for f: trigonometric kinds need the periodic
     range of a root; the imaginary part is the log height."""
-    return _LOG_KINDS if f.is_log else _ROOT_KINDS
+    return f._kinds
 
 
 def require_compatible(kind: CharismaKind | str, f: IndexedFunction) -> CharismaKind:
@@ -302,7 +312,7 @@ def require_compatible(kind: CharismaKind | str, f: IndexedFunction) -> Charisma
     is defined for f."""
     if not isinstance(kind, CharismaKind):  # the constructor costs more than the test
         kind = CharismaKind(kind)
-    if kind not in compatible_kinds(f):
+    if kind not in f._kinds:
         raise CharismaCompatibilityError(
             f"charisma '{kind.value}' is not defined for {f.label()}; "
             f"valid: {', '.join(c.value for c in compatible_kinds(f))}"
@@ -426,7 +436,7 @@ def branch_of(w: complex, f: IndexedFunction) -> int:
     arithmetic so boundary ownership is deterministic.
     """
     if f.is_log:
-        return _log_branch_index(_as_finite_complex(w).imag)
+        return _log_branch_index(_as_nonzero_complex(w, True).imag)
     return _root_branch_index(_phase(_as_nonzero_complex(w)), f.n)
 
 
@@ -453,7 +463,7 @@ def continuation_branch(f: IndexedFunction, k: int) -> int:
     value of branch k continues into branch k + 1 for log, and into k + 1
     wrapped back into the canonical set for roots.
     """
-    k = f.require_admissible(k)
+    k = _require_branch(k, f._indices)
     if f.is_log:
         return k + 1
     return _wrap_root_index(k + 1, f.n)
@@ -469,4 +479,4 @@ def in_branch_range(y: complex, f: IndexedFunction, k: int) -> bool:
     if not f.is_log:
         raise ValueError("in_branch_range is defined for the logarithm only")
     k = _require_branch(k)
-    return _log_branch_index(_as_finite_complex(y).imag) == k
+    return _log_branch_index(_as_nonzero_complex(y, True).imag) == k

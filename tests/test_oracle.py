@@ -102,6 +102,31 @@ def test_both_codings_are_within_one_ulp_at_extreme_moduli(n):
         assert max(ulps_off(function.branch_value(zi, 0), exact), ulps_off(wb, exact)) <= 1
 
 
+BEYOND_FLOAT_MODULUS = [complex(1.7e308, 1.7e308), complex(1.7976931348623157e308, -1.7976931348623157e308),
+                        complex(-1.7976931348623157e308, -8.988465674311579e307)]
+
+
+@pytest.mark.parametrize(
+    "function", [IndexedFunction.root(n) for n in (2, 3, 5, 6, 1500, 4000)] + [IndexedFunction.log()],
+    ids=lambda f: f.label(),
+)
+def test_a_modulus_beyond_the_largest_float_gives_finite_values_within_2_ulp(function):
+    # abs(z) raises OverflowError at these finite z; the scalar cores take |z/4| and put the factor back.
+    # For n > 1024 no split e = q n + s of the exponent of |z| (up to 1026) keeps m 2**s finite
+    for z in BEYOND_FLOAT_MODULUS:
+        with pytest.raises(OverflowError):
+            abs(z)
+        for k in (0, 1):
+            exact = exact_value(function, z, k)
+            assert ulps_off(function.branch_value(z, k), exact) <= 2
+            if function.is_log:
+                with mp.workprec(120):
+                    ln_r = float(abs(mp.mpf(function.branch_value(z, k).real) - exact.real)) / math.ulp(exact.real)
+                assert ln_r <= 2
+            for kind in compatible_kinds(function):
+                assert math.isfinite(evaluate_charisma(z, k, function, kind))
+
+
 @pytest.mark.parametrize(
     "function,kind",
     [(f, kind) for f in FUNCTIONS for kind in compatible_kinds(f) if kind is not CharismaKind.INDEX],

@@ -4,13 +4,16 @@ The public scalar functions check the charisma kind, then z, then the
 branch index k, and then run the value core on the checked inputs. An
 IndexedFunction computes its admissible branch set once, when it is built,
 so no call rebuilds it, and a kind that is already a CharismaKind is not
-passed through the enum constructor again.
+passed through the enum constructor again. Each public call stays within a
+budget of Python-level calls: one frame per input check, and none for a
+property or a pass-through wrapper.
 """
 
 import dataclasses
 import inspect
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from riemannmesh import (
     DomainError,
     IndexedFunction,
     branch_of,
+    compatible_kinds,
     continuation_branch,
     evaluate_charisma,
     in_branch_range,
@@ -145,6 +149,64 @@ def test_no_call_rebuilds_the_admissible_set_or_the_kind(monkeypatch):
     assert constructed == [("sin",)]
 
 
+# the public scalar calls of the ten perfbench/scalar.py groups, the arguments each takes at a point z, and
+# the most Python-level calls (the public call included) it may make: one frame per input check and one per
+# formula helper, and no property or pass-through wrapper in between
+INDEX, PHASE, SIN, COS, IMAG = CharismaKind
+CALL_BUDGETS = [
+    ("branch_value.log", LOG.branch_value, lambda z: (z, 2), 6),
+    ("branch_value.root", ROOT3.branch_value, lambda z: (z, -1), 7),
+    ("evaluate_charisma.index.log", evaluate_charisma, lambda z: (z, 2, LOG, INDEX), 4),
+    ("evaluate_charisma.index.root", evaluate_charisma, lambda z: (z, 1, ROOT3, INDEX), 4),
+    ("evaluate_charisma.phase", evaluate_charisma, lambda z: (z, 1, ROOT3, PHASE), 9),
+    ("evaluate_charisma.sin", evaluate_charisma, lambda z: (z, 1, ROOT3, SIN), 6),
+    ("evaluate_charisma.cos", evaluate_charisma, lambda z: (z, 0, ROOT3, COS), 6),
+    ("evaluate_charisma.imag", evaluate_charisma, lambda z: (z, -3, LOG, IMAG), 6),
+    ("branch_of.log", branch_of, lambda z: (z, LOG), 3),
+    ("branch_of.root", branch_of, lambda z: (z, ROOT3), 5),
+    ("in_branch_range", in_branch_range, lambda z: (z, LOG, 0), 4),
+    ("continuation_branch.log", continuation_branch, lambda z: (LOG, 2), 2),
+    ("continuation_branch.root", continuation_branch, lambda z: (ROOT3, 1), 3),
+]
+
+
+def python_calls(fn, args) -> dict[str, int]:
+    """How often each Python function ran during fn(*args), by name."""
+    seen = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen[frame.f_code.co_name] = seen.get(frame.f_code.co_name, 0) + 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+@pytest.mark.parametrize("fn,args,budget", [pytest.param(f, a, b, id=i) for i, f, a, b in CALL_BUDGETS])
+def test_each_scalar_call_stays_within_its_call_budget(fn, args, budget):
+    # a negative real on either side of the cut, and a z whose modulus overflows abs
+    for z in (0.3 - 1.2j, complex(-2.0, 0.0), complex(-2.0, -0.0), 1.7e308 + 1.7e308j):
+        seen = python_calls(fn, args(z))
+        assert sum(seen.values()) <= budget, seen
+        assert seen.get("_as_nonzero_complex", 0) <= 1 and seen.get("_require_branch", 0) <= 1, seen
+
+
+def assert_stored_facts(f: IndexedFunction, n: int | None) -> None:
+    # what __post_init__ stores for a function of root degree n, or of log for n = None
+    if n is None:
+        assert f.is_log is True and f.branch_indices() is None
+        assert compatible_kinds(f) == (INDEX, IMAG)
+    else:
+        assert f.is_log is False and f.branch_indices() == range(-((n - 1) // 2), n // 2 + 1)
+        assert compatible_kinds(f) == (INDEX, PHASE, SIN, COS)
+    assert f == (LOG if n is None else IndexedFunction.root(n))
+
+
 class TestIndexedFunctionValue:
     def test_repr_eq_and_hash_see_kind_and_degree_only(self):
         assert repr(ROOT3) == "IndexedFunction(kind='root', n=3)"
@@ -153,6 +215,11 @@ class TestIndexedFunctionValue:
         assert LOG == IndexedFunction("log") and hash(LOG) == hash(IndexedFunction("log"))
         assert ROOT3 != IndexedFunction.root(4) and ROOT3 != LOG
         assert list(inspect.signature(IndexedFunction).parameters) == ["kind", "n"]
+        # the facts stored when it is built stay out of its signature, repr, == and hash
+        stored = {f.name for f in dataclasses.fields(IndexedFunction) if not f.init}
+        assert stored == {"_indices", "is_log", "_kinds"}
+        assert not any(f.repr or f.compare for f in dataclasses.fields(IndexedFunction) if f.name in stored)
+        assert dataclasses.astuple(ROOT3)[:2] == ("root", 3) and hash(ROOT3) == hash(("root", 3))
         # a numpy degree is stored as an int, built directly or through root()
         for direct in (IndexedFunction("root", np.int64(3)), IndexedFunction.root(np.int64(3))):
             assert type(direct.n) is int and repr(direct) == repr(ROOT3)
@@ -162,14 +229,21 @@ class TestIndexedFunctionValue:
     def test_a_pickled_function_is_the_same_function(self, f):
         g = pickle.loads(pickle.dumps(f))
         assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
-        assert g.branch_indices() == f.branch_indices()
+        assert_stored_facts(g, f.n)
         assert g.branch_value(-8, 1) == f.branch_value(-8, 1)
 
     def test_replace_recomputes_the_admissible_set(self):
         f = dataclasses.replace(ROOT3, n=5)
         assert f == IndexedFunction.root(5) and repr(f) == "IndexedFunction(kind='root', n=5)"
-        assert f.branch_indices() == range(-2, 3) and f.require_admissible(2) == 2
-        assert ROOT3.branch_indices() == range(-1, 2)
+        assert hash(f) == hash(IndexedFunction.root(5))
+        assert_stored_facts(f, 5)
+        assert f.require_admissible(2) == 2
+        assert_stored_facts(ROOT3, 3)
+        assert_stored_facts(dataclasses.replace(LOG), None)
+        assert_stored_facts(dataclasses.replace(LOG, kind="root", n=np.int64(2)), 2)
+        assert_stored_facts(dataclasses.replace(ROOT3, kind="log", n=None), None)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(ROOT3, is_log=True)
         with pytest.raises(ValueError, match="root degree n must be an integer >= 2"):
             dataclasses.replace(ROOT3, n=1)
         with pytest.raises(ValueError, match="log takes no root degree"):
