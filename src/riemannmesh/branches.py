@@ -22,8 +22,9 @@ and agree bit for bit, and a change to a formula is one edit.
 
 A scalar call checks each input once, one frame per check, and reads what
 IndexedFunction stored when it was built. Where abs(z) overflows, the
-scalar value cores take |z/4| and put the factor back; that fallback runs
-on the scalar path only, and the batch path maps abs as before.
+scalar value cores take |z/4| and put the factor back. The batch path
+needs no fallback: DomainGrid caps r_max at 2**1023, so abs of a lattice
+point is finite.
 """
 
 from __future__ import annotations

@@ -159,25 +159,23 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
     except GridError as e:
         parser.error(f"argument --{e.field.replace('_', '-')}: {e}")
 
-    if ns.range_chart:
-        window = range(0)
-    elif ns.branches is None:
-        window = function.branch_indices() or DEFAULT_LOG_BRANCHES
-    else:
+    branches = ()  # a range chart has no branches
+    if not ns.range_chart:
+        if ns.branches is None:
+            window = function.branch_indices() or DEFAULT_LOG_BRANCHES
+        else:
+            try:
+                asked = _parse_branch_range(ns.branches)
+            except ValueError as e:
+                parser.error(f"argument --branches: {e}")
+            admissible = function.branch_indices() or asked  # log: every integer
+            window = range(max(asked.start, admissible.start), min(asked.stop, admissible.stop))
+            if not window:
+                parser.error(f"argument --branches: no admissible branch of {function.label()} in {ns.branches!r}")
         try:
-            asked = _parse_branch_range(ns.branches)
-        except ValueError as e:
-            parser.error(f"argument --branches: {e}")
-        admissible = function.branch_indices() or asked  # log: every integer
-        window = range(max(asked.start, admissible.start), min(asked.stop, admissible.stop))
-        if not window:
-            parser.error(
-                f"argument --branches: no admissible branch of {function.label()} in {ns.branches!r}"
-            )
-    try:
-        branches = _read_window(function, window, kind, grid)
-    except BranchIndexError as e:
-        parser.error(f"argument {'--function' if ns.branches is None and not function.is_log else '--branches'}: {e}")
+            branches = _read_window(function, window, kind, grid)
+        except BranchIndexError as e:
+            parser.error(f"argument {'--branches' if ns.branches or function.is_log else '--function'}: {e}")
 
     try:
         require_weld_tol(ns.weld_tol)

@@ -23,7 +23,6 @@ import numpy as np
 from .branches import (
     BranchIndexError,
     CharismaKind,
-    DomainError,
     IndexedFunction,
     _batch_branch_index,
     _batch_charisma,
@@ -110,6 +109,10 @@ class DomainGrid:
     n_theta counts angular steps; the lattice carries n_theta + 1 columns
     because the theta = -pi and theta = +pi columns are both present,
     geometrically coincident on the cut but topologically distinct.
+    The grid owns every lattice rule, raising GridError: integer counts
+    within the cap, 0 < r_min < r_max <= 2**1023 and a known spacing. So
+    every sampled z is finite and non-zero, and abs(z) <= r (1 + 4 * 2**-53)
+    is a finite float.
     """
 
     r_min: float = 0.05
@@ -134,8 +137,8 @@ class DomainGrid:
             )
         if not (_is_finite_real(self.r_min) and self.r_min > 0.0):
             raise GridError("r_min must be finite and > 0; z = 0 is the branch point", "r_min")
-        if not (_is_finite_real(self.r_max) and self.r_max > self.r_min):
-            raise GridError("r_max must be finite and exceed r_min", "r_max")
+        if not (_is_finite_real(self.r_max) and self.r_min < self.r_max <= 2.0**1023):
+            raise GridError(f"r_max must exceed r_min and be at most 2**1023 = {2.0**1023!r}", "r_max")
         if self.radial_spacing not in ("linear", "log"):
             raise GridError(
                 f"radial_spacing must be 'linear' or 'log', got {self.radial_spacing!r}", "radial_spacing"
@@ -146,10 +149,9 @@ class DomainGrid:
         return self.n_theta + 1
 
     def radii(self) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an intermediate near r_max may overflow; numpy then sets r_max
-            if self.radial_spacing == "log":
-                return np.geomspace(self.r_min, self.r_max, self.n_r)
-            return np.linspace(self.r_min, self.r_max, self.n_r)
+        if self.radial_spacing == "log":
+            return np.geomspace(self.r_min, self.r_max, self.n_r)
+        return np.linspace(self.r_min, self.r_max, self.n_r)
 
     def thetas(self) -> np.ndarray:
         return np.linspace(-math.pi, math.pi, self.n_cols)
@@ -174,14 +176,6 @@ def sample_domain(grid: DomainGrid) -> np.ndarray:
     return z
 
 
-def _checked_samples(grid: DomainGrid) -> np.ndarray:
-    # the scalar functions' domain check, made once for the whole lattice
-    z = sample_domain(grid)
-    if not (np.isfinite(z).all() and np.all(z != 0)):
-        raise DomainError("the sampled domain holds z = 0 or a non-finite value")
-    return z
-
-
 def lattice_faces(n_rows: int, n_cols: int) -> np.ndarray:
     """Two triangles per lattice quad, all split along the same
     low-r/low-theta to high-r/high-theta diagonal."""
@@ -196,7 +190,11 @@ def lattice_faces(n_rows: int, n_cols: int) -> np.ndarray:
 
 
 def _read_window(function: IndexedFunction, branches: Iterable[int], kind: CharismaKind, grid: DomainGrid):
-    # build_sheets' and parse_args' one reader: one branch past the cap at most, so an endless iterable fails at once
+    """The branches as a tuple; build_sheets' and parse_args' one reader,
+    and the home of every window rule. It reads one branch past the cap at
+    most, so an endless iterable fails at once. Raises BranchIndexError for
+    the first rule broken of: the cap, admissibility, non-empty, int64 (the
+    mesh's index type), distinct index heights, no repeats."""
     most = _MAX_SURFACE_POINTS // (grid.n_r * grid.n_cols)
     window = tuple(itertools.islice(branches, most + 1))
     if len(window) > most:
@@ -204,10 +202,17 @@ def _read_window(function: IndexedFunction, branches: Iterable[int], kind: Chari
                                f"{len(window) * grid.n_r * grid.n_cols} or more vertices; "
                                f"a surface holds at most {_MAX_SURFACE_POINTS}")
     window = tuple(function.require_admissible(k) for k in window)
-    if kind is CharismaKind.INDEX and all(-2**63 <= k < 2**63 for k in window):  # beyond, build_sheets refuses it
-        if len({float(k) for k in window}) < len(set(window)):  # a repeated branch is not two branches
-            raise BranchIndexError(f"two branches of {min(window)}..{max(window)} share one index height: "
-                                   "from |k| = 2**53 on, not every integer is a float")
+    if not window:
+        raise BranchIndexError("no branches to lift")
+    for k in window:
+        if not -2**63 <= k < 2**63:
+            raise BranchIndexError(f"branch {k} lies outside int64, the mesh's branch index type")
+    distinct = set(window)  # a repeated branch is not two branches
+    if kind is CharismaKind.INDEX and len({float(k) for k in distinct}) < len(distinct):
+        raise BranchIndexError(f"two branches of {min(window)}..{max(window)} share one index height: "
+                               "from |k| = 2**53 on, not every integer is a float")
+    if len(distinct) != len(window):
+        raise BranchIndexError(f"repeated branches: {list(window)}")
     return window
 
 
@@ -243,19 +248,11 @@ def build_sheets(
     phase) or on arrays of every branch, and sin and cos heights reuse the
     branch-angle table of w. Raises CharismaCompatibilityError for a kind
     not defined for f, before any branch is read; then BranchIndexError for
-    a surface beyond the cap, index heights that are not distinct floats,
-    or an empty, repeated or non-int64 (the mesh's index type) branch list.
+    the first window rule that _read_window finds broken.
     """
     kind = require_compatible(kind, function)
     branches = _read_window(function, branches, kind, grid)
-    for k in branches:
-        if not -2**63 <= k < 2**63:
-            raise BranchIndexError(f"branch {k} lies outside int64, the mesh's branch index type")
-    if not branches:
-        raise BranchIndexError("no branches to lift")
-    if len(set(branches)) != len(branches):
-        raise BranchIndexError(f"repeated branches: {list(branches)}")
-    z = _checked_samples(grid)
+    z = sample_domain(grid)
     w, c = _batch_charisma(function, z, branches, kind)
     faces = lattice_faces(grid.n_r, grid.n_cols)
     for shared in (z, w, c, faces):
@@ -411,7 +408,7 @@ def build_range_chart(function: IndexedFunction, grid: DomainGrid) -> SurfaceMes
     shows where in the range each branch's values live. Raises DomainError
     where a branch index would not fit int64.
     """
-    w = _checked_samples(grid)
+    w = sample_domain(grid)
     n_rows, n_cols = w.shape
     flat = w.ravel()
     ks = _batch_branch_index(flat, function)

@@ -116,8 +116,12 @@ class TestParseArgs:
         # so a flag fault exits 2 first
         assert main(["--function", "log", "--charisma", "sin", "--n-r", "1"]) == EXIT_USAGE
         assert "argument --n-r: " in capsys.readouterr().err
-        # the pair is checked before the window is read: a branch beyond int64 still exits 3, not 5
+        # a window beyond int64 is a flag fault too, so it exits 2, not 3
         argv = ["--function", "log", "--charisma", "sin", "--branches", "100000000000000000000", *FAST_GRID]
+        assert main([*argv, "-o", str(tmp_path / "m.ply")]) == EXIT_USAGE
+        assert "argument --branches: branch 100000000000000000000 lies outside int64" in capsys.readouterr().err
+        # a window parse_args accepts leaves the pair to build_sheets
+        argv = ["--function", "log", "--charisma", "sin", "--branches", "9223372036854775807", *FAST_GRID]
         assert main([*argv, "-o", str(tmp_path / "m.ply")]) == EXIT_INCOMPATIBLE
         assert "not defined for log" in capsys.readouterr().err
         # a range chart has no heights, so no pair
@@ -392,15 +396,28 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["--function", "log", "--charisma", "imag", "--branches", "100000000000000000000"],
-            ["--figure", "3b-range", "--function", "log", "--r-max", "1e20"],
-        ],
-        ids=["log-branch", "log-range-chart"],
+        [["--figure", "3b-range", "--function", "log", "--r-max", "1e20"]],
+        ids=["log-range-chart"],
     )
     def test_an_index_beyond_int64_exits_five(self, tmp_path, capsys, argv):
+        # a chart's indices are read off its grid: the range classifier refuses them, not the window reader
         assert main([*argv, "--n-r", "3", "--n-theta", "8", "-o", str(tmp_path / "m.ply")]) == EXIT_DOMAIN
         assert "int64" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("branch", ["9223372036854775808", "-9223372036854775809"], ids=["log-branch", "log-below"])
+    def test_a_window_beyond_int64_is_a_usage_error(self, tmp_path, capsys, branch):
+        argv = ["--function", "log", "--charisma", "imag", "--branches", branch, "--n-r", "3", "--n-theta", "8"]
+        assert main([*argv, "-o", str(tmp_path / "m.ply")]) == EXIT_USAGE
+        assert f"argument --branches: branch {branch} lies outside int64" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [[], ["--function", "log", "--charisma", "imag"]], ids=["root3-sin", "log-imag"])
+    def test_an_r_max_beyond_2_to_the_1023_is_a_usage_error(self, tmp_path, capsys, argv):
+        # at the largest float, abs of some lattice points overflowed (n_theta 239 among them)
+        argv = [*argv, "--r-max", "1.7976931348623157e308", "--n-theta", "239", "--n-r", "4"]
+        assert main([*argv, "-o", str(tmp_path / "m.ply")]) == EXIT_USAGE
+        assert "argument --r-max: r_max must exceed r_min and be at most 2**1023" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_is_usage_error(self):
@@ -607,9 +624,9 @@ _GOOD_VALUES = {
     "--function": ["log", "root:2", "root:3", "root:5"],
     "--charisma": [k.value for k in CharismaKind],
     "--n-r": ["2", "3", "4", "7"],
-    "--n-theta": ["8", "9"],
+    "--n-theta": ["8", "9", "239"],
     "--r-min": ["0.5", "5e-324"],
-    "--r-max": ["2", "1.7976931348623157e308"],
+    "--r-max": ["2", "8.98846567431158e307"],
     "--radial-spacing": ["linear", "log"],
     "--weld-tol": ["0", "1e-9", "1e300", "-0.0"],
     "--format": ["ply", "obj", "json", "csv"],
@@ -625,7 +642,7 @@ _BAD_VALUES = {
     "--n-r": ["1", "2.5"],
     "--n-theta": ["7", "-8"],
     "--r-min": ["0", "-1", "nan", "3"],
-    "--r-max": ["inf", "0.25"],
+    "--r-max": ["inf", "0.25", "1.7976931348623157e308"],
     "--weld-tol": ["-1", "nan", "inf"],
     "--format": ["stl"],
 }
@@ -717,6 +734,8 @@ class TestFlagGrammar:
 
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(cli_argv())
+    # abs of a lattice point overflowed here, and main raised OverflowError
+    @example(["--r-max", "1.7976931348623157e308", "--n-r", "4", "--n-theta", "239", "--format", "ply", "-o", "m.ply"])
     def test_every_flag_combination_exits_with_a_documented_code(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             (Path(tmp) / "outdir").mkdir()

@@ -16,6 +16,7 @@ from riemannmesh import (
     DEFAULT_WELD_TOL,
     PALETTE,
     BranchIndexError,
+    CharismaCompatibilityError,
     CharismaKind,
     compatible_kinds,
     DomainError,
@@ -94,6 +95,9 @@ class TestDomainGrid:
             dict(r_min="a"),
             dict(r_max=None),
             pytest.param(dict(r_max=10**400), id="r_max-beyond-float"),
+            # beyond 2**1023, abs of a sampled point may overflow
+            pytest.param(dict(r_max=math.nextafter(2.0**1023, math.inf)), id="r_max-beyond-2**1023"),
+            pytest.param(dict(r_max=sys.float_info.max), id="r_max-largest-float"),
             pytest.param(dict(n_r=MAX_GRID_POINTS // 9 + 1), id="n_r-beyond-cap"),
             pytest.param(dict(n_theta=MAX_GRID_POINTS // 3), id="n_theta-beyond-cap"),
         ],
@@ -124,9 +128,24 @@ class TestDomainGrid:
 
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     def test_radii_at_the_ends_of_the_float_range(self, spacing):
-        # numpy's intermediate for the last radius overflows; no warning escapes
-        radii = DomainGrid(5e-324, sys.float_info.max, 4, 8, radial_spacing=spacing).radii()
-        assert np.isfinite(radii).all() and radii[-1] == sys.float_info.max
+        # from the least subnormal to the largest r_max accepted, 2**1023; no warning escapes
+        radii = DomainGrid(5e-324, 2.0**1023, 4, 8, radial_spacing=spacing).radii()
+        assert np.isfinite(radii).all() and radii[0] == 5e-324 and radii[-1] == 2.0**1023
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        st.sampled_from([5e-324, 1e-308, 2.0**-1074 * 3, 1e-300, 0.05, 1.0]),
+        st.sampled_from([2.0**1023, math.nextafter(2.0**1023, 0), 8e307, 1e300, 2.0])
+        | st.floats(2.0, 2.0**1023),
+        st.integers(2, 6),
+        st.sampled_from([8, 9, 239, 240, 241]) | st.integers(8, 2000),
+        st.sampled_from(["linear", "log"]),
+    )
+    def test_every_sample_at_the_radius_extremes_has_a_finite_modulus(self, r_min, r_max, n_r, n_theta, spacing):
+        # the invariant the lattice rules give: no sampled z is 0 or non-finite, and abs never overflows
+        z = sample_domain(DomainGrid(r_min, r_max, n_r, n_theta, radial_spacing=spacing))
+        assert np.isfinite(z).all() and np.all(z != 0)
+        assert all(math.isfinite(abs(v)) for v in z.ravel().tolist())
 
     def test_log_spacing(self):
         grid = DomainGrid(0.1, 10.0, 5, 8, radial_spacing="log")
@@ -272,8 +291,6 @@ class TestBuildSheet:
             assert np.all(triangle_areas(pos, sheets.faces) > 0)
 
     def test_rejects_inadmissible_branch_and_bad_kind(self):
-        from riemannmesh import BranchIndexError, CharismaCompatibilityError
-
         with pytest.raises(BranchIndexError):
             build_sheets(ROOT3, [5], CharismaKind.SIN, SMALL)
         with pytest.raises(CharismaCompatibilityError):
@@ -315,6 +332,35 @@ class TestBuildSheets:
             build_sheets(LOG, [2**53, 2**53], CharismaKind.INDEX, SMALL)
         # the rule is the index heights' own
         assert build_sheets(LOG, [2**53, 2**53 + 1], CharismaKind.IMAG, SMALL).branches == (2**53, 2**53 + 1)
+
+    @pytest.mark.parametrize(
+        "function,window,kind,error,message",
+        [
+            (LOG, [2**63], CharismaKind.SIN, CharismaCompatibilityError,
+             "charisma 'sin' is not defined for log; valid: index, imag"),
+            (ROOT3, itertools.count(5), CharismaKind.SIN, BranchIndexError,
+             "116509 or more sheets of 3x9 lattice points make 3145743 or more vertices; "
+             "a surface holds at most 3145728"),
+            (ROOT3, [0, 2**63, 5], CharismaKind.INDEX, BranchIndexError,
+             "branch 9223372036854775808 is not admissible for root:3; expected -1..1"),
+            (ROOT3, [1, 1, 0.5], CharismaKind.SIN, BranchIndexError, "branch index must be an integer, got 0.5"),
+            (LOG, [0, 2**63, 2**63], CharismaKind.INDEX, BranchIndexError,
+             "branch 9223372036854775808 lies outside int64, the mesh's branch index type"),
+            (LOG, [-2**63 - 1, 2**63, 2**63 + 1], CharismaKind.INDEX, BranchIndexError,
+             "branch -9223372036854775809 lies outside int64, the mesh's branch index type"),
+            (LOG, [2**53, 2**53 + 1, 2**53], CharismaKind.INDEX, BranchIndexError,
+             "two branches of 9007199254740992..9007199254740993 share one index height: "
+             "from |k| = 2**53 on, not every integer is a float"),
+            (LOG, [2**53, 2**53 + 1, 2**53], CharismaKind.IMAG, BranchIndexError,
+             "repeated branches: [9007199254740992, 9007199254740993, 9007199254740992]"),
+        ],
+        ids=["pair-before-window", "cap-before-admissible", "admissible-before-int64", "integer-before-repeat",
+             "int64-before-repeat", "first-beyond-int64", "heights-before-repeat", "repeat-without-heights"],
+    )
+    def test_a_window_breaking_two_rules_gets_the_first_rules_error(self, function, window, kind, error, message):
+        with pytest.raises(error) as exc:
+            build_sheets(function, window, kind, SMALL)
+        assert type(exc.value) is error and str(exc.value) == message
 
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(st.sampled_from([2**52, 2**53, 2**54, -2**53]), st.integers(-16, 16), st.integers(1, 4))
