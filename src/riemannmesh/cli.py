@@ -159,15 +159,15 @@ def parse_args(argv: list[str] | None = None) -> JobSpec:
     except GridError as e:
         parser.error(f"argument --{e.field.replace('_', '-')}: {e}")
 
-    branches = ()  # a range chart has no branches
+    try:
+        asked = None if ns.branches is None else _parse_branch_range(ns.branches)
+    except ValueError as e:
+        parser.error(f"argument --branches: {e}")
+    branches = ()  # a range chart has no branches, and ignores a well-formed window
     if not ns.range_chart:
-        if ns.branches is None:
+        if asked is None:
             window = function.branch_indices() or DEFAULT_LOG_BRANCHES
         else:
-            try:
-                asked = _parse_branch_range(ns.branches)
-            except ValueError as e:
-                parser.error(f"argument --branches: {e}")
             admissible = function.branch_indices() or asked  # log: every integer
             window = range(max(asked.start, admissible.start), min(asked.stop, admissible.stop))
             if not window:

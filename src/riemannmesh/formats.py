@@ -230,16 +230,16 @@ def _obj_pieces(mesh: SurfaceMesh, mtl_filename: str) -> Iterator[bytes]:
     yield f"mtllib {mtl_filename}\n".encode()
     yield from _table([mesh.positions], ("v ", " ", " "), "\n")
     # one group per run of faces owned by the same branch
-    starts = [0, *(np.flatnonzero(np.diff(mesh.face_branch)) + 1).tolist()] if mesh.n_faces else []
-    for start, stop in zip(starts, starts[1:] + [mesh.n_faces]):
-        k = int(mesh.face_branch[start])
+    values, counts = mesh.face_branch_runs
+    stops = np.cumsum(counts).tolist()
+    for k, start, stop in zip(values.tolist(), [0, *stops], stops):
         yield f"g branch_{k}\nusemtl branch_{k}\n".encode()
         yield from _table([mesh.faces[start:stop] + 1], ("f ", " ", " "), "\n")
 
 
 def _mtl_text(mesh: SurfaceMesh) -> str:
     mtl = []
-    for k in dict.fromkeys(mesh.face_branch.tolist()):
+    for k in dict.fromkeys(mesh.face_branch_runs[0].tolist()):
         r, g, b = branch_color(k)
         mtl.append(f"newmtl branch_{k}")
         mtl.append(f"Kd {r / 255!r} {g / 255!r} {b / 255!r}")

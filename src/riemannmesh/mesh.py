@@ -50,13 +50,14 @@ __all__ = [
 DEFAULT_WELD_TOL = 1e-9
 
 # the most lattice points n_r * (n_theta + 1) a DomainGrid may hold: 4.4
-# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.41 KB
-# (PLY) to 0.56 KB (JSON) of peak RSS per lattice point above a tiny run's
-# 30 MB, and the same at 400x1200, so at the cap such a run needs about 0.6 GB.
+# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.33 KB
+# (PLY) to 0.48 KB (JSON) of peak RSS per lattice point above a tiny run's
+# 30 MB, and 0.33 to 0.49 KB at 400x1200, so at the cap such a run needs about
+# 0.5 GB.
 MAX_GRID_POINTS = 1 << 20
 
 # the most vertices len(branches) * n_r * (n_theta + 1) a surface may hold:
-# three sheets at MAX_GRID_POINTS, about 0.19 KB each, the 0.6 GB run above
+# three sheets at MAX_GRID_POINTS, about 0.16 KB each, the 0.5 GB run above
 _MAX_SURFACE_POINTS = 3 * MAX_GRID_POINTS
 
 # the dtype of every vertex index (lattice and mesh faces, assembly's
@@ -273,19 +274,46 @@ class Seam:
     merged_vertices: tuple[int, ...] = ()
 
 
+def _runs(values, counts) -> tuple[np.ndarray, np.ndarray]:
+    """values[i] repeated counts[i] times (counts may be one count for
+    every value), as canonical runs: int64 values and int32 counts, with no
+    empty run and no two neighbouring runs of one value. So a wall that
+    follows the sheet of its own branch joins that sheet's run."""
+    values = np.asarray(values, dtype=np.int64)
+    counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), values.shape)
+    if not counts.all():  # only a chart's face runs can be empty: its per-vertex branches are not copied
+        values, counts = values[counts > 0], counts[counts > 0]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(first)
+    return values[starts], np.add.reduceat(counts, starts).astype(np.int32)
+
+
+def _expand(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    expanded = np.repeat(values, counts, axis=0)
+    expanded.flags.writeable = False  # a fresh copy: writing to it would not change the mesh
+    return expanded
+
+
 @dataclass
 class SurfaceMesh:
-    """Triangulated union of branch sheets, colored by branch index."""
+    """Triangulated union of branch sheets, colored by branch index.
+
+    Each sheet's branch is stored once, as runs in vertex and face order:
+    branch_runs and face_branch_runs, each (values, counts) of int64
+    branches and int32 counts, no two neighbouring values equal. branch,
+    colors and face_branch expand them on every access, as new read-only
+    arrays, so bind one once before indexing it in a loop.
+    """
 
     function: IndexedFunction
     kind: CharismaKind
     sheet_branches: tuple[int, ...]
     positions: np.ndarray    # (N, 3) float: x, y, c
-    branch: np.ndarray       # (N,) int64
     w: np.ndarray            # (N,) complex range values
-    colors: np.ndarray       # (N, 3) uint8
     faces: np.ndarray        # (M, 3) int32 vertex indices
-    face_branch: np.ndarray  # (M,) int64: sheet that owns each face
+    branch_runs: tuple[np.ndarray, np.ndarray]       # runs of the branch of each vertex
+    face_branch_runs: tuple[np.ndarray, np.ndarray]  # runs of the sheet that owns each face
     seams: list[Seam] = field(default_factory=list)
     welded: bool = False
     range_chart: bool = False
@@ -297,6 +325,22 @@ class SurfaceMesh:
     @property
     def n_faces(self) -> int:
         return len(self.faces)
+
+    @property
+    def branch(self) -> np.ndarray:
+        """(N,) int64 branch of each vertex."""
+        return _expand(*self.branch_runs)
+
+    @property
+    def colors(self) -> np.ndarray:
+        """(N, 3) uint8 palette color of each vertex's branch."""
+        values, counts = self.branch_runs
+        return _expand(_PALETTE_RGB[values % len(PALETTE)], counts)
+
+    @property
+    def face_branch(self) -> np.ndarray:
+        """(M,) int64 branch of the sheet that owns each face."""
+        return _expand(*self.face_branch_runs)
 
 
 def require_weld_tol(weld_tol: float) -> float:
@@ -367,8 +411,9 @@ def assemble_surface(
     sheet_faces = faces[:n_faces].reshape(n_sheets, per_sheet, 3)
     new_index.reshape(n_sheets, n_per).take(sheets.faces, axis=1, out=sheet_faces)
     faces[n_faces:] = new_index[wall]
+    # one run per sheet and one per wall, in face order
     ks = np.array(branches, dtype=np.int64)
-    face_branch = np.repeat(np.concatenate([ks, ks[i[walled]]]), [per_sheet] * n_sheets + [2 * (n_r - 1)] * len(u))
+    face_branch_runs = _runs(np.concatenate([ks, ks[i[walled]]]), [per_sheet] * n_sheets + [2 * (n_r - 1)] * len(u))
     del new_index  # freed before the vertex columns are made
 
     # filled at its kept size, one column at a time, so that no pre-weld
@@ -377,18 +422,16 @@ def assemble_surface(
     positions = np.empty((np.count_nonzero(keep), 3))
     for column, values in enumerate((sheets.z.real, sheets.z.imag, c)):
         positions[:, column] = np.broadcast_to(values, c.shape)[kept]
-    # vertices stay in sheet order, so each sheet's value repeats over its kept vertices
-    per_sheet_kept = np.count_nonzero(kept, axis=(1, 2))
     return SurfaceMesh(
         function=sheets.function,
         kind=sheets.kind,
         sheet_branches=branches,
         positions=positions,
-        branch=np.repeat(ks, per_sheet_kept),
         w=sheets.w.reshape(-1)[keep],
-        colors=np.repeat(np.array([branch_color(k) for k in branches], dtype=np.uint8), per_sheet_kept, axis=0),
         faces=faces,
-        face_branch=face_branch,
+        # vertices stay in sheet order: one run per sheet, over its kept vertices
+        branch_runs=_runs(ks, np.count_nonzero(kept, axis=(1, 2))),
+        face_branch_runs=face_branch_runs,
         seams=seams,
         welded=bool(weld),
     )
@@ -411,19 +454,20 @@ def build_range_chart(function: IndexedFunction, grid: DomainGrid) -> SurfaceMes
     w = sample_domain(grid)
     n_rows, n_cols = w.shape
     flat = w.ravel()
-    ks = _batch_branch_index(flat, function)
-    positions = np.column_stack([flat.real, flat.imag, np.zeros(flat.size)])
-    faces = lattice_faces(n_rows, n_cols)
-    face_branch = ks[faces[:, 0]]
+    branch_runs = _runs(_batch_branch_index(flat, function), 1)
+    # a lattice quad's two faces take the branch of its low corner, and the low corners are the
+    # vertices off the last row and column, in vertex order: so the quads before a vertex run's end
+    # number that end less its row, up to the last quad
+    ends = np.cumsum(branch_runs[1], dtype=np.int64)
+    quads = np.minimum(ends - ends // n_cols, (n_rows - 1) * (n_cols - 1))
     return SurfaceMesh(
         function=function,
         kind=CharismaKind.INDEX,
-        sheet_branches=tuple(np.unique(ks).tolist()),
-        positions=positions,
-        branch=ks,
+        sheet_branches=tuple(np.unique(branch_runs[0]).tolist()),
+        positions=np.column_stack([flat.real, flat.imag, np.zeros(flat.size)]),
         w=flat,
-        colors=_PALETTE_RGB[ks % len(PALETTE)],
-        faces=faces,
-        face_branch=face_branch,
+        faces=lattice_faces(n_rows, n_cols),
+        branch_runs=branch_runs,
+        face_branch_runs=_runs(branch_runs[0], 2 * np.diff(quads, prepend=0)),
         range_chart=True,
     )

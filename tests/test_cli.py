@@ -157,6 +157,14 @@ class TestParseArgs:
         assert main(["--branches", window, *FAST_GRID]) == EXIT_USAGE
         assert f"argument --branches: {message}\n" in capsys.readouterr().err
 
+    def test_a_range_chart_parses_its_window_and_ignores_a_well_formed_one(self, tmp_path, capsys):
+        out = tmp_path / "never.ply"
+        argv = ["--figure", "3b-range", *FAST_GRID, "-o", str(out)]
+        assert main([*argv, "--branches", "nonsense"]) == EXIT_USAGE
+        assert "argument --branches: expected KMIN..KMAX or a single integer, got 'nonsense'\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert parse_args([*argv, "--branches", "7..9"]).branches == ()  # none of them admissible for root:3
+
     def test_bad_function_label_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(["--function", "root:one"])

@@ -10,7 +10,6 @@ import pytest
 
 from riemannmesh import (
     DEFAULT_WELD_TOL,
-    PALETTE,
     CharismaKind,
     DomainGrid,
     IndexedFunction,
@@ -25,6 +24,7 @@ from riemannmesh import formats
 from riemannmesh.branches import _distinct
 from riemannmesh.cli import FIGURE_PRESETS, build_mesh, parse_args, run
 from riemannmesh.formats import read_ply, render_outputs, seams_json_text
+from riemannmesh.mesh import _runs
 
 ROOT3 = IndexedFunction.root(3)
 GRID = DomainGrid(0.5, 2.0, 3, 8)
@@ -153,14 +153,18 @@ def synthetic_mesh(n_vertices, n_faces, seed):
         kind=CharismaKind.SIN,
         sheet_branches=(-1, 0, 1),
         positions=positions,
-        branch=branch,
         w=w,
-        colors=np.asarray(PALETTE, dtype=np.uint8)[branch % len(PALETTE)],
         faces=rng.integers(0, max(n_vertices, 1), (n_faces, 3)),
-        face_branch=face_branch,
+        branch_runs=_runs(branch, 1),
+        face_branch_runs=_runs(face_branch, 1),
         seams=[Seam(-1, 0, 2.5e-17, 1e-17, True), Seam(1, -1, 2.0, 1.5, False)],
         welded=True,
     )
+
+
+def set_branch(mesh, branch):
+    # the mesh stores runs, and derives its colors from them
+    mesh.branch_runs = _runs(branch, 1)
 
 
 def signed_zeros(mesh):
@@ -216,10 +220,11 @@ def anchored_mesh(n_vertices, n_faces, seed):
     mesh = synthetic_mesh(n_vertices, n_faces, seed)
     mesh.positions[0] = WIDEST_FLOAT
     mesh.w[0] = complex(WIDEST_FLOAT, WIDEST_FLOAT)
-    mesh.branch[0] = -9
-    mesh.colors[0] = 255
+    branch = mesh.branch.copy()
+    branch[0] = -9  # grey, 127 127 127: three digits in every colour column
+    set_branch(mesh, branch)
     mesh.faces[:1] = n_vertices - 1
-    mesh.face_branch[:] = 0
+    mesh.face_branch_runs = _runs([0], n_faces)
     return mesh
 
 
@@ -246,31 +251,33 @@ def block_rows(row):
 # A writer texts every value of an int column's range when the range is
 # narrower than the column, and each distinct value otherwise. The int64
 # edits take one way each; small_int_dtypes and digit_widths take the first
-# on the larger test mesh and the second on the smaller one.
+# on the larger test mesh and the second on the smaller one. A mesh's branch
+# is int64 and its colours come from the palette, so the colour and int8
+# cells that no mesh holds are the *_cells edits, written by _table itself.
 def int64_extremes_narrow(mesh):
-    mesh.branch[:] = I64_MIN + np.arange(mesh.n_vertices) % 7
+    set_branch(mesh, I64_MIN + np.arange(mesh.n_vertices) % 7)
     mesh.faces[:] = I64_MAX - mesh.faces % 5
 
 
 def int64_extremes_wide(mesh):
-    mesh.branch[::3] = I64_MIN
-    mesh.branch[1::3] = I64_MAX
+    branch = mesh.branch.copy()
+    branch[::3] = I64_MIN
+    branch[1::3] = I64_MAX
+    set_branch(mesh, branch)
     mesh.faces[::4, 0] = I64_MIN
     mesh.faces[1::4, 2] = I64_MAX
 
 
 def small_int_dtypes(mesh):
-    mesh.branch = (np.arange(mesh.n_vertices) % 256 - 128).astype(np.int8)
-    mesh.branch[-1] = 127
-    mesh.colors = (np.arange(mesh.colors.size) % 256).astype(np.uint8).reshape(mesh.colors.shape)
-    mesh.colors[-1, -1] = 255
+    branch = np.arange(mesh.n_vertices) % 256 - 128
+    branch[-1] = 127
+    set_branch(mesh, branch)
     mesh.faces = (mesh.faces % 256 - 128).astype(np.int8)
     mesh.faces[-1] = [-128, 127, 0]
 
 
 def only_zero(mesh):
-    mesh.branch[:] = 0
-    mesh.colors[:] = 0
+    set_branch(mesh, np.zeros(mesh.n_vertices, dtype=np.int64))
     mesh.faces[:] = 0
 
 
@@ -278,13 +285,41 @@ def digit_widths(mesh):
     # the digit count changes between neighbouring rows: within blocks, and
     # from the last row of a block to the first of the next
     up = (np.arange(mesh.n_vertices) + 1) % 2
-    mesh.branch[:] = np.where(up, 100_000, 99_999)
-    mesh.colors[:, 0] = np.where(up, 10, 9)
-    mesh.colors[:, 1] = np.where(up, 100, 99)
+    set_branch(mesh, np.where(up, 100_000, 99_999))
     up = (np.arange(mesh.n_faces) + 1) % 2
     mesh.faces[:, 0] = np.where(up, 10, 9)
     mesh.faces[:, 1] = 10**12
     mesh.faces[:, 2] = np.where(up, 100_000, 99_999)
+
+
+# each returns a colour column and a branch column for a mesh's rows
+def small_int_dtypes_cells(mesh):
+    branch = (np.arange(mesh.n_vertices) % 256 - 128).astype(np.int8)
+    branch[-1] = 127
+    colors = (np.arange(3 * mesh.n_vertices) % 256).astype(np.uint8).reshape(-1, 3)
+    colors[-1, -1] = 255
+    return colors, branch
+
+
+def only_zero_cells(mesh):
+    return np.zeros((mesh.n_vertices, 3), dtype=np.uint8), mesh.branch
+
+
+def digit_widths_cells(mesh):
+    up = (np.arange(mesh.n_vertices) + 1) % 2
+    colors = mesh.colors.copy()
+    colors[:, 0] = np.where(up, 10, 9)
+    colors[:, 1] = np.where(up, 100, 99)
+    return colors, mesh.branch
+
+
+def row_table_text(columns, seps, end, between=""):
+    """Row-at-a-time _table: ints in plain decimal, floats as _fmt writes them."""
+    rows = []
+    for row in zip(*(column.reshape(len(column), -1).tolist() for column in columns)):
+        cells = [_fmt(v) if isinstance(v, float) else str(v) for cell in row for v in cell]
+        rows.append("".join(sep + cell for sep, cell in zip(seps, cells)) + end)
+    return between.join(rows)
 
 
 class TestWritersMatchRowReference:
@@ -370,6 +405,20 @@ class TestWritersMatchRowReference:
         assert_same_text(rendered("csv", mesh), row_csv_text(mesh))
         if mesh.faces.max() < np.iinfo(mesh.faces.dtype).max:  # obj writes faces + 1
             assert_same_text(rendered("obj", mesh), row_obj_text(mesh, "m.mtl"))
+
+    @pytest.mark.parametrize("size", [(5, 4), (MANY, MANY)])
+    @pytest.mark.parametrize("edit", [small_int_dtypes_cells, only_zero_cells, digit_widths_cells])
+    def test_int_cells_no_mesh_holds_match_the_row_at_a_time_table(self, small_blocks, edit, size):
+        mesh = synthetic_mesh(*size, seed=11)
+        colors, branch = edit(mesh)
+        tables = [  # the vertex tables of PLY and JSON, as the writers lay them out
+            ([mesh.positions, colors], ("", " ", " ", " ", " ", " "), "\n", ""),
+            ([mesh.positions, branch, mesh.w.real, mesh.w.imag],
+             ('{"x":', ',"y":', ',"c":', ',"k":', ',"w":[', ","), "]}", ","),
+        ]
+        for columns, seps, end, between in tables:
+            text = b"".join(formats._table(columns, seps, end, between)).decode()
+            assert_same_text(text, row_table_text(columns, seps, end, between))
 
     @pytest.mark.parametrize("seps,end,between", [(("\0",), "\n", ""), (("",), "\0", ""), (("",), "\n", "\0")])
     def test_a_separator_holding_nul_is_refused(self, seps, end, between):

@@ -33,7 +33,7 @@ from riemannmesh import (
     sample_domain,
     seam_report,
 )
-from riemannmesh.mesh import MAX_GRID_POINTS, lattice_faces
+from riemannmesh.mesh import _PALETTE_RGB, MAX_GRID_POINTS, lattice_faces
 
 LOG = IndexedFunction.log()
 ROOT3 = IndexedFunction.root(3)
@@ -42,6 +42,7 @@ OMEGA = cmath.exp(2j * math.pi / 3)
 
 SMALL = DomainGrid(0.5, 2.0, 3, 8)
 WITNESS = DomainGrid(0.5, 2.0, 4, 16)  # multiple of 4 so the imaginary axis is sampled
+ODD = DomainGrid(0.5, 2.0, 3, 9)  # no column at theta = 0
 
 
 def sheet_triple(kind, grid=SMALL, function=ROOT3):
@@ -640,6 +641,43 @@ class TestAssemblyMatchesTheVertexLoop:
                 assert got == want["seams"]
 
 
+class TestBranchRuns:
+    @pytest.mark.parametrize(
+        "function,kind",
+        [(f, kind) for f in [IndexedFunction.root(n) for n in range(2, 7)] + [LOG] for kind in compatible_kinds(f)]
+        + [(f, None) for f in (ROOT3, LOG, IndexedFunction.root(2**63 - 1))],  # None: the range chart
+        ids=lambda v: v.label() if isinstance(v, IndexedFunction) else getattr(v, "value", "range"),
+    )
+    def test_runs_are_canonical_and_expand_to_the_vertex_loop(self, function, kind):
+        meshes = []  # each mesh, with the branch of each vertex and of each face as a loop gives them
+        if kind is None:
+            for grid in (WITNESS, ODD):
+                chart = build_range_chart(function, grid)
+                branch = [branch_of(w, function) for w in chart.w.tolist()]
+                # the two faces of a lattice quad take the branch of its low corner, their first vertex
+                meshes.append((chart, branch, [branch[a] for a in chart.faces[:, 0].tolist()]))
+        else:
+            # at 1.5, index sheets one apart weld, and the wrap wall of a root follows its own sheet
+            tols = (DEFAULT_WELD_TOL, 1.5) if kind is CharismaKind.INDEX else (DEFAULT_WELD_TOL,)
+            for grid in (SMALL, ODD):
+                sheets = build_sheets(function, function.branch_indices() or range(-2, 3), kind, grid)
+                for weld, walls, tol in itertools.product((False, True), (False, True), tols):
+                    mesh = assemble_surface(sheets, weld=weld, weld_tol=tol, walls=walls)
+                    want = loop_assemble_surface(sheets, weld=weld, walls=walls, weld_tol=tol)
+                    meshes.append((mesh, want["branch"], want["face_branch"]))
+        for mesh, branch, face_branch in meshes:
+            for (values, counts), n in ((mesh.branch_runs, mesh.n_vertices), (mesh.face_branch_runs, mesh.n_faces)):
+                assert values.dtype == np.int64 and counts.dtype == np.int32
+                assert np.all(values[1:] != values[:-1]) and np.all(counts > 0) and counts.sum() == n
+            derived = (mesh.branch, mesh.colors, mesh.face_branch)
+            assert [a.dtype for a in derived] == [np.int64, np.uint8, np.int64]
+            assert not any(a.flags.writeable for a in derived)
+            assert np.array_equal(mesh.colors, _PALETTE_RGB[mesh.branch % len(PALETTE)])
+            assert mesh.branch.tolist() == branch and mesh.face_branch.tolist() == face_branch
+        if function.label() == "root:9223372036854775807":  # nearly a run per vertex
+            assert all(len(chart.branch_runs[0]) > chart.n_vertices / 2 for chart, *_ in meshes)
+
+
 class TestAssemblyMemory:
     @pytest.mark.parametrize(
         "kind,walls", [(CharismaKind.SIN, False), (CharismaKind.INDEX, True)], ids=["welded", "walled"]
@@ -647,7 +685,8 @@ class TestAssemblyMemory:
     def test_peak_stays_near_the_mesh_it_returns(self, kind, walls):
         # the default grid, its sheets built before tracing: assembly frees
         # its weld map and renumbering before it makes the vertex columns,
-        # and repeats each sheet's branch and color without a per-vertex index
+        # and stores each sheet's branch as runs, with no per-vertex or
+        # per-face branch or colour array
         sheets = build_sheets(ROOT3, ROOT3.branch_indices(), kind, DomainGrid())
         tracemalloc.start()
         try:
@@ -656,7 +695,7 @@ class TestAssemblyMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        arrays = (mesh.positions, mesh.branch, mesh.w, mesh.colors, mesh.faces, mesh.face_branch)
+        arrays = (mesh.positions, mesh.w, mesh.faces, *mesh.branch_runs, *mesh.face_branch_runs)
         assert peak - sum(a.nbytes for a in arrays) < 0.5 * mesh.positions.nbytes
 
 
