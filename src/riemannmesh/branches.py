@@ -30,6 +30,7 @@ point is finite.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -166,7 +167,19 @@ def root_branch(z: complex, n: int, k: int) -> complex:
     the principal branch (k = 0) is confined to -pi/n < ph w <= pi/n.
     """
     # z, then k as an integer, then the degree n, then k in root_indices(n)
-    return _root_core(_as_nonzero_complex(z), n, _require_branch(_require_branch(k), root_indices(n)))
+    z, k = _as_nonzero_complex(z), _require_branch(k)
+    try:
+        indices = _root_indices_of(n)
+    except TypeError:  # an unhashable degree, which root_indices refuses
+        indices = root_indices(n)
+    if k not in indices:
+        raise _inadmissible(k, indices)
+    return _root_core(z, n, k)
+
+
+# root_indices(n) for the recent degrees of root_branch, each built once; typed, so that 3.0 and True are
+# checked as the degrees they are, not read as the sets of 3 and 1
+_root_indices_of = functools.lru_cache(maxsize=64, typed=True)(root_indices)
 
 
 def _require_branch(k: int, indices: range | None = None) -> int:
@@ -176,11 +189,15 @@ def _require_branch(k: int, indices: range | None = None) -> int:
     except TypeError:
         raise BranchIndexError(f"branch index must be an integer, got {k!r}") from None
     if indices is not None and k not in indices:
-        raise BranchIndexError(
-            f"branch {k} is not admissible for root:{indices.stop - indices.start}; "
-            f"expected {indices.start}..{indices.stop - 1}"
-        )
+        raise _inadmissible(k, indices)
     return k
+
+
+def _inadmissible(k: int, indices: range) -> BranchIndexError:
+    return BranchIndexError(
+        f"branch {k} is not admissible for root:{indices.stop - indices.start}; "
+        f"expected {indices.start}..{indices.stop - 1}"
+    )
 
 
 def _root_angle(ph, n: int, k):

@@ -6,10 +6,12 @@ rendered lazily.
 
 All floats are written with their shortest round-trip decimal
 representation, so identical meshes serialize to identical bytes. Each
-distinct value of a table is formatted once. A block of rows is one numpy
-record array, with one field per cell and one per separator, sized to a
-fixed byte budget; each cell field is filled with one gather from its
-texts, and the block's bytes, less their padding, go to disk as they are.
+distinct value of a table is formatted once, and the writers read the
+mesh's factored columns (its sheet stack, source and renumbering) without
+expanding them. A block of rows is one numpy record array, with one field
+per cell and one per separator, sized to a fixed byte budget; each cell
+field is filled with a gather of its texts through the mesh's indices, and
+the block's bytes, less their padding, go to disk as they are.
 """
 
 from __future__ import annotations
@@ -45,87 +47,182 @@ _REPR_CHUNK = 1 << 13
 _JSON_SEPARATORS = (",", ":")
 
 
-def _int_texts(values: np.ndarray) -> np.ndarray:
-    """Decimal texts of integers as a NUL-padded "S" array."""
-    neg = values < 0
-    mag = values.astype(np.uint64)
-    mag = np.where(neg, np.uint64(0) - mag, mag)  # |-2**63| fits a uint64
-    digits = [(48 + mag % 10).astype(np.uint8)]  # the last digit is written even for 0
-    while (mag := mag // 10).any():
-        digits.append(np.where(mag > 0, 48 + mag % 10, 0).astype(np.uint8))
-    sign = [np.where(neg, 45, 0).astype(np.uint8)] if neg.any() else []
-    planes = [*sign, *digits[::-1]]
-    return np.stack(planes, axis=1).view(f"S{len(planes)}").reshape(-1)
+# integers texted per chunk, so that no temporary of the digit planes spans a whole column
+_INT_CHUNK = 1 << 14
+
+# A cell of a table row: (texts, inverse, rows), whose value in row r is
+# texts[inverse[rows[r]]], or texts[rows[r]] for an inverse of None: x and y
+# through the lattice point of each vertex, c and w through its source, and
+# a sheet's faces through its part of the renumbering.
+Cell = tuple[np.ndarray, "np.ndarray | None", np.ndarray]
 
 
-def _cell_texts(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """The texts of a 2-D column as an "S" array, the array indexing them
-    per cell, and the offset to take from those indices."""
-    if column.dtype.kind == "f":
-        values, inverse = _distinct(column.astype(np.float64, copy=False))
-        texts = np.concatenate([  # numpy sizes each chunk's S width
-            np.array(list(map(repr, values[i:i + _REPR_CHUNK].tolist())), dtype="S")
-            for i in range(0, len(values), _REPR_CHUNK)
-        ])
-        return texts, inverse.reshape(column.shape), 0
-    lo, hi = int(column.min()), int(column.max())
-    if hi - lo < column.size:
-        return _int_texts(lo + np.arange(hi - lo + 1)), column, lo
-    values, inverse = _distinct(column)
-    return _int_texts(values), inverse.reshape(column.shape), 0
+def _int_texts(values: np.ndarray | range) -> np.ndarray:
+    """Decimal texts of integers as a NUL-padded "S" array, built
+    _INT_CHUNK values at a time; a range is never made one array."""
+    if not len(values):
+        return np.empty(0, "S1")
+    lo, hi = (values[0], values[-1]) if isinstance(values, range) else (int(values.min()), int(values.max()))
+    sign = int(lo < 0)
+    width = sign + len(str(max(-lo, hi)))
+    planes = np.zeros((len(values), width), np.uint8)
+    for start in range(0, len(values), _INT_CHUNK):
+        part = values[start:start + _INT_CHUNK]
+        if isinstance(part, range):
+            part = np.arange(part.start, part.stop)
+        out = planes[start:start + _INT_CHUNK]
+        mag = part.astype(np.uint64)
+        if sign:
+            neg = part < 0
+            mag = np.where(neg, np.uint64(0) - mag, mag)  # |-2**63| fits a uint64
+            out[:, 0] = np.where(neg, 45, 0)
+        digit = width - 1
+        out[:, digit] = 48 + mag % 10  # the last digit is written even for 0
+        while (mag := mag // 10).any():
+            digit -= 1
+            out[:, digit] = np.where(mag > 0, 48 + mag % 10, 0)
+    return planes.view(f"S{width}").reshape(-1)
 
 
-def _table(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: str = "") -> Iterator[bytes]:
-    """One text row per array row, seps[0] v0 seps[1] v1 ... v_last end,
-    rows joined by `between`; returned lazily, as ASCII bytes, one piece
-    per block of rows.
+def _float_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The repr texts of the distinct floats of values, and the index of
+    each value's text, in C order."""
+    distinct, inverse = _distinct(values.astype(np.float64, copy=False))
+    texts = [  # numpy sizes each chunk's S width
+        np.array(list(map(repr, distinct[i:i + _REPR_CHUNK].tolist())), dtype="S")
+        for i in range(0, len(distinct), _REPR_CHUNK)
+    ]
+    return np.concatenate([np.empty(0, "S1"), *texts]), inverse
 
-    The arrays share their length and are 1-D or 2-D. Every value is
+
+def _index_texts(arrays: list[np.ndarray], shift: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The texts of the integers of arrays, each plus shift, and per array
+    the array indexing those texts in its place. Where every value lies in
+    0..n - 1, n the count of all the values, the texts are those of 0..max
+    and each array indexes them itself; else they are those of the
+    distinct values."""
+    lo = min((int(a.min()) for a in arrays if a.size), default=0)
+    hi = max((int(a.max()) for a in arrays if a.size), default=-1)
+    if 0 <= lo and hi < sum(a.size for a in arrays):
+        return _int_texts(range(shift, hi + 1 + shift)), arrays
+    values, inverse = _distinct(np.concatenate([a.reshape(-1) for a in arrays]))
+    if shift:
+        values = values.astype(np.int64) + shift
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    return _int_texts(values), [inverse[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+
+def _cells(columns: list[np.ndarray]) -> list[Cell]:
+    """The cells of plain columns, 1-D or 2-D arrays of one length: a cell
+    per value of a row, the floats texted once per distinct value and the
+    ints as _index_texts texts them."""
+    cells = []
+    for column in columns:
+        column = column[:, None] if column.ndim == 1 else column
+        if column.dtype.kind == "f":
+            texts, index = _float_texts(column)
+            index = index.reshape(column.shape)
+        else:
+            texts, (index,) = _index_texts([column])
+        cells += [(texts, None, index[:, j]) for j in range(column.shape[1])]
+    return cells
+
+
+def _float_cell(values: np.ndarray, rows: np.ndarray) -> Cell:
+    return (*_float_texts(values), rows)
+
+
+def _position_cells(mesh: SurfaceMesh) -> list[Cell]:
+    """x, y and c: c deduped over every sheet and read through the source
+    of each vertex, x and y over the lattice and through its lattice point.
+    c is made first: its dedupe is the largest, so it runs while the least
+    is alive."""
+    c = _float_cell(mesh.sheet_c, mesh.source)
+    z, point = mesh.z.reshape(-1), _lattice_point(mesh)
+    return [_float_cell(z.real, point), _float_cell(z.imag, point), c]
+
+
+def _lattice_point(mesh: SurfaceMesh) -> np.ndarray:
+    return mesh.source % mesh.z.size
+
+
+def _branch_cell(mesh: SurfaceMesh) -> Cell:
+    values, counts = mesh.branch_runs
+    distinct, index = _distinct(values)
+    return _int_texts(distinct), None, np.repeat(index, counts)
+
+
+def _face_segments(mesh: SurfaceMesh, shift: int = 0) -> list[list[Cell]]:
+    """The face table, each vertex index plus shift: one segment per sheet,
+    its lattice faces read through its part of renumber, then the walls."""
+    texts, (renumber, walls) = _index_texts([mesh.renumber, mesh.walls], shift)
+    points = mesh.z.size
+    return [
+        [(texts, renumber[s * points:(s + 1) * points], mesh.sheet_faces[:, j]) for j in range(3)]
+        for s in range(len(mesh.sheet_c))
+    ] + [[(texts, None, walls[:, j]) for j in range(3)]]
+
+
+def _segment_rows(segments: list[list[Cell]], start: int, stop: int) -> list[list[Cell]]:
+    """Rows start..stop of a table of segments, as segments."""
+    part, at = [], 0
+    for cells in segments:
+        n = len(cells[0][2])
+        if start < at + n and at < stop:
+            a, b = max(start - at, 0), min(stop - at, n)
+            part.append([(texts, inverse, rows[a:b]) for texts, inverse, rows in cells])
+        at += n
+    return part
+
+
+def _table(segments: list[list[Cell]], seps: tuple[str, ...], end: str, between: str = "") -> Iterator[bytes]:
+    """One text row per row of the segments, in order, seps[0] v0 seps[1]
+    v1 ... v_last end, rows joined by `between`; returned lazily, as ASCII
+    bytes, one piece per block of rows.
+
+    A segment is a list of cells, one per value of a row, and its rows
+    are those of the cells, which share their length. Every value is
     written as the repr of its Python float or int. A surface repeats few
-    distinct floats (its sheets share one lattice), so each float array is
+    distinct floats (its sheets share one lattice), so each float column is
     reduced to its distinct values, keyed by bit pattern so that -0.0 and
-    0.0 stay apart, and each is formatted once. An int array gets a text per
-    value of its range, or per distinct value when the range is wider than
-    the array. Texts are NUL-padded and a block's NUL bytes are dropped, so
-    the separators, `end` and `between` must not contain NUL (checked at once).
+    0.0 stay apart, and each is formatted once. Texts are NUL-padded and a
+    block's NUL bytes are dropped, so the separators, `end` and `between`
+    must not contain NUL (checked at once).
     """
     if "\0" in "".join((*seps, end, between)):
         raise ValueError("table separators must not contain NUL")
-    return _blocks(columns, seps, end, between)
+    return _blocks(segments, seps, end, between)
 
 
-def _blocks(columns: list[np.ndarray], seps: tuple[str, ...], end: str, between: str) -> Iterator[bytes]:
-    n = len(columns[0])
+def _blocks(segments: list[list[Cell]], seps: tuple[str, ...], end: str, between: str) -> Iterator[bytes]:
+    n = sum(len(cells[0][2]) for cells in segments)
     if not n:
         return
-    cells = [  # per cell: its texts, the column indexing them, and the offset of those indices
-        (texts, index[:, j], offset)
-        for texts, index, offset in (_cell_texts(column.reshape(n, -1)) for column in columns)
-        for j in range(index.shape[1])
-    ]
     separators = [text.encode() for text in (*seps, end + between)]  # separators[i] comes before cell i
     fields = []  # the record: an "S" field per non-empty separator and per cell, in row order
     for i, sep in enumerate(separators):
         if sep:
             fields.append((f"s{i}", f"S{len(sep)}"))
-        if i < len(cells):
-            fields.append((f"c{i}", cells[i][0].dtype))
+        if i < len(segments[0]):  # each cell as wide as its widest texts in any segment
+            fields.append((f"c{i}", f"S{max(cells[i][0].dtype.itemsize for cells in segments)}"))
     record = np.dtype(fields)
     rows = max(1, _BLOCK_BYTES // record.itemsize)
     block = np.empty(min(rows, n), record)
     for i, sep in enumerate(separators):
         if sep:  # once: every block reuses them
             block[f"s{i}"] = sep
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        part = block[:stop - start]
-        for i, (texts, index, offset) in enumerate(cells):
-            idx = index[start:stop]
-            if offset:  # per block, since offsetting the whole column would copy it
-                idx = np.subtract(idx, offset, dtype=np.intp)
-            part[f"c{i}"] = texts.take(idx)
-        data = part.tobytes().translate(None, b"\0")
-        yield data[:-len(between)] if between and stop == n else data
+    written = 0
+    for cells in segments:
+        length = len(cells[0][2])
+        for start in range(0, length, rows):
+            stop = min(start + rows, length)
+            part = block[:stop - start]
+            for i, (texts, inverse, index) in enumerate(cells):
+                at = index[start:stop]
+                part[f"c{i}"] = texts.take(at if inverse is None else inverse.take(at))
+            data = part.tobytes().translate(None, b"\0")
+            written += stop - start
+            yield data[:-len(between)] if between and written == n else data
 
 
 # The PLY layout, stated once: the header _ply_pieces writes, with the vertex and face counts in its {},
@@ -154,8 +251,10 @@ _PLY_PATTERN = "\n".join(_PLY_LINES)
 
 def _ply_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     yield _PLY_HEADER.format(mesh.n_vertices, mesh.n_faces).encode()
-    yield from _table([mesh.positions, mesh.colors], ("", " ", " ", " ", " ", " "), "\n")
-    yield from _table([mesh.faces], ("3 ", " ", " "), "\n")
+    # each table's texts are freed before the next table's are made
+    yield from _table([_position_cells(mesh) + _cells([mesh.colors])],
+                      ("", " ", " ", " ", " ", " "), "\n")
+    yield from _table(_face_segments(mesh), ("3 ", " ", " "), "\n")
 
 
 @dataclass
@@ -228,13 +327,14 @@ def read_ply(text: str) -> PlyData:
 # branch since core OBJ has no vertex colors.
 def _obj_pieces(mesh: SurfaceMesh, mtl_filename: str) -> Iterator[bytes]:
     yield f"mtllib {mtl_filename}\n".encode()
-    yield from _table([mesh.positions], ("v ", " ", " "), "\n")
-    # one group per run of faces owned by the same branch
+    yield from _table([_position_cells(mesh)], ("v ", " ", " "), "\n")
+    # one group per run of faces owned by the same branch, each a table over the one-based indices
+    faces = _face_segments(mesh, 1)
     values, counts = mesh.face_branch_runs
     stops = np.cumsum(counts).tolist()
     for k, start, stop in zip(values.tolist(), [0, *stops], stops):
         yield f"g branch_{k}\nusemtl branch_{k}\n".encode()
-        yield from _table([mesh.faces[start:stop] + 1], ("f ", " ", " "), "\n")
+        yield from _table(_segment_rows(faces, start, stop), ("f ", " ", " "), "\n")
 
 
 def _mtl_text(mesh: SurfaceMesh) -> str:
@@ -256,10 +356,26 @@ def _seam_record(s: Seam) -> dict:
     }
 
 
+def _finite(mesh: SurfaceMesh) -> bool:
+    # every float the vertex table writes is finite; the written values are gathered only where some value is not
+    point = _lattice_point(mesh)
+    for values, rows in ((mesh.z, point), (mesh.sheet_c, mesh.source), (mesh.sheet_w, mesh.source)):
+        finite = np.isfinite(values).reshape(-1)
+        if not (finite.all() or finite[rows].all()):
+            return False
+    return True
+
+
+def _json_vertex_cells(mesh: SurfaceMesh) -> list[Cell]:
+    # w first: its two dedupes over every sheet are the largest, so they run while the least is alive
+    w = [_float_cell(part, mesh.source) for part in (mesh.sheet_w.real, mesh.sheet_w.imag)]
+    return _position_cells(mesh) + [_branch_cell(mesh)] + w
+
+
 # Versioned JSON with full surface-point records; ValueError for a
-# non-finite value, which strict JSON cannot hold.
+# non-finite value written, which strict JSON cannot hold.
 def _json_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
-    if not (np.isfinite(mesh.positions).all() and np.isfinite(mesh.w).all()):
+    if not _finite(mesh):
         raise ValueError("Out of range float values are not JSON compliant")
     head = json.dumps({
         "schema": 1,
@@ -272,20 +388,20 @@ def _json_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     seams = json.dumps([_seam_record(s) for s in mesh.seams], separators=_JSON_SEPARATORS, allow_nan=False)
     yield head[:-1].encode() + b',"vertices":['
     yield from _table(
-        [mesh.positions, mesh.branch, mesh.w.real, mesh.w.imag],
+        [_json_vertex_cells(mesh)],
         ('{"x":', ',"y":', ',"c":', ',"k":', ',"w":[', ","),
         "]}",
         ",",
     )
     yield b'],"faces":['
-    yield from _table([mesh.faces], ("[", ",", ","), "]", ",")
+    yield from _table(_face_segments(mesh), ("[", ",", ","), "]", ",")
     yield f'],"seams":{seams}}}\n'.encode()
 
 
 # Vertex table with header x,y,c,k.
 def _csv_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     yield b"x,y,c,k\n"
-    yield from _table([mesh.positions, mesh.branch], ("", ",", ",", ","), "\n")
+    yield from _table([_position_cells(mesh) + [_branch_cell(mesh)]], ("", ",", ",", ","), "\n")
 
 
 def seams_json_text(mesh: SurfaceMesh, weld_tol: float) -> str:

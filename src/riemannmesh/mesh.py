@@ -50,14 +50,14 @@ __all__ = [
 DEFAULT_WELD_TOL = 1e-9
 
 # the most lattice points n_r * (n_theta + 1) a DomainGrid may hold: 4.4
-# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.33 KB
-# (PLY) to 0.48 KB (JSON) of peak RSS per lattice point above a tiny run's
-# 30 MB, and 0.33 to 0.49 KB at 400x1200, so at the cap such a run needs about
-# 0.5 GB.
+# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.25 KB
+# (PLY) to 0.37 KB (JSON) of peak RSS per lattice point above a tiny run's
+# 31 MB, and the same at 400x1200, so at the cap such a run needs about
+# 0.42 GB.
 MAX_GRID_POINTS = 1 << 20
 
 # the most vertices len(branches) * n_r * (n_theta + 1) a surface may hold:
-# three sheets at MAX_GRID_POINTS, about 0.16 KB each, the 0.5 GB run above
+# three sheets at MAX_GRID_POINTS, about 0.13 KB each, the 0.42 GB run above
 _MAX_SURFACE_POINTS = 3 * MAX_GRID_POINTS
 
 # the dtype of every vertex index (lattice and mesh faces, assembly's
@@ -111,9 +111,10 @@ class DomainGrid:
     because the theta = -pi and theta = +pi columns are both present,
     geometrically coincident on the cut but topologically distinct.
     The grid owns every lattice rule, raising GridError: integer counts
-    within the cap, 0 < r_min < r_max <= 2**1023 and a known spacing. So
-    every sampled z is finite and non-zero, and abs(z) <= r (1 + 4 * 2**-53)
-    is a finite float.
+    within the cap, 0 < r_min < r_max <= 2**1023, a known spacing, and n_r
+    radii that strictly increase, so that no face has zero area. So every
+    sampled z is finite and non-zero, and abs(z) <= r (1 + 4 * 2**-53) is a
+    finite float.
     """
 
     r_min: float = 0.05
@@ -144,6 +145,9 @@ class DomainGrid:
             raise GridError(
                 f"radial_spacing must be 'linear' or 'log', got {self.radial_spacing!r}", "radial_spacing"
             )
+        # r_min and r_max too close for n_r floats between them would repeat a radius: zero-area faces
+        if not np.all(np.diff(self.radii()) > 0.0):
+            raise GridError(f"r_max must exceed r_min by enough for {self.n_r} distinct radii", "r_max")
 
     @property
     def n_cols(self) -> int:
@@ -166,6 +170,10 @@ def sample_domain(grid: DomainGrid) -> np.ndarray:
     In floating point sin(+-pi) is +-1.2e-16, not 0, so the duplicated cut
     columns carry opposite-signed tiny imaginary parts and every later
     phase computation lands deterministically on its own side of the cut.
+    Below r = 2.02e-308, where r sin(-pi) rounds to -0.0, which the phase
+    folds onto +pi, the theta = -pi column takes the least subnormal below
+    zero, -5e-324, instead: its phase is -pi to the float from r = 1.44e-308
+    on, and within 5e-324 / r of it below.
     """
     radii = grid.radii()[:, None]
     thetas = grid.thetas().tolist()
@@ -174,6 +182,8 @@ def sample_domain(grid: DomainGrid) -> np.ndarray:
     # The parts are stored apart, as x + 1j*y would turn -0.0 into +0.0.
     z.real = radii * [math.cos(t) for t in thetas]
     z.imag = radii * [math.sin(t) for t in thetas]
+    lower = z.imag[:, 0]
+    lower[lower == 0.0] = -5e-324
     return z
 
 
@@ -299,19 +309,33 @@ def _expand(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class SurfaceMesh:
     """Triangulated union of branch sheets, colored by branch index.
 
-    Each sheet's branch is stored once, as runs in vertex and face order:
-    branch_runs and face_branch_runs, each (values, counts) of int64
-    branches and int32 counts, no two neighbouring values equal. branch,
-    colors and face_branch expand them on every access, as new read-only
-    arrays, so bind one once before indexing it in a loop.
+    The mesh keeps its sheet stack and a renumbering, not copies of them.
+    Sheet s of S holds the P points of the lattice z, with heights
+    sheet_c[s] and values sheet_w[s]; its pre-weld vertex s * P + p is
+    lattice point p. source lists the pre-weld vertex of each mesh vertex,
+    and renumber maps every pre-weld vertex to its mesh vertex, a welded
+    lower cut vertex to its upper partner. So the faces are each sheet's
+    sheet_faces through renumber[s * P:(s + 1) * P], in sheet order, then
+    the walls, which hold mesh indices. Each sheet's branch is stored once,
+    as runs in vertex and face order: branch_runs and face_branch_runs,
+    each (values, counts) of int64 branches and int32 counts, no two
+    neighbouring values equal.
+
+    positions, w, faces, branch, colors and face_branch expand these on
+    every access, as new read-only arrays, so bind one once before
+    indexing it in a loop; neither assembly nor any writer reads the first three.
     """
 
     function: IndexedFunction
     kind: CharismaKind
     sheet_branches: tuple[int, ...]
-    positions: np.ndarray    # (N, 3) float: x, y, c
-    w: np.ndarray            # (N,) complex range values
-    faces: np.ndarray        # (M, 3) int32 vertex indices
+    z: np.ndarray            # (n_r, n_cols) lattice, or any shape of P points
+    sheet_w: np.ndarray      # (S, *z.shape) complex range values per sheet
+    sheet_c: np.ndarray      # (S, *z.shape) float heights per sheet
+    sheet_faces: np.ndarray  # (F, 3) int32 indices into one sheet's points
+    source: np.ndarray       # (N,) int32 pre-weld vertex of each mesh vertex
+    renumber: np.ndarray     # (S * P,) int32 mesh vertex of each pre-weld vertex
+    walls: np.ndarray        # (W, 3) int32 mesh vertex indices, after the sheets' faces
     branch_runs: tuple[np.ndarray, np.ndarray]       # runs of the branch of each vertex
     face_branch_runs: tuple[np.ndarray, np.ndarray]  # runs of the sheet that owns each face
     seams: list[Seam] = field(default_factory=list)
@@ -320,11 +344,41 @@ class SurfaceMesh:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.positions)
+        return len(self.source)
 
     @property
     def n_faces(self) -> int:
-        return len(self.faces)
+        return len(self.sheet_c) * len(self.sheet_faces) + len(self.walls)
+
+    @property
+    def positions(self) -> np.ndarray:
+        """(N, 3) float x, y, c of each vertex."""
+        z = self.z.reshape(-1)
+        point = self.source % len(z)
+        positions = np.empty((len(self.source), 3))
+        positions[:, 0] = z.real[point]
+        positions[:, 1] = z.imag[point]
+        positions[:, 2] = self.sheet_c.reshape(-1)[self.source]
+        positions.flags.writeable = False
+        return positions
+
+    @property
+    def w(self) -> np.ndarray:
+        """(N,) complex range value of each vertex."""
+        w = self.sheet_w.reshape(-1)[self.source]
+        w.flags.writeable = False
+        return w
+
+    @property
+    def faces(self) -> np.ndarray:
+        """(M, 3) vertex indices of each face, int32 in a built mesh."""
+        n_sheets, per_sheet = len(self.sheet_c), len(self.sheet_faces)
+        faces = np.empty((self.n_faces, 3), np.result_type(self.renumber, self.walls))
+        renumber = self.renumber.astype(faces.dtype, copy=False).reshape(n_sheets, -1)
+        renumber.take(self.sheet_faces, axis=1, out=faces[:n_sheets * per_sheet].reshape(n_sheets, per_sheet, 3))
+        faces[n_sheets * per_sheet:] = self.walls
+        faces.flags.writeable = False
+        return faces
 
     @property
     def branch(self) -> np.ndarray:
@@ -397,44 +451,36 @@ def assemble_surface(
 
     # each pre-weld vertex's index in the welded mesh (decremented in place: a freed temporary
     # raised peak RSS 6% at 200x1200); a dropped lower edge takes its welded upper edge's
-    new_index = np.cumsum(keep, dtype=_VERTEX_INDEX)
-    new_index -= 1
-    new_index[lower[welded]] = new_index[upper[welded]]
+    renumber = np.cumsum(keep, dtype=_VERTEX_INDEX)
+    renumber -= 1
+    renumber[lower[welded]] = renumber[upper[welded]]
     seams = [Seam(branches[a], branches[b], float(g.max()), float(g.mean()), w, tuple(m) if w else ())
-             for a, b, g, w, m in zip(i.tolist(), j.tolist(), gaps, welded.tolist(), new_index[upper].tolist())]
+             for a, b, g, w, m in zip(i.tolist(), j.tolist(), gaps, welded.tolist(), renumber[upper].tolist())]
     # two triangles per radial step of each walled seam, bridging upper[r..r+1] to lower[r..r+1]
     u, l = upper[walled], lower[walled]
     wall = np.stack([u[:, :-1], l[:, :-1], l[:, 1:], u[:, :-1], l[:, 1:], u[:, 1:]], axis=-1).reshape(-1, 3)
-    per_sheet = len(sheets.faces)
-    n_faces = per_sheet * n_sheets
-    faces = np.empty((n_faces + len(wall), 3), dtype=_VERTEX_INDEX)
-    sheet_faces = faces[:n_faces].reshape(n_sheets, per_sheet, 3)
-    new_index.reshape(n_sheets, n_per).take(sheets.faces, axis=1, out=sheet_faces)
-    faces[n_faces:] = new_index[wall]
     # one run per sheet and one per wall, in face order
     ks = np.array(branches, dtype=np.int64)
-    face_branch_runs = _runs(np.concatenate([ks, ks[i[walled]]]), [per_sheet] * n_sheets + [2 * (n_r - 1)] * len(u))
-    del new_index  # freed before the vertex columns are made
-
-    # filled at its kept size, one column at a time, so that no pre-weld
-    # copy of the vertex table is made
-    kept = keep.reshape(c.shape)
-    positions = np.empty((np.count_nonzero(keep), 3))
-    for column, values in enumerate((sheets.z.real, sheets.z.imag, c)):
-        positions[:, column] = np.broadcast_to(values, c.shape)[kept]
-    return SurfaceMesh(
-        function=sheets.function,
-        kind=sheets.kind,
-        sheet_branches=branches,
-        positions=positions,
-        w=sheets.w.reshape(-1)[keep],
-        faces=faces,
+    face_counts = [len(sheets.faces)] * n_sheets + [2 * (n_r - 1)] * len(u)
+    return _factored_mesh(
+        sheets.function, sheets.kind, branches, sheets.z, sheets.w, c, sheets.faces,
+        source=np.flatnonzero(keep).astype(_VERTEX_INDEX),
+        renumber=renumber,
+        walls=renumber[wall],
         # vertices stay in sheet order: one run per sheet, over its kept vertices
-        branch_runs=_runs(ks, np.count_nonzero(kept, axis=(1, 2))),
-        face_branch_runs=face_branch_runs,
+        branch_runs=_runs(ks, np.count_nonzero(keep.reshape(c.shape), axis=(1, 2))),
+        face_branch_runs=_runs(np.concatenate([ks, ks[i[walled]]]), face_counts),
         seams=seams,
         welded=bool(weld),
     )
+
+
+def _factored_mesh(function, kind, sheet_branches, z, sheet_w, sheet_c, sheet_faces, **rest) -> SurfaceMesh:
+    # a built mesh, every array of it read-only, as a stack's are
+    mesh = SurfaceMesh(function, kind, sheet_branches, z, sheet_w, sheet_c, sheet_faces, **rest)
+    for stored in (z, sheet_w, sheet_c, sheet_faces, mesh.source, mesh.renumber, mesh.walls):
+        stored.flags.writeable = False
+    return mesh
 
 
 def seam_report(mesh: SurfaceMesh) -> list[tuple[tuple[int, int], float, float]]:
@@ -453,20 +499,20 @@ def build_range_chart(function: IndexedFunction, grid: DomainGrid) -> SurfaceMes
     """
     w = sample_domain(grid)
     n_rows, n_cols = w.shape
-    flat = w.ravel()
-    branch_runs = _runs(_batch_branch_index(flat, function), 1)
+    branch_runs = _runs(_batch_branch_index(w.reshape(-1), function), 1)
     # a lattice quad's two faces take the branch of its low corner, and the low corners are the
     # vertices off the last row and column, in vertex order: so the quads before a vertex run's end
     # number that end less its row, up to the last quad
     ends = np.cumsum(branch_runs[1], dtype=np.int64)
     quads = np.minimum(ends - ends // n_cols, (n_rows - 1) * (n_cols - 1))
-    return SurfaceMesh(
-        function=function,
-        kind=CharismaKind.INDEX,
-        sheet_branches=tuple(np.unique(branch_runs[0]).tolist()),
-        positions=np.column_stack([flat.real, flat.imag, np.zeros(flat.size)]),
-        w=flat,
-        faces=lattice_faces(n_rows, n_cols),
+    # one sheet at height 0 whose values are its samples, every vertex kept and none welded
+    every = np.arange(w.size, dtype=_VERTEX_INDEX)
+    return _factored_mesh(
+        function, CharismaKind.INDEX, tuple(np.unique(branch_runs[0]).tolist()),
+        w, w[None], np.broadcast_to(0.0, (1, n_rows, n_cols)), lattice_faces(n_rows, n_cols),
+        source=every,
+        renumber=every,
+        walls=np.empty((0, 3), _VERTEX_INDEX),
         branch_runs=branch_runs,
         face_branch_runs=_runs(branch_runs[0], 2 * np.diff(quads, prepend=0)),
         range_chart=True,

@@ -182,6 +182,9 @@ class TestParseArgs:
             (["--n-theta", "10000000"], "--n-theta"),
             (["--r-max", "nan"], "--r-max"),
             (["--r-min", "inf"], "--r-min"),
+            # radii that repeat: fewer distinct floats between r_min and r_max than n_r
+            (["--r-min", "1", "--r-max", "1.0000000000000002", "--n-r", "5"], "--r-max"),
+            (["--r-min", "5e-324", "--r-max", "1e-323", "--n-r", "4", "--radial-spacing", "log"], "--r-max"),
         ],
     )
     def test_grid_validation_names_the_flag(self, flags, flag_name, capsys):
@@ -575,7 +578,10 @@ class TestWriteAtomic:
 
         def with_nan(job):
             mesh = build(job)
-            mesh.positions[-1, 2] = float("nan")
+            # the last vertex's height, in the sheet stack the mesh reads it from
+            c = mesh.sheet_c.copy()
+            c.reshape(-1)[mesh.source[-1]] = float("nan")
+            mesh.sheet_c = c
             return mesh
 
         monkeypatch.setattr(cli, "build_mesh", with_nan)

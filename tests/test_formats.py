@@ -17,6 +17,7 @@ from riemannmesh import (
     SurfaceMesh,
     assemble_surface,
     branch_color,
+    build_range_chart,
     build_sheets,
     evaluate_charisma,
 )
@@ -137,7 +138,9 @@ def row_csv_text(mesh):
 
 def synthetic_mesh(n_vertices, n_faces, seed):
     """A mesh of awkward values: signed zeros, wide exponents, subnormals,
-    negative branches, and face groups whose branch recurs later."""
+    negative branches, and face groups whose branch recurs later. It is a
+    one-sheet factored mesh whose lattice is its vertices, each kept, and
+    whose faces are all walls: an edit writes into vertex_views(mesh) and walls."""
     rng = np.random.default_rng(seed)
     positions = rng.standard_normal((n_vertices, 3)) * 10.0 ** rng.integers(-30, 30, (n_vertices, 3))
     positions[::5, 0] = -0.0
@@ -148,18 +151,30 @@ def synthetic_mesh(n_vertices, n_faces, seed):
     w.imag[::3] = -0.0
     runs = rng.integers(-3, 4, max(1, n_faces // 50))
     face_branch = np.repeat(runs, -(-n_faces // len(runs)))[:n_faces]
+    z = np.empty(n_vertices, complex)  # its parts stored apart, as x + 1j*y would turn -0.0 into +0.0
+    z.real, z.imag = positions[:, 0], positions[:, 1]
+    every = np.arange(n_vertices, dtype=np.int32)
     return SurfaceMesh(
         function=ROOT3,
         kind=CharismaKind.SIN,
         sheet_branches=(-1, 0, 1),
-        positions=positions,
-        w=w,
-        faces=rng.integers(0, max(n_vertices, 1), (n_faces, 3)),
+        z=z,
+        sheet_w=w[None],
+        sheet_c=positions[None, :, 2].copy(),
+        sheet_faces=np.empty((0, 3), np.int32),
+        source=every,
+        renumber=every,
+        walls=rng.integers(0, max(n_vertices, 1), (n_faces, 3)),
         branch_runs=_runs(branch, 1),
         face_branch_runs=_runs(face_branch, 1),
         seams=[Seam(-1, 0, 2.5e-17, 1e-17, True), Seam(1, -1, 2.0, 1.5, False)],
         welded=True,
     )
+
+
+def vertex_views(mesh):
+    """x, y, c and w of each vertex of a synthetic mesh: views into its sheet, to edit."""
+    return mesh.z.real, mesh.z.imag, mesh.sheet_c[0], mesh.sheet_w[0]
 
 
 def set_branch(mesh, branch):
@@ -169,23 +184,26 @@ def set_branch(mesh, branch):
 
 def signed_zeros(mesh):
     # -0.0 and 0.0 in one column: their reprs differ, their values compare equal
-    mesh.positions[:, 0] = np.where(np.arange(mesh.n_vertices) % 3, 0.0, -0.0)
-    mesh.w.real[::2] = -0.0
+    x, _, _, w = vertex_views(mesh)
+    x[:] = np.where(np.arange(mesh.n_vertices) % 3, 0.0, -0.0)
+    w.real[::2] = -0.0
 
 
 def one_value(mesh):
-    mesh.positions[:] = 0.1
-    mesh.w[:] = 0.1 - 0.1j
+    x, y, c, w = vertex_views(mesh)
+    x[:] = y[:] = c[:] = 0.1
+    w[:] = 0.1 - 0.1j
 
 
 def non_finite(mesh):
     # two NaN payloads and a negative NaN all print as nan
     payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
-    mesh.positions[::4, 0] = np.nan
-    mesh.positions[1::4, 1] = np.inf
-    mesh.positions[2::4, 2] = -np.inf
-    mesh.positions[3::4, 0] = payload
-    mesh.positions[3::8, 2] = -np.nan
+    x, y, c, _ = vertex_views(mesh)
+    x[::4] = np.nan
+    y[1::4] = np.inf
+    c[2::4] = -np.inf
+    x[3::4] = payload
+    c[3::8] = -np.nan
 
 
 # a writer budget that keeps the row-at-a-time writers fast on tables of
@@ -218,12 +236,13 @@ def anchored_mesh(n_vertices, n_faces, seed):
     as wide as the table's first row at any size; and with one face group,
     so that OBJ writes one face table."""
     mesh = synthetic_mesh(n_vertices, n_faces, seed)
-    mesh.positions[0] = WIDEST_FLOAT
-    mesh.w[0] = complex(WIDEST_FLOAT, WIDEST_FLOAT)
+    x, y, c, w = vertex_views(mesh)
+    x[0] = y[0] = c[0] = WIDEST_FLOAT
+    w[0] = complex(WIDEST_FLOAT, WIDEST_FLOAT)
     branch = mesh.branch.copy()
     branch[0] = -9  # grey, 127 127 127: three digits in every colour column
     set_branch(mesh, branch)
-    mesh.faces[:1] = n_vertices - 1
+    mesh.walls[:1] = n_vertices - 1
     mesh.face_branch_runs = _runs([0], n_faces)
     return mesh
 
@@ -256,7 +275,7 @@ def block_rows(row):
 # cells that no mesh holds are the *_cells edits, written by _table itself.
 def int64_extremes_narrow(mesh):
     set_branch(mesh, I64_MIN + np.arange(mesh.n_vertices) % 7)
-    mesh.faces[:] = I64_MAX - mesh.faces % 5
+    mesh.walls[:] = I64_MAX - mesh.walls % 5
 
 
 def int64_extremes_wide(mesh):
@@ -264,21 +283,21 @@ def int64_extremes_wide(mesh):
     branch[::3] = I64_MIN
     branch[1::3] = I64_MAX
     set_branch(mesh, branch)
-    mesh.faces[::4, 0] = I64_MIN
-    mesh.faces[1::4, 2] = I64_MAX
+    mesh.walls[::4, 0] = I64_MIN
+    mesh.walls[1::4, 2] = I64_MAX
 
 
 def small_int_dtypes(mesh):
     branch = np.arange(mesh.n_vertices) % 256 - 128
     branch[-1] = 127
     set_branch(mesh, branch)
-    mesh.faces = (mesh.faces % 256 - 128).astype(np.int8)
-    mesh.faces[-1] = [-128, 127, 0]
+    mesh.walls = (mesh.walls % 256 - 128).astype(np.int8)
+    mesh.walls[-1] = [-128, 127, 0]
 
 
 def only_zero(mesh):
     set_branch(mesh, np.zeros(mesh.n_vertices, dtype=np.int64))
-    mesh.faces[:] = 0
+    mesh.walls[:] = 0
 
 
 def digit_widths(mesh):
@@ -287,9 +306,9 @@ def digit_widths(mesh):
     up = (np.arange(mesh.n_vertices) + 1) % 2
     set_branch(mesh, np.where(up, 100_000, 99_999))
     up = (np.arange(mesh.n_faces) + 1) % 2
-    mesh.faces[:, 0] = np.where(up, 10, 9)
-    mesh.faces[:, 1] = 10**12
-    mesh.faces[:, 2] = np.where(up, 100_000, 99_999)
+    mesh.walls[:, 0] = np.where(up, 10, 9)
+    mesh.walls[:, 1] = 10**12
+    mesh.walls[:, 2] = np.where(up, 100_000, 99_999)
 
 
 # each returns a colour column and a branch column for a mesh's rows
@@ -417,18 +436,18 @@ class TestWritersMatchRowReference:
              ('{"x":', ',"y":', ',"c":', ',"k":', ',"w":[', ","), "]}", ","),
         ]
         for columns, seps, end, between in tables:
-            text = b"".join(formats._table(columns, seps, end, between)).decode()
+            text = b"".join(formats._table([formats._cells(columns)], seps, end, between)).decode()
             assert_same_text(text, row_table_text(columns, seps, end, between))
 
     @pytest.mark.parametrize("seps,end,between", [(("\0",), "\n", ""), (("",), "\0", ""), (("",), "\n", "\0")])
     def test_a_separator_holding_nul_is_refused(self, seps, end, between):
         # the writer drops every NUL byte of its grids, so a NUL separator would vanish
         with pytest.raises(ValueError, match="NUL"):
-            formats._table([np.array([1, 2])], seps, end, between)
+            formats._table([formats._cells([np.array([1, 2])])], seps, end, between)
 
     def test_percent_signs_around_the_values_are_written_as_they_are(self):
         columns = [np.array([[0.5, -0.0], [1e300, 2.0]]), np.array([7, 8])]
-        text = b"".join(formats._table(columns, ("%s", "%", "%d"), "%\n", "%%"))
+        text = b"".join(formats._table([formats._cells(columns)], ("%s", "%", "%d"), "%\n", "%%"))
         assert text == b"%s0.5%-0.0%d7%\n%%%s1e+300%2.0%d8%\n"
 
 
@@ -490,8 +509,8 @@ class TestPly:
 
     def test_reader_round_trips_extreme_floats_bit_for_bit(self):
         mesh = synthetic_mesh(4, 2, seed=3)
-        mesh.positions[0] = [-0.0, 5e-324, 1.7976931348623157e308]
-        mesh.positions[1] = [-5e-324, -1.7976931348623157e308, 0.0]
+        x, y, c, _ = vertex_views(mesh)
+        x[:2], y[:2], c[:2] = [-0.0, -5e-324], [5e-324, -1.7976931348623157e308], [1.7976931348623157e308, 0.0]
         data = read_ply(rendered("ply", mesh))
         assert data.vertices.dtype == np.float64
         assert data.vertices.tobytes() == mesh.positions.tobytes()
@@ -668,7 +687,7 @@ class TestJson:
 
     def test_refuses_non_finite_values(self, mesh):
         bad = synthetic_mesh(4, 2, seed=0)
-        bad.positions[2, 2] = np.nan
+        vertex_views(bad)[2][2] = np.nan
         with pytest.raises(ValueError):
             rendered("json", bad)
         with pytest.raises(ValueError):
@@ -741,10 +760,18 @@ class TestDistinct:
         assert len(values) == x.size
 
 
+def stored_bytes(mesh):
+    """The bytes of the arrays a mesh stores, its stack's included: none of its expansions."""
+    arrays = (mesh.z, mesh.sheet_w, mesh.sheet_c, mesh.sheet_faces, mesh.source, mesh.renumber, mesh.walls)
+    return sum(a.nbytes for a in (*arrays, *mesh.branch_runs, *mesh.face_branch_runs))
+
+
 class TestWriterMemory:
     """The writers' transient memory, as traced by tracemalloc, in units of
-    the vertex table: before each float table was deduped without
-    whole-table temporaries, every writer peaked at 5.3 times it."""
+    the arrays the mesh stores (before each float table was deduped without
+    whole-table temporaries, every writer peaked at 5.3 times the vertex
+    table). The face table's index texts are built a chunk at a time: built
+    whole, that table peaked at 0.84 times the arrays stored, and 0.53 so."""
 
     @pytest.fixture(scope="class")
     def default_mesh(self):
@@ -753,11 +780,13 @@ class TestWriterMemory:
     @pytest.mark.parametrize(
         "pieces,bound",
         [
-            (lambda mesh: formats._ply_pieces(mesh), 2.5),
-            (lambda mesh: formats._obj_pieces(mesh, "x.mtl"), 2.5),
-            (lambda mesh: formats._json_pieces(mesh), 4.5),
+            (lambda mesh: formats._ply_pieces(mesh), 1.25),
+            (lambda mesh: formats._obj_pieces(mesh, "x.mtl"), 1.25),
+            (lambda mesh: formats._json_pieces(mesh), 2.25),
+            (lambda mesh: formats._csv_pieces(mesh), 1.25),
+            (lambda mesh: formats._table(formats._face_segments(mesh), ("3 ", " ", " "), "\n"), 0.6),
         ],
-        ids=["ply", "obj", "json"],
+        ids=["ply", "obj", "json", "csv", "face-table"],
     )
     def test_peak_stays_within_a_few_vertex_tables(self, default_mesh, pieces, bound):
         assert default_mesh.n_vertices == 28800
@@ -769,4 +798,25 @@ class TestWriterMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < bound * default_mesh.positions.nbytes
+        assert peak < bound * stored_bytes(default_mesh)
+
+
+class TestFactoredReads:
+    def test_no_assembly_or_writer_expands_positions_w_or_faces(self, monkeypatch, tmp_path):
+        # each would cost a vertex or face table: 17 MB for positions at 200x1200
+        def refuse(mesh):
+            raise AssertionError("an expanded column was read")
+
+        for name in ("positions", "w", "faces"):
+            monkeypatch.setattr(SurfaceMesh, name, property(refuse))
+        every = ROOT3.branch_indices()
+        meshes = [
+            assemble_surface(build_sheets(ROOT3, every, CharismaKind.SIN, GRID)),
+            # a walled surface with welded seams: walls, renumbered faces and dropped vertices
+            assemble_surface(build_sheets(ROOT3, every, CharismaKind.INDEX, GRID), walls=True, weld_tol=1.5),
+            build_range_chart(ROOT3, GRID),
+        ]
+        for mesh in meshes:
+            for fmt in formats.FORMATS:
+                for pieces in render_outputs(mesh, fmt, tmp_path / f"m.{fmt}", DEFAULT_WELD_TOL).values():
+                    assert b"".join(pieces)

@@ -30,6 +30,7 @@ from riemannmesh import (
     build_sheets,
     continuation_branch,
     evaluate_charisma,
+    principal_phase,
     sample_domain,
     seam_report,
 )
@@ -111,6 +112,16 @@ class TestDomainGrid:
             DomainGrid(**base)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize(
+        "r_min,r_max,n_r", [(1.0, 1.0000000000000002, 5), (5e-324, 1e-323, 4)], ids=["near-one", "subnormal"]
+    )
+    def test_rejects_radii_that_repeat(self, r_min, r_max, n_r, spacing):
+        # fewer distinct floats than radii between r_min and r_max: a repeated radius makes zero-area faces
+        with pytest.raises(GridError, match=f"{n_r} distinct radii") as exc:
+            DomainGrid(r_min, r_max, n_r, 8, radial_spacing=spacing)
+        assert exc.value.field == "r_max"
+
     def test_caps_the_lattice_points_without_allocating(self):
         assert DomainGrid(n_r=200, n_theta=1200).n_r * 1201 < MAX_GRID_POINTS / 4
         DomainGrid(n_r=1024, n_theta=MAX_GRID_POINTS // 1024 - 1)  # exactly at the cap
@@ -180,6 +191,23 @@ class TestSampleDomain:
         assert np.all(np.abs(z[:, 0] - z[:, -1]) < 1e-14)
         # ...but sit on opposite sides of it
         assert np.all(z[:, 0].imag < 0) and np.all(z[:, -1].imag > 0)
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize("r_min", [5e-324, 1e-310, 1e-308, 1.44e-308, 1.5e-308, 2e-308, 2.3e-308, 0.5])
+    def test_the_lower_cut_column_stays_below_the_cut_at_every_radius(self, r_min, spacing):
+        # where r sin(-pi) underflows to -0.0 the phase would fold the theta = -pi column onto +pi; it
+        # takes -5e-324 instead, whose phase is -pi to the float from r = 1.44e-308 on, and from
+        # r = 5e-324 to there lies within 5e-324 / r of -pi, on the lower side
+        grid = DomainGrid(r_min, 2.0, 6, 8, radial_spacing=spacing)
+        z = sample_domain(grid)
+        assert np.all(z[:, 0].imag < 0.0) and np.all(z[:, -1].imag >= 0.0)
+        for r, v in zip(grid.radii().tolist(), z[:, 0].tolist()):
+            ph = principal_phase(v)
+            if r >= 1.44e-308:
+                assert ph == -math.pi
+            else:
+                assert -math.pi < ph <= -math.pi + 5e-324 / r * 1.01
+        assert [principal_phase(v) for v in z[:, -1].tolist()] == [math.pi] * 6
 
     def test_all_samples_inside_annulus(self):
         z = sample_domain(DomainGrid(0.5, 2.0, 3, 360))
@@ -466,6 +494,19 @@ class TestAssembleContinuousSurfaces:
         assert mesh.n_faces == 3 * 32
         assert mesh.faces.min() >= 0 and mesh.faces.max() < mesh.n_vertices
 
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize(
+        "function,kind,branches", [(ROOT3, CharismaKind.SIN, (-1, 0, 1)), (LOG, CharismaKind.IMAG, range(-2, 3))],
+        ids=["root3-sin", "log-imag"],
+    )
+    def test_every_seam_welds_at_a_subnormal_r_min(self, function, kind, branches, spacing):
+        # below r = 2.02e-308 the lower cut column once took the upper side's values, and no seam welded;
+        # it now lies within 5e-324 / r of ph = -pi, 5e-14 at r = 1e-310
+        grid = DomainGrid(r_min=1e-310, radial_spacing=spacing)
+        mesh = assemble_surface(build_sheets(function, branches, kind, grid))
+        assert all(s.welded for s in mesh.seams) and len(mesh.seams) == len(branches) - (function is LOG)
+        assert max(s.max_gap for s in mesh.seams) < 1e-13
+
     def test_sin_seam_gaps_match_case_formula_oracle(self):
         sheets = sheet_triple(CharismaKind.SIN)
         mesh = assemble_surface(sheets, weld=True)
@@ -683,10 +724,10 @@ class TestAssemblyMemory:
         "kind,walls", [(CharismaKind.SIN, False), (CharismaKind.INDEX, True)], ids=["welded", "walled"]
     )
     def test_peak_stays_near_the_mesh_it_returns(self, kind, walls):
-        # the default grid, its sheets built before tracing: assembly frees
-        # its weld map and renumbering before it makes the vertex columns,
-        # and stores each sheet's branch as runs, with no per-vertex or
-        # per-face branch or colour array
+        # the default grid, its sheets built before tracing: the mesh keeps
+        # the stack and adds its vertex source, renumbering, walls and runs;
+        # the weld mask and the kept-vertex list, about 2.4 renumberings, are
+        # the transient. No vertex or face table is made
         sheets = build_sheets(ROOT3, ROOT3.branch_indices(), kind, DomainGrid())
         tracemalloc.start()
         try:
@@ -695,8 +736,12 @@ class TestAssemblyMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        arrays = (mesh.positions, mesh.w, mesh.faces, *mesh.branch_runs, *mesh.face_branch_runs)
-        assert peak - sum(a.nbytes for a in arrays) < 0.5 * mesh.positions.nbytes
+        stored = (mesh.source, mesh.renumber, mesh.walls, *mesh.branch_runs, *mesh.face_branch_runs)
+        added = sum(a.nbytes for a in stored)
+        assert peak - added < 2.5 * mesh.renumber.nbytes
+        assert added < 0.25 * sum(a.nbytes for a in (sheets.z, sheets.w, sheets.c, sheets.faces))
+        assert all(a is b for a, b in zip((mesh.z, mesh.sheet_w, mesh.sheet_c, mesh.sheet_faces),
+                                          (sheets.z, sheets.w, sheets.c, sheets.faces)))
 
 
 class TestAssemblyErrors:

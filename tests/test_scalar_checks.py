@@ -196,6 +196,18 @@ def test_each_scalar_call_stays_within_its_call_budget(fn, args, budget):
         assert seen.get("_as_nonzero_complex", 0) <= 1 and seen.get("_require_branch", 0) <= 1, seen
 
 
+def test_root_branch_checks_k_once_and_builds_the_set_of_a_degree_once():
+    # z, then k as an integer, then the degree, then k in its set, one frame per check; the first call for
+    # a degree builds its set, and each later one reads it: 7 calls, as through IndexedFunction.branch_value
+    root_branch(1j, 3, 0)
+    for z in (0.3 - 1.2j, complex(-2.0, 0.0), complex(-2.0, -0.0), 1.7e308 + 1.7e308j):
+        seen = python_calls(root_branch, (z, 3, 1))
+        assert sum(seen.values()) <= 7 and seen["_require_branch"] == 1 and "root_indices" not in seen, seen
+    # an unhashable degree gets the degree check's error, not the cache's
+    with pytest.raises(ValueError, match=f"^{re.escape(DEGREE[1])}$"):
+        root_branch(1j, [3], 0)
+
+
 def assert_stored_facts(f: IndexedFunction, n: int | None) -> None:
     # what __post_init__ stores for a function of root degree n, or of log for n = None
     if n is None:
