@@ -13,12 +13,14 @@ branch: the -0.0 fold and the phase (_phase), the log height (_log_height),
 the root angle and radius (_root_angle, _root_radius), and the branch that
 owns a log height or a root phase (_log_branch_index, _root_branch_index).
 The scalar API calls them once per value. The batch entry points for the
-mesh builder, _batch_charisma and _batch_branch_index, call the same
-helpers: _log_height and _root_angle, which use only +, * and /, on numpy
-arrays, which round as floats do; _phase on an array, with math.atan2
-mapped over its points; and the rest once per distinct argument, mapped
-over lists. So both paths make the same libm calls on the same arguments
-and agree bit for bit, and a change to a formula is one edit.
+mesh builder, _batch_heights, _batch_values and _batch_branch_index, call
+the same helpers: _log_height and _root_angle, which use only +, * and /,
+on numpy arrays, which round as floats do; _phase on an array, with
+math.atan2 mapped over its points a chunk at a time; and the rest once per
+distinct argument, mapped over lists. So both paths make the same libm
+calls on the same arguments and agree bit for bit, and a change to a
+formula is one edit. Only _batch_values computes range values: the
+heights of every kind but phase need none.
 
 A scalar call checks each input once, one frame per check, and reads what
 IndexedFunction stored when it was built. Where abs(z) overflows, the
@@ -96,7 +98,7 @@ def _phase(z, atan2=math.atan2):
 
 def _atan2_each(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     # math.atan2 at every point of two arrays of one shape
-    return _floats(map(math.atan2, y.ravel().tolist(), x.ravel().tolist()), y.shape)
+    return _map_each(math.atan2, y, x)
 
 
 def principal_phase(z: complex) -> float:
@@ -364,6 +366,22 @@ def _floats(values, shape: tuple[int, ...]) -> np.ndarray:
     return np.fromiter(values, float, math.prod(shape)).reshape(shape)
 
 
+# points a per-point map takes at a time: a list of a whole lattice's Python floats or complexes, 32 to 40
+# bytes a point, would set the peak memory of building a surface
+_MAP_CHUNK = 1 << 12
+
+
+def _map_each(fn, *arrays: np.ndarray) -> np.ndarray:
+    # fn at every point of arrays of one shape, as floats of that shape: the one per-point map of a math
+    # function, run from C over lists of _MAP_CHUNK points at a time
+    flat = [a.reshape(-1) for a in arrays]
+    out = np.empty(flat[0].size)
+    for i in range(0, out.size, _MAP_CHUNK):
+        part = out[i:i + _MAP_CHUNK]
+        part[:] = _floats(map(fn, *(a[i:i + _MAP_CHUNK].tolist() for a in flat)), part.shape)
+    return out.reshape(arrays[0].shape)
+
+
 # sorted keys handled at a time by _distinct
 _DISTINCT_CHUNK = 1 << 14
 
@@ -401,46 +419,61 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.concatenate(values) if values else key[:0]).view(x.dtype), inverse
 
 
-def _batch_charisma(
-    f: IndexedFunction, z: np.ndarray, branches: Sequence[int], kind: CharismaKind
-) -> tuple[np.ndarray, np.ndarray]:
-    """w = f_k(z) and the charisma at every point of z for each k in branches,
-    as two arrays of shape (len(branches), *z.shape), for a z, branches and
-    kind the caller has checked. atan2 and abs run per point, log or
-    _root_radius per distinct modulus, cos and sin per branch and distinct
-    phase, and _log_height and _root_angle on arrays of every branch; each
-    value is bit-for-bit what branch_value or evaluate_charisma returns."""
+def _batch_values(f: IndexedFunction, z: np.ndarray, branches: Sequence[int]) -> np.ndarray:
+    """w = f_k(z) at every point of z for each k in branches, as an array of
+    shape (len(branches), *z.shape), for a z and branches the caller has
+    checked: the one batch path of the range values. atan2 and abs run per
+    point, log or _root_radius per distinct modulus, cos and sin per branch
+    and distinct phase, and _log_height and _root_angle on arrays of every
+    branch; each value is bit-for-bit what branch_value returns."""
     shape = (len(branches),) + z.shape
     ph = _phase(z, _atan2_each).ravel()
-    moduli, at_modulus = _distinct(_floats(map(abs, z.ravel().tolist()), ph.shape))
-    # each k as the float that 2 pi k makes of it in the scalar helpers; an
-    # int64 array would add numpy's buffered cast to the peak RSS
-    ks = np.array(branches, float)[:, None]
+    moduli, at_modulus = _distinct(_map_each(abs, z))
+    ks = _branch_floats(branches)
     w = np.empty((len(branches),) + ph.shape, dtype=complex)
     if f.is_log:
         w.real = _floats(map(math.log, moduli.tolist()), moduli.shape)[at_modulus]
         w.imag = _log_height(ph, ks)
     else:  # the cosine and sine of each branch angle per distinct phase
+        radius = _floats(map(_root_radius, moduli.tolist(), itertools.repeat(f.n)), moduli.shape)[at_modulus]
+        del at_modulus
         phases, at_phase = _distinct(ph)
         angles = _root_angle(phases, f.n, ks)
-        radius = _floats(map(_root_radius, moduli.tolist(), itertools.repeat(f.n)), moduli.shape)[at_modulus]
-        cos, sin = (_floats(map(fn, angles.ravel().tolist()), angles.shape) for fn in (math.cos, math.sin))
-        w.real = radius * cos[:, at_phase]
-        w.imag = radius * sin[:, at_phase]
-        del radius
-    w = w.reshape(shape)
-    del ph, at_modulus  # per point: kept while the heights are made, they raised peak RSS 7% at 200x1200
+        w.real = radius * _map_each(math.cos, angles)[:, at_phase]
+        w.imag = radius * _map_each(math.sin, angles)[:, at_phase]
+    return w.reshape(shape)
+
+
+def _batch_heights(f: IndexedFunction, z: np.ndarray, branches: Sequence[int], kind: CharismaKind) -> np.ndarray:
+    """The charisma at every point of z for each k in branches, as an array
+    of shape (len(branches), *z.shape), for a z, branches and kind the
+    caller has checked; each value is bit-for-bit what evaluate_charisma
+    returns. Only phase heights need the range values, which _batch_values
+    makes and which are freed at once: index heights take no phase, imag
+    heights are _log_height of the phase, and sin and cos heights those of
+    the branch angle, per branch and distinct phase."""
+    shape = (len(branches),) + z.shape
     if kind is _INDEX:
         c = np.empty(shape)
         for row, k in zip(c, branches):
             row.fill(float(k))
-    elif kind is _IMAG:
-        c = w.imag.copy()
-    elif kind is _PHASE:
-        c = _phase(w, _atan2_each)
-    else:  # from the per-phase table w was built from; gathered before w, it raised peak RSS
-        c = (cos if kind is _COS else sin)[:, at_phase].reshape(shape)
-    return w, c
+        return c
+    if kind is _PHASE:
+        return _phase(_batch_values(f, z, branches), _atan2_each)
+    ph = _phase(z, _atan2_each).ravel()
+    ks = _branch_floats(branches)
+    if kind is _IMAG:
+        return _log_height(ph, ks).reshape(shape)
+    phases, at_phase = _distinct(ph)
+    del ph
+    table = _map_each(math.cos if kind is _COS else math.sin, _root_angle(phases, f.n, ks))
+    return table[:, at_phase].reshape(shape)
+
+
+def _branch_floats(branches: Sequence[int]) -> np.ndarray:
+    # each k as the float that 2 pi k makes of it in the scalar helpers, as a column; an int64 array would add
+    # numpy's buffered cast to the peak RSS
+    return np.array(branches, float)[:, None]
 
 
 def branch_of(w: complex, f: IndexedFunction) -> int:

@@ -356,26 +356,23 @@ def _seam_record(s: Seam) -> dict:
     }
 
 
-def _finite(mesh: SurfaceMesh) -> bool:
+def _finite(mesh: SurfaceMesh, sheet_w: np.ndarray) -> bool:
     # every float the vertex table writes is finite; the written values are gathered only where some value is not
     point = _lattice_point(mesh)
-    for values, rows in ((mesh.z, point), (mesh.sheet_c, mesh.source), (mesh.sheet_w, mesh.source)):
+    for values, rows in ((mesh.z, point), (mesh.sheet_c, mesh.source), (sheet_w, mesh.source)):
         finite = np.isfinite(values).reshape(-1)
         if not (finite.all() or finite[rows].all()):
             return False
     return True
 
 
-def _json_vertex_cells(mesh: SurfaceMesh) -> list[Cell]:
-    # w first: its two dedupes over every sheet are the largest, so they run while the least is alive
-    w = [_float_cell(part, mesh.source) for part in (mesh.sheet_w.real, mesh.sheet_w.imag)]
-    return _position_cells(mesh) + [_branch_cell(mesh)] + w
-
-
 # Versioned JSON with full surface-point records; ValueError for a
 # non-finite value written, which strict JSON cannot hold.
 def _json_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
-    if not _finite(mesh):
+    # the one writer of w: the mesh computes sheet_w on access, so it is read once, and dropped once its cells
+    # are made. Those two dedupes over every sheet are the largest, so they run while the least is alive
+    sheet_w = mesh.sheet_w
+    if not _finite(mesh, sheet_w):
         raise ValueError("Out of range float values are not JSON compliant")
     head = json.dumps({
         "schema": 1,
@@ -387,8 +384,10 @@ def _json_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     }, separators=_JSON_SEPARATORS, allow_nan=False)
     seams = json.dumps([_seam_record(s) for s in mesh.seams], separators=_JSON_SEPARATORS, allow_nan=False)
     yield head[:-1].encode() + b',"vertices":['
+    w = [_float_cell(part, mesh.source) for part in (sheet_w.real, sheet_w.imag)]
+    del sheet_w
     yield from _table(
-        [_json_vertex_cells(mesh)],
+        [_position_cells(mesh) + [_branch_cell(mesh)] + w],
         ('{"x":', ',"y":', ',"c":', ',"k":', ',"w":[', ","),
         "]}",
         ",",

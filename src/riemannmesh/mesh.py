@@ -25,7 +25,8 @@ from .branches import (
     CharismaKind,
     IndexedFunction,
     _batch_branch_index,
-    _batch_charisma,
+    _batch_heights,
+    _batch_values,
     continuation_branch,
     require_compatible,
 )
@@ -49,15 +50,19 @@ __all__ = [
 
 DEFAULT_WELD_TOL = 1e-9
 
+# the least r_min a DomainGrid accepts, 2**-1022: from there on r sin(-pi) rounds to a float below 0
+# whose phase is -pi to the float; below it, it rounds to -0.0 or to a subnormal too coarse for that
+_LEAST_R_MIN = 2.0**-1022
+
 # the most lattice points n_r * (n_theta + 1) a DomainGrid may hold: 4.4
-# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.25 KB
-# (PLY) to 0.37 KB (JSON) of peak RSS per lattice point above a tiny run's
-# 31 MB, and the same at 400x1200, so at the cap such a run needs about
-# 0.42 GB.
+# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.19 KB
+# (PLY) to 0.33 KB (JSON) of peak RSS per lattice point above a tiny run's
+# 30 MB, and the same at 400x1200, so at the cap such a run needs about
+# 0.37 GB.
 MAX_GRID_POINTS = 1 << 20
 
 # the most vertices len(branches) * n_r * (n_theta + 1) a surface may hold:
-# three sheets at MAX_GRID_POINTS, about 0.13 KB each, the 0.42 GB run above
+# three sheets at MAX_GRID_POINTS, about 0.11 KB each, the 0.37 GB run above
 _MAX_SURFACE_POINTS = 3 * MAX_GRID_POINTS
 
 # the dtype of every vertex index (lattice and mesh faces, assembly's
@@ -111,10 +116,11 @@ class DomainGrid:
     because the theta = -pi and theta = +pi columns are both present,
     geometrically coincident on the cut but topologically distinct.
     The grid owns every lattice rule, raising GridError: integer counts
-    within the cap, 0 < r_min < r_max <= 2**1023, a known spacing, and n_r
-    radii that strictly increase, so that no face has zero area. So every
-    sampled z is finite and non-zero, and abs(z) <= r (1 + 4 * 2**-53) is a
-    finite float.
+    within the cap, 2**-1022 <= r_min < r_max <= 2**1023, a known spacing,
+    and n_r radii that strictly increase, so that no face has zero area. So
+    every sampled z is finite and non-zero, abs(z) <= r (1 + 4 * 2**-53) is
+    a finite float, and r sin(-pi) does not round to 0, so the theta = -pi
+    column has phase -pi to the float.
     """
 
     r_min: float = 0.05
@@ -137,8 +143,9 @@ class DomainGrid:
                 f"n_r * (n_theta + 1) must be at most {MAX_GRID_POINTS}, got {points}",
                 "n_r" if self.n_r > self.n_theta else "n_theta",
             )
-        if not (_is_finite_real(self.r_min) and self.r_min > 0.0):
-            raise GridError("r_min must be finite and > 0; z = 0 is the branch point", "r_min")
+        if not (_is_finite_real(self.r_min) and self.r_min >= _LEAST_R_MIN):
+            raise GridError(f"r_min must be finite and at least 2**-1022 = {_LEAST_R_MIN!r}, the least normal "
+                            "float; z = 0 is the branch point", "r_min")
         if not (_is_finite_real(self.r_max) and self.r_min < self.r_max <= 2.0**1023):
             raise GridError(f"r_max must exceed r_min and be at most 2**1023 = {2.0**1023!r}", "r_max")
         if self.radial_spacing not in ("linear", "log"):
@@ -169,11 +176,10 @@ def sample_domain(grid: DomainGrid) -> np.ndarray:
     theta = -pi to +pi; vertex (i, j) has flat index i * (n_theta + 1) + j.
     In floating point sin(+-pi) is +-1.2e-16, not 0, so the duplicated cut
     columns carry opposite-signed tiny imaginary parts and every later
-    phase computation lands deterministically on its own side of the cut.
-    Below r = 2.02e-308, where r sin(-pi) rounds to -0.0, which the phase
-    folds onto +pi, the theta = -pi column takes the least subnormal below
-    zero, -5e-324, instead: its phase is -pi to the float from r = 1.44e-308
-    on, and within 5e-324 / r of it below.
+    phase computation lands deterministically on its own side of the cut:
+    at every r a DomainGrid accepts, r sin(-pi) is below 0, not a -0.0 that
+    the phase would fold onto +pi, and the theta = -pi column has phase
+    -pi to the float.
     """
     radii = grid.radii()[:, None]
     thetas = grid.thetas().tolist()
@@ -182,8 +188,6 @@ def sample_domain(grid: DomainGrid) -> np.ndarray:
     # The parts are stored apart, as x + 1j*y would turn -0.0 into +0.0.
     z.real = radii * [math.cos(t) for t in thetas]
     z.imag = radii * [math.sin(t) for t in thetas]
-    lower = z.imag[:, 0]
-    lower[lower == 0.0] = -5e-324
     return z
 
 
@@ -227,21 +231,33 @@ def _read_window(function: IndexedFunction, branches: Iterable[int], kind: Chari
     return window
 
 
+def _sheet_values(function: IndexedFunction, z: np.ndarray, branches: tuple[int, ...]) -> np.ndarray:
+    # the range values f_k(z) of every sheet, computed anew, as a read-only array
+    w = _batch_values(function, z, branches)
+    w.flags.writeable = False
+    return w
+
+
 @dataclass(frozen=True)
 class SheetStack:
     """Every branch of a surface lifted over one sampled domain. Sheet i is
     branch branches[i]: an open surface whose theta = -pi and theta = +pi
     columns (0 and n_cols - 1) are its lower and upper cut edges. Every
-    array is read-only."""
+    array is read-only. The stack lifts the domain by its heights and
+    stores no range values: w computes them on each access."""
 
     function: IndexedFunction
     kind: CharismaKind
     grid: DomainGrid
     branches: tuple[int, ...]
     z: np.ndarray      # (n_r, n_cols) domain samples, shared by every sheet
-    w: np.ndarray      # (n_branches, n_r, n_cols) range values f_k(z)
     c: np.ndarray      # (n_branches, n_r, n_cols) charisma heights
     faces: np.ndarray  # (2 (n_r - 1) n_theta, 3) int32 indices into one sheet's row-major vertices
+
+    @property
+    def w(self) -> np.ndarray:
+        """(n_branches, n_r, n_cols) complex range values f_k(z)."""
+        return _sheet_values(self.function, self.z, self.branches)
 
 
 def build_sheets(
@@ -250,25 +266,26 @@ def build_sheets(
     kind: CharismaKind,
     grid: DomainGrid,
 ) -> SheetStack:
-    """Lift each branch k in branches over the grid: w = f_k(z) and
-    c = charisma per vertex, all branches in one pass.
+    """Lift each branch k in branches over the grid: c = charisma per
+    vertex, all branches in one pass. Only phase heights need the range
+    values w = f_k(z), which are freed once the heights are made.
 
-    Every stored value is recomputable bit-for-bit through branch_value and
-    evaluate_charisma: both call the one helper of each formula in
-    branches, here once per distinct argument (a modulus, or a branch and a
-    phase) or on arrays of every branch, and sin and cos heights reuse the
-    branch-angle table of w. Raises CharismaCompatibilityError for a kind
-    not defined for f, before any branch is read; then BranchIndexError for
-    the first window rule that _read_window finds broken.
+    Every stored value is recomputable bit-for-bit through evaluate_charisma,
+    and the stack's w through branch_value: both call the one helper of each
+    formula in branches, here once per distinct argument (a modulus, or a
+    branch and a phase) or on arrays of every branch. Raises
+    CharismaCompatibilityError for a kind not defined for f, before any
+    branch is read; then BranchIndexError for the first window rule that
+    _read_window finds broken.
     """
     kind = require_compatible(kind, function)
     branches = _read_window(function, branches, kind, grid)
     z = sample_domain(grid)
-    w, c = _batch_charisma(function, z, branches, kind)
+    c = _batch_heights(function, z, branches, kind)
     faces = lattice_faces(grid.n_r, grid.n_cols)
-    for shared in (z, w, c, faces):
+    for shared in (z, c, faces):
         shared.flags.writeable = False
-    return SheetStack(function, kind, grid, branches, z, w, c, faces)
+    return SheetStack(function, kind, grid, branches, z, c, faces)
 
 
 @dataclass(frozen=True)
@@ -311,26 +328,27 @@ class SurfaceMesh:
 
     The mesh keeps its sheet stack and a renumbering, not copies of them.
     Sheet s of S holds the P points of the lattice z, with heights
-    sheet_c[s] and values sheet_w[s]; its pre-weld vertex s * P + p is
-    lattice point p. source lists the pre-weld vertex of each mesh vertex,
-    and renumber maps every pre-weld vertex to its mesh vertex, a welded
-    lower cut vertex to its upper partner. So the faces are each sheet's
-    sheet_faces through renumber[s * P:(s + 1) * P], in sheet order, then
-    the walls, which hold mesh indices. Each sheet's branch is stored once,
+    sheet_c[s]; its pre-weld vertex s * P + p is lattice point p. source
+    lists the pre-weld vertex of each mesh vertex, and renumber maps every
+    pre-weld vertex to its mesh vertex, a welded lower cut vertex to its
+    upper partner. So the faces are each sheet's sheet_faces through
+    renumber[s * P:(s + 1) * P], in sheet order, then the walls, which hold
+    mesh indices. Each sheet's branch is stored once,
     as runs in vertex and face order: branch_runs and face_branch_runs,
     each (values, counts) of int64 branches and int32 counts, no two
     neighbouring values equal.
 
     positions, w, faces, branch, colors and face_branch expand these on
     every access, as new read-only arrays, so bind one once before
-    indexing it in a loop; neither assembly nor any writer reads the first three.
+    indexing it in a loop; neither assembly nor any writer reads the first
+    three. The mesh stores no range values: sheet_w, which w gathers
+    through, computes them on each access, and only the JSON writer reads it.
     """
 
     function: IndexedFunction
     kind: CharismaKind
     sheet_branches: tuple[int, ...]
     z: np.ndarray            # (n_r, n_cols) lattice, or any shape of P points
-    sheet_w: np.ndarray      # (S, *z.shape) complex range values per sheet
     sheet_c: np.ndarray      # (S, *z.shape) float heights per sheet
     sheet_faces: np.ndarray  # (F, 3) int32 indices into one sheet's points
     source: np.ndarray       # (N,) int32 pre-weld vertex of each mesh vertex
@@ -361,6 +379,14 @@ class SurfaceMesh:
         positions[:, 2] = self.sheet_c.reshape(-1)[self.source]
         positions.flags.writeable = False
         return positions
+
+    @property
+    def sheet_w(self) -> np.ndarray:
+        """(S, *z.shape) complex range values per sheet: a range chart's
+        samples, or f_k(z) of each sheet's branch, computed anew."""
+        if self.range_chart:
+            return self.z[None]
+        return _sheet_values(self.function, self.z, self.sheet_branches)
 
     @property
     def w(self) -> np.ndarray:
@@ -463,7 +489,7 @@ def assemble_surface(
     ks = np.array(branches, dtype=np.int64)
     face_counts = [len(sheets.faces)] * n_sheets + [2 * (n_r - 1)] * len(u)
     return _factored_mesh(
-        sheets.function, sheets.kind, branches, sheets.z, sheets.w, c, sheets.faces,
+        sheets.function, sheets.kind, branches, sheets.z, c, sheets.faces,
         source=np.flatnonzero(keep).astype(_VERTEX_INDEX),
         renumber=renumber,
         walls=renumber[wall],
@@ -475,10 +501,10 @@ def assemble_surface(
     )
 
 
-def _factored_mesh(function, kind, sheet_branches, z, sheet_w, sheet_c, sheet_faces, **rest) -> SurfaceMesh:
+def _factored_mesh(function, kind, sheet_branches, z, sheet_c, sheet_faces, **rest) -> SurfaceMesh:
     # a built mesh, every array of it read-only, as a stack's are
-    mesh = SurfaceMesh(function, kind, sheet_branches, z, sheet_w, sheet_c, sheet_faces, **rest)
-    for stored in (z, sheet_w, sheet_c, sheet_faces, mesh.source, mesh.renumber, mesh.walls):
+    mesh = SurfaceMesh(function, kind, sheet_branches, z, sheet_c, sheet_faces, **rest)
+    for stored in (z, sheet_c, sheet_faces, mesh.source, mesh.renumber, mesh.walls):
         stored.flags.writeable = False
     return mesh
 
@@ -509,7 +535,7 @@ def build_range_chart(function: IndexedFunction, grid: DomainGrid) -> SurfaceMes
     every = np.arange(w.size, dtype=_VERTEX_INDEX)
     return _factored_mesh(
         function, CharismaKind.INDEX, tuple(np.unique(branch_runs[0]).tolist()),
-        w, w[None], np.broadcast_to(0.0, (1, n_rows, n_cols)), lattice_faces(n_rows, n_cols),
+        w, np.broadcast_to(0.0, (1, n_rows, n_cols)), lattice_faces(n_rows, n_cols),
         source=every,
         renumber=every,
         walls=np.empty((0, 3), _VERTEX_INDEX),

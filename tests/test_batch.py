@@ -1,6 +1,6 @@
 """The batch path of the evaluation core against the scalar API, byte for
-byte, on hand-built arrays; its libm call counts on a lattice; and the one
-helper per formula that both paths call.
+byte, on hand-built arrays and on lattices; its libm call counts on a
+lattice; and the one helper per formula that both paths call.
 
 DomainGrid never samples a -0.0 imaginary part, a subnormal modulus or an
 exact sector edge, so only arrays built by hand reach the -0.0 fold and
@@ -26,7 +26,7 @@ from riemannmesh import (
     sample_domain,
 )
 from riemannmesh import branches
-from riemannmesh.branches import _batch_branch_index, _batch_charisma
+from riemannmesh.branches import _batch_branch_index, _batch_heights, _batch_values
 
 LOG = IndexedFunction.log()
 FUNCTIONS = [IndexedFunction.root(n) for n in range(2, 7)] + [LOG]
@@ -60,6 +60,21 @@ def branches_of(function):
     return list(function.branch_indices() or range(-3, 4))
 
 
+def _with_both_cut_columns(grid):
+    """The lattice of grid, then its theta = +pi column twice more, with
+    imaginary parts +0.0 and -0.0: the negative real axis with both zero
+    signs, which the phase folds onto +pi."""
+    z = sample_domain(grid)
+    cut = np.repeat(z[:, -1:], 2, axis=1)
+    cut.imag = [0.0, -0.0]
+    return np.concatenate([z, cut], axis=1)
+
+
+# every compatible (function, kind) on a root of each parity and on log
+PARITIES = [IndexedFunction.root(2), IndexedFunction.root(3), LOG]
+LATTICE = _with_both_cut_columns(DomainGrid(0.05, 2.0, 3, 16))
+
+
 @pytest.mark.parametrize(
     "function,kind",
     [(f, kind) for f in FUNCTIONS for kind in compatible_kinds(f)],
@@ -67,14 +82,44 @@ def branches_of(function):
 )
 def test_values_and_heights_match_the_scalar_api_byte_for_byte(function, kind):
     ks = branches_of(function)
-    for points in (Z, REPEATED):
-        w, c = _batch_charisma(function, points, ks, kind)
+    for points in (Z, REPEATED) + ((LATTICE,) if function in PARITIES else ()):
+        w = _batch_values(function, points, ks)
+        c = _batch_heights(function, points, ks, kind)
         assert w.shape == c.shape == (len(ks),) + points.shape
+        assert w.dtype == complex and c.dtype == float
         zs = points.ravel().tolist()
         want_w = np.array([[function.branch_value(z, k) for z in zs] for k in ks])
         want_c = np.array([[evaluate_charisma(z, k, function, kind) for z in zs] for k in ks])
         assert w.tobytes() == want_w.tobytes()
         assert c.tobytes() == want_c.tobytes()
+
+
+def test_the_lattice_holds_both_zero_signs_on_the_cut():
+    # the +0.0 and -0.0 cut columns of the byte-for-byte test, both on the theta = +pi side
+    cut = LATTICE[:, -2:]
+    assert np.all(cut.real < 0) and not np.any(cut.imag)
+    assert np.signbit(cut.imag).tolist() == [[False, True]] * len(cut)
+    assert {branches.principal_phase(z) for z in cut.ravel().tolist()} == {math.pi}
+
+
+@pytest.mark.parametrize(
+    "function,kind",
+    [(f, kind) for f in PARITIES for kind in compatible_kinds(f) if kind is not CharismaKind.PHASE],
+    ids=lambda v: v.label() if isinstance(v, IndexedFunction) else v.value,
+)
+def test_heights_other_than_phase_compute_no_range_value(function, kind, monkeypatch):
+    # _batch_values is the one batch path of w: no other height takes a modulus or a radius
+    def refuse(*args):
+        raise AssertionError("a range value was computed")
+
+    mapped = []
+    map_each = branches._map_each
+    monkeypatch.setattr(branches, "_batch_values", refuse)
+    monkeypatch.setattr(branches, "_root_radius", refuse)
+    monkeypatch.setattr(branches, "_map_each", lambda fn, *arrays: mapped.append(fn) or map_each(fn, *arrays))
+    ks = branches_of(function)
+    assert _batch_heights(function, LATTICE, ks, kind).shape == (len(ks),) + LATTICE.shape
+    assert abs not in mapped and (math.atan2 not in mapped) == (kind is CharismaKind.INDEX)
 
 
 def test_libm_runs_once_per_distinct_argument(monkeypatch):
@@ -166,7 +211,7 @@ def test_scalar_and_batch_paths_share_one_coding_of_each_formula(name, monkeypat
     ws = [w for w in POINTS if abs(w.imag) < 5e19]  # log indices within int64
 
     def both_paths():
-        w, c = _batch_charisma(function, Z, ks, kind)
+        w, c = _batch_values(function, Z, ks), _batch_heights(function, Z, ks, kind)
         index = _batch_branch_index(np.array(ws), function)
         scalar_w = np.array([[function.branch_value(z, k) for z in POINTS] for k in ks])
         scalar_c = np.array([[evaluate_charisma(z, k, function, kind) for z in POINTS] for k in ks])

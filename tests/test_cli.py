@@ -184,7 +184,11 @@ class TestParseArgs:
             (["--r-min", "inf"], "--r-min"),
             # radii that repeat: fewer distinct floats between r_min and r_max than n_r
             (["--r-min", "1", "--r-max", "1.0000000000000002", "--n-r", "5"], "--r-max"),
-            (["--r-min", "5e-324", "--r-max", "1e-323", "--n-r", "4", "--radial-spacing", "log"], "--r-max"),
+            (["--r-min", "2.2250738585072014e-308", "--r-max", "2.2250738585072024e-308", "--n-r", "4",
+              "--radial-spacing", "log"], "--r-max"),
+            # below 2**-1022, r sin(-pi) rounds too coarsely for the theta = -pi column's phase to be -pi
+            (["--r-min", "1e-318"], "--r-min"),
+            (["--r-min", "5e-324", "--r-max", "1e-323", "--n-r", "4", "--radial-spacing", "log"], "--r-min"),
         ],
     )
     def test_grid_validation_names_the_flag(self, flags, flag_name, capsys):
@@ -639,7 +643,7 @@ _GOOD_VALUES = {
     "--charisma": [k.value for k in CharismaKind],
     "--n-r": ["2", "3", "4", "7"],
     "--n-theta": ["8", "9", "239"],
-    "--r-min": ["0.5", "5e-324"],
+    "--r-min": ["0.5", "2.2250738585072014e-308"],
     "--r-max": ["2", "8.98846567431158e307"],
     "--radial-spacing": ["linear", "log"],
     "--weld-tol": ["0", "1e-9", "1e300", "-0.0"],
@@ -655,7 +659,7 @@ _BAD_VALUES = {
     "--function": ["root:1", "tan"],
     "--n-r": ["1", "2.5"],
     "--n-theta": ["7", "-8"],
-    "--r-min": ["0", "-1", "nan", "3"],
+    "--r-min": ["0", "-1", "nan", "3", "5e-324"],
     "--r-max": ["inf", "0.25", "1.7976931348623157e308"],
     "--weld-tol": ["-1", "nan", "inf"],
     "--format": ["stl"],

@@ -14,14 +14,17 @@ from riemannmesh import (
     DomainGrid,
     IndexedFunction,
     Seam,
+    SheetStack,
     SurfaceMesh,
     assemble_surface,
     branch_color,
     build_range_chart,
     build_sheets,
+    compatible_kinds,
     evaluate_charisma,
 )
-from riemannmesh import formats
+from riemannmesh import branches, formats
+from riemannmesh import mesh as mesh_module
 from riemannmesh.branches import _distinct
 from riemannmesh.cli import FIGURE_PRESETS, build_mesh, parse_args, run
 from riemannmesh.formats import read_ply, render_outputs, seams_json_text
@@ -136,6 +139,18 @@ def row_csv_text(mesh):
     return "\n".join(lines) + "\n"
 
 
+class StoredValuesMesh(SurfaceMesh):
+    """A SurfaceMesh whose range values are its own, stored in stored_w: a
+    built mesh computes f_k(z) of its function on each access, where a
+    synthetic mesh's values are arbitrary."""
+
+    stored_w: np.ndarray  # (1, n_vertices) complex
+
+    @property
+    def sheet_w(self):
+        return self.stored_w
+
+
 def synthetic_mesh(n_vertices, n_faces, seed):
     """A mesh of awkward values: signed zeros, wide exponents, subnormals,
     negative branches, and face groups whose branch recurs later. It is a
@@ -154,12 +169,11 @@ def synthetic_mesh(n_vertices, n_faces, seed):
     z = np.empty(n_vertices, complex)  # its parts stored apart, as x + 1j*y would turn -0.0 into +0.0
     z.real, z.imag = positions[:, 0], positions[:, 1]
     every = np.arange(n_vertices, dtype=np.int32)
-    return SurfaceMesh(
+    mesh = StoredValuesMesh(
         function=ROOT3,
         kind=CharismaKind.SIN,
         sheet_branches=(-1, 0, 1),
         z=z,
-        sheet_w=w[None],
         sheet_c=positions[None, :, 2].copy(),
         sheet_faces=np.empty((0, 3), np.int32),
         source=every,
@@ -170,6 +184,8 @@ def synthetic_mesh(n_vertices, n_faces, seed):
         seams=[Seam(-1, 0, 2.5e-17, 1e-17, True), Seam(1, -1, 2.0, 1.5, False)],
         welded=True,
     )
+    mesh.stored_w = w[None]
+    return mesh
 
 
 def vertex_views(mesh):
@@ -761,8 +777,9 @@ class TestDistinct:
 
 
 def stored_bytes(mesh):
-    """The bytes of the arrays a mesh stores, its stack's included: none of its expansions."""
-    arrays = (mesh.z, mesh.sheet_w, mesh.sheet_c, mesh.sheet_faces, mesh.source, mesh.renumber, mesh.walls)
+    """The bytes of the arrays a mesh stores, its stack's included: none of its expansions, and no range
+    values, which it computes on access."""
+    arrays = (mesh.z, mesh.sheet_c, mesh.sheet_faces, mesh.source, mesh.renumber, mesh.walls)
     return sum(a.nbytes for a in (*arrays, *mesh.branch_runs, *mesh.face_branch_runs))
 
 
@@ -771,7 +788,12 @@ class TestWriterMemory:
     the arrays the mesh stores (before each float table was deduped without
     whole-table temporaries, every writer peaked at 5.3 times the vertex
     table). The face table's index texts are built a chunk at a time: built
-    whole, that table peaked at 0.84 times the arrays stored, and 0.53 so."""
+    whole, that table peaked at 0.84 times the arrays stored, and 0.53 so.
+    Those units held the stack's w until the mesh stopped storing it, which
+    made them 1.55 times larger at the default grid; each bound is at most
+    1.55 times what it was in the larger unit, so none is looser in bytes.
+    The JSON writer computes w, dedupes it and drops it before its other
+    cells are made, so its peak did not rise."""
 
     @pytest.fixture(scope="class")
     def default_mesh(self):
@@ -780,11 +802,11 @@ class TestWriterMemory:
     @pytest.mark.parametrize(
         "pieces,bound",
         [
-            (lambda mesh: formats._ply_pieces(mesh), 1.25),
-            (lambda mesh: formats._obj_pieces(mesh, "x.mtl"), 1.25),
-            (lambda mesh: formats._json_pieces(mesh), 2.25),
-            (lambda mesh: formats._csv_pieces(mesh), 1.25),
-            (lambda mesh: formats._table(formats._face_segments(mesh), ("3 ", " ", " "), "\n"), 0.6),
+            (lambda mesh: formats._ply_pieces(mesh), 1.9),
+            (lambda mesh: formats._obj_pieces(mesh, "x.mtl"), 1.9),
+            (lambda mesh: formats._json_pieces(mesh), 3.4),
+            (lambda mesh: formats._csv_pieces(mesh), 1.9),
+            (lambda mesh: formats._table(formats._face_segments(mesh), ("3 ", " ", " "), "\n"), 0.9),
         ],
         ids=["ply", "obj", "json", "csv", "face-table"],
     )
@@ -820,3 +842,35 @@ class TestFactoredReads:
             for fmt in formats.FORMATS:
                 for pieces in render_outputs(mesh, fmt, tmp_path / f"m.{fmt}", DEFAULT_WELD_TOL).values():
                     assert b"".join(pieces)
+
+    def test_only_the_json_writer_reads_range_values_and_it_reads_them_once(self, monkeypatch, tmp_path):
+        # a stack and a mesh store no w: SheetStack.w and SurfaceMesh.sheet_w compute it on each access, and
+        # only phase heights and the JSON writer need it
+        def refuse(*args):
+            raise AssertionError("range values were computed")
+
+        functions = [ROOT3, IndexedFunction.root(2), IndexedFunction.log()]
+        phase = [build_sheets(f, f.branch_indices(), CharismaKind.PHASE, GRID) for f in functions[:2]]
+        sheet_w = SurfaceMesh.sheet_w
+        for home, name in [(SheetStack, "w"), (SurfaceMesh, "sheet_w"), (branches, "_batch_values"),
+                           (mesh_module, "_batch_values")]:
+            monkeypatch.setattr(home, name, property(refuse) if isinstance(home, type) else refuse)
+        stacks = phase + [build_sheets(f, f.branch_indices() or range(-2, 3), kind, GRID)
+                          for f in functions for kind in compatible_kinds(f) if kind is not CharismaKind.PHASE]
+        meshes = [assemble_surface(stack) for stack in stacks] + [
+            assemble_surface(build_sheets(ROOT3, ROOT3.branch_indices(), CharismaKind.INDEX, GRID),
+                             walls=True, weld_tol=1.5),
+            build_range_chart(ROOT3, GRID),
+        ]
+        for mesh in meshes:
+            for fmt in ("ply", "obj", "csv"):
+                for pieces in render_outputs(mesh, fmt, tmp_path / f"m.{fmt}", DEFAULT_WELD_TOL).values():
+                    assert b"".join(pieces)
+        monkeypatch.undo()
+        reads = []
+        monkeypatch.setattr(SurfaceMesh, "sheet_w", property(lambda mesh: reads.append(mesh) or sheet_w.fget(mesh)))
+        for mesh in meshes:
+            reads.clear()
+            text = b"".join(formats._json_pieces(mesh))
+            assert [read is mesh for read in reads] == [True]
+            assert text == row_json_text(mesh).encode()

@@ -22,7 +22,7 @@ from riemannmesh import (
     evaluate_charisma,
     sample_domain,
 )
-from riemannmesh.branches import _batch_charisma
+from riemannmesh.branches import _batch_heights, _batch_values
 
 mp = pytest.importorskip("mpmath")
 
@@ -81,7 +81,7 @@ def ulps_off(w: complex, exact) -> float:
 def test_both_codings_are_within_8_ulp(function):
     z = np.concatenate([sample_domain(GRID).ravel(), np.array(edge_points())])
     ks = list(function.branch_indices() or range(-2, 3))
-    batch = _batch_charisma(function, z, ks, CharismaKind.INDEX)[0]
+    batch = _batch_values(function, z, ks)
     worst = 0.0
     for row, k in zip(batch, ks):
         for zi, wb in zip(z.tolist(), row.tolist()):
@@ -96,7 +96,7 @@ def test_both_codings_are_within_one_ulp_at_extreme_moduli(n):
     # and 6; at n = 4000 a floored quotient e // n would overflow ldexp(m, s) at r = 1e-300
     function = IndexedFunction.root(n)
     z = [complex(r, 0.0) for r in (5e-324, 1e-300, 1e300, 1.7e308)]
-    batch = _batch_charisma(function, np.array(z), [0], CharismaKind.INDEX)[0][0]
+    batch = _batch_values(function, np.array(z), [0])[0]
     for zi, wb in zip(z, batch.tolist()):
         exact = exact_value(function, zi, 0)
         assert max(ulps_off(function.branch_value(zi, 0), exact), ulps_off(wb, exact)) <= 1
@@ -138,7 +138,7 @@ def test_both_codings_of_the_heights_are_within_8_units(function, kind):
     # double alone is off by up to 8 * 2**-53 once |c| reaches 8
     z = np.concatenate([sample_domain(GRID).ravel(), np.array(edge_points())])
     ks = list(function.branch_indices() or range(-2, 3))
-    batch = _batch_charisma(function, z, ks, kind)[1]
+    batch = _batch_heights(function, z, ks, kind)
     worst = 0.0
     for row, k in zip(batch, ks):
         for zi, cb in zip(z.tolist(), row.tolist()):
