@@ -7,10 +7,11 @@ rendered lazily.
 All floats are written with their shortest round-trip decimal
 representation, so identical meshes serialize to identical bytes. Each
 distinct value of a table is formatted once, and the writers read the
-mesh's factored columns (its sheet stack, source and renumbering) without
-expanding them. A block of rows is one numpy record array, with one field
+mesh's factored columns (its lattice and heights) without expanding them:
+a vertex table's rows are each sheet's kept lattice points, computed a
+block at a time. A block of rows is one numpy record array, with one field
 per cell and one per separator, sized to a fixed byte budget; each cell
-field is filled with a gather of its texts through the mesh's indices, and
+field is filled with a gather of its texts through the block's rows, and
 the block's bytes, less their padding, go to disk as they are.
 """
 
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .branches import _distinct
-from .mesh import Seam, SurfaceMesh, branch_color, require_weld_tol
+from .mesh import Seam, SurfaceMesh, branch_color, kept_points, require_weld_tol
 
 __all__ = ["FORMATS", "PlyData", "read_ply", "render_outputs", "seams_json_text"]
 
@@ -41,20 +42,29 @@ FORMATS = ("csv", "json", "obj", "ply")
 # it replaced; 128 KiB saved about 2% of the block assembly at 100x600.
 _BLOCK_BYTES = 1 << 16
 
-# distinct floats formatted per chunk, so the repr strings of one chunk are alive at a time
-_REPR_CHUNK = 1 << 13
+# distinct floats formatted per chunk, so the repr strings of one chunk are alive at a time: 4 Ki
+# keeps a default-grid PLY writer's traced peak 0.44 MB below 8 Ki's, at the same speed
+_REPR_CHUNK = 1 << 12
 
 _JSON_SEPARATORS = (",", ":")
 
 
-# integers texted per chunk, so that no temporary of the digit planes spans a whole column
-_INT_CHUNK = 1 << 14
+# integers texted per chunk, so that no temporary of the digit planes spans a whole column: a face
+# table holds its expanded renumbering while it texts it, and at 8 Ki, unlike 16 Ki, that is not its peak
+_INT_CHUNK = 1 << 13
 
-# A cell of a table row: (texts, inverse, rows), whose value in row r is
-# texts[inverse[rows[r]]], or texts[rows[r]] for an inverse of None: x and y
-# through the lattice point of each vertex, c and w through its source, and
-# a sheet's faces through its part of the renumbering.
-Cell = tuple[np.ndarray, "np.ndarray | None", np.ndarray]
+# A cell of a table: (texts, inverse, column). In row r of its segment,
+# whose rows are an (n, m) int array, its value is
+# texts[inverse[rows[r, column]]], or texts[rows[r, column]] for an inverse
+# of None: x and y through each vertex's lattice point, c and w through its
+# pre-weld vertex, colour and branch through its branch run, and a sheet's
+# faces through the texts of its vertices.
+Cell = tuple[np.ndarray, "np.ndarray | None", int]
+# A segment of a table: (rows, cells); the rows are an (n, m) int array,
+# or _KeptPoints, which a slice turns into one
+Segment = tuple["np.ndarray | _KeptPoints", list[Cell]]
+# the columns of a vertex segment's rows
+_POINT, _PRE_WELD, _RUN = range(3)
 
 
 def _int_texts(values: np.ndarray | range) -> np.ndarray:
@@ -88,11 +98,10 @@ def _float_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The repr texts of the distinct floats of values, and the index of
     each value's text, in C order."""
     distinct, inverse = _distinct(values.astype(np.float64, copy=False))
-    texts = [  # numpy sizes each chunk's S width
-        np.array(list(map(repr, distinct[i:i + _REPR_CHUNK].tolist())), dtype="S")
-        for i in range(0, len(distinct), _REPR_CHUNK)
-    ]
-    return np.concatenate([np.empty(0, "S1"), *texts]), inverse
+    texts = np.empty(len(distinct), "S24")  # no repr is longer: -2.2250738585072014e-308 is 24 bytes
+    for i in range(0, len(distinct), _REPR_CHUNK):
+        texts[i:i + _REPR_CHUNK] = list(map(repr, distinct[i:i + _REPR_CHUNK].tolist()))
+    return texts, inverse
 
 
 def _index_texts(arrays: list[np.ndarray], shift: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -112,76 +121,89 @@ def _index_texts(arrays: list[np.ndarray], shift: int = 0) -> tuple[np.ndarray, 
     return _int_texts(values), [inverse[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
 
 
-def _cells(columns: list[np.ndarray]) -> list[Cell]:
-    """The cells of plain columns, 1-D or 2-D arrays of one length: a cell
-    per value of a row, the floats texted once per distinct value and the
-    ints as _index_texts texts them."""
-    cells = []
-    for column in columns:
-        column = column[:, None] if column.ndim == 1 else column
-        if column.dtype.kind == "f":
-            texts, index = _float_texts(column)
-            index = index.reshape(column.shape)
+class _KeptPoints:
+    """The rows of a sheet's vertex segment, one per kept lattice point (see kept_points). A slice is an
+    (n, 3) int array of each row's lattice point, pre-weld vertex and branch run, computed by arithmetic, so
+    only a block's rows exist, shared by the block's cells."""
+
+    def __init__(self, mesh: SurfaceMesh, sheet: int, run_ends: np.ndarray) -> None:
+        self.n_cols, self.points = mesh.z.shape[1], mesh.z.size
+        self.sheet, self.dropped, self.run_ends = sheet, bool(mesh.welded_into[sheet] >= 0), run_ends
+        self.first, self.stop = mesh.sheet_start[sheet:sheet + 2].tolist()
+
+    def __len__(self) -> int:
+        return self.stop - self.first
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        a, b, _ = rows.indices(len(self))
+        columns = np.empty((3, b - a), np.int64)  # a column at a time, each contiguous
+        columns[_POINT] = kept_points(self.n_cols, self.dropped, a, b)
+        np.add(columns[_POINT], self.sheet * self.points, out=columns[_PRE_WELD])
+        run, last_run = np.searchsorted(self.run_ends, [self.first + a, self.first + b - 1], "right").tolist()
+        if run == last_run:  # a surface's sheet is one run
+            columns[_RUN] = run
         else:
-            texts, (index,) = _index_texts([column])
-        cells += [(texts, None, index[:, j]) for j in range(column.shape[1])]
-    return cells
+            columns[_RUN] = np.searchsorted(self.run_ends, np.arange(self.first + a, self.first + b), "right")
+        return columns.T
 
 
-def _float_cell(values: np.ndarray, rows: np.ndarray) -> Cell:
-    return (*_float_texts(values), rows)
+def _vertex_segments(mesh: SurfaceMesh, cells: list[Cell]) -> list[Segment]:
+    """The vertex table: a segment per sheet, its rows the sheet's kept lattice points, each cell the same in
+    every segment."""
+    run_ends = np.cumsum(mesh.branch_runs[1])
+    return [(_KeptPoints(mesh, s, run_ends), cells) for s in range(len(mesh.sheet_c))]
 
 
 def _position_cells(mesh: SurfaceMesh) -> list[Cell]:
-    """x, y and c: c deduped over every sheet and read through the source
-    of each vertex, x and y over the lattice and through its lattice point.
-    c is made first: its dedupe is the largest, so it runs while the least
-    is alive."""
-    c = _float_cell(mesh.sheet_c, mesh.source)
-    z, point = mesh.z.reshape(-1), _lattice_point(mesh)
-    return [_float_cell(z.real, point), _float_cell(z.imag, point), c]
-
-
-def _lattice_point(mesh: SurfaceMesh) -> np.ndarray:
-    return mesh.source % mesh.z.size
+    """x and y deduped over the lattice and read through each vertex's lattice point, c over every sheet and
+    through its pre-weld vertex. c is made first: its dedupe is the largest, so it runs while the least is
+    alive."""
+    c = (*_float_texts(mesh.sheet_c), _PRE_WELD)
+    return [(*_float_texts(mesh.z.real), _POINT), (*_float_texts(mesh.z.imag), _POINT), c]
 
 
 def _branch_cell(mesh: SurfaceMesh) -> Cell:
-    values, counts = mesh.branch_runs
-    distinct, index = _distinct(values)
-    return _int_texts(distinct), None, np.repeat(index, counts)
+    distinct, index = _distinct(mesh.branch_runs[0])
+    return _int_texts(distinct), index, _RUN
 
 
-def _face_segments(mesh: SurfaceMesh, shift: int = 0) -> list[list[Cell]]:
-    """The face table, each vertex index plus shift: one segment per sheet,
-    its lattice faces read through its part of renumber, then the walls."""
+def _colour_cells(mesh: SurfaceMesh) -> list[Cell]:
+    # red, green and blue each contiguous: take copies a strided array whole on every call
+    texts, rgb = _int_texts(range(256)), np.ascontiguousarray(mesh.run_colors.T)
+    return [(texts, rgb[j], _RUN) for j in range(3)]
+
+
+def _face_segments(mesh: SurfaceMesh, shift: int = 0) -> list[Segment]:
+    """The face table, each vertex index plus shift: one segment per sheet, its lattice faces read through its
+    part of the vertex texts, then the walls. renumber and the lattice faces are expanded here, once each:
+    the renumbering is texted and gathered into the text of each pre-weld vertex, and freed with the index
+    texts, before the lattice faces are made."""
     texts, (renumber, walls) = _index_texts([mesh.renumber, mesh.walls], shift)
-    points = mesh.z.size
-    return [
-        [(texts, renumber[s * points:(s + 1) * points], mesh.sheet_faces[:, j]) for j in range(3)]
-        for s in range(len(mesh.sheet_c))
-    ] + [[(texts, None, walls[:, j]) for j in range(3)]]
+    vertex_texts, wall_texts = texts.take(renumber).reshape(len(mesh.sheet_c), -1), texts.take(walls.reshape(-1))
+    del texts, renumber, walls
+    faces = mesh.sheet_faces
+    corners = np.arange(len(wall_texts)).reshape(-1, 3)  # wall face f reads its corners' texts 3f..3f + 2
+    return [(faces, [(part, None, j) for j in range(3)]) for part in vertex_texts] + [
+        (corners, [(wall_texts, None, j) for j in range(3)])]
 
 
-def _segment_rows(segments: list[list[Cell]], start: int, stop: int) -> list[list[Cell]]:
+def _segment_rows(segments: list[Segment], start: int, stop: int) -> list[Segment]:
     """Rows start..stop of a table of segments, as segments."""
     part, at = [], 0
-    for cells in segments:
-        n = len(cells[0][2])
-        if start < at + n and at < stop:
-            a, b = max(start - at, 0), min(stop - at, n)
-            part.append([(texts, inverse, rows[a:b]) for texts, inverse, rows in cells])
-        at += n
+    for rows, cells in segments:
+        if start < at + len(rows) and at < stop:
+            part.append((rows[max(start - at, 0):stop - at], cells))
+        at += len(rows)
     return part
 
 
-def _table(segments: list[list[Cell]], seps: tuple[str, ...], end: str, between: str = "") -> Iterator[bytes]:
+def _table(segments: list[Segment], seps: tuple[str, ...], end: str, between: str = "") -> Iterator[bytes]:
     """One text row per row of the segments, in order, seps[0] v0 seps[1]
     v1 ... v_last end, rows joined by `between`; returned lazily, as ASCII
     bytes, one piece per block of rows.
 
-    A segment is a list of cells, one per value of a row, and its rows
-    are those of the cells, which share their length. Every value is
+    A segment is its rows and a list of cells, one per value of a row,
+    each read through the rows (see Cell). Every value is
     written as the repr of its Python float or int. A surface repeats few
     distinct floats (its sheets share one lattice), so each float column is
     reduced to its distinct values, keyed by bit pattern so that -0.0 and
@@ -194,8 +216,8 @@ def _table(segments: list[list[Cell]], seps: tuple[str, ...], end: str, between:
     return _blocks(segments, seps, end, between)
 
 
-def _blocks(segments: list[list[Cell]], seps: tuple[str, ...], end: str, between: str) -> Iterator[bytes]:
-    n = sum(len(cells[0][2]) for cells in segments)
+def _blocks(segments: list[Segment], seps: tuple[str, ...], end: str, between: str) -> Iterator[bytes]:
+    n = sum(len(rows) for rows, _ in segments)
     if not n:
         return
     separators = [text.encode() for text in (*seps, end + between)]  # separators[i] comes before cell i
@@ -203,26 +225,28 @@ def _blocks(segments: list[list[Cell]], seps: tuple[str, ...], end: str, between
     for i, sep in enumerate(separators):
         if sep:
             fields.append((f"s{i}", f"S{len(sep)}"))
-        if i < len(segments[0]):  # each cell as wide as its widest texts in any segment
-            fields.append((f"c{i}", f"S{max(cells[i][0].dtype.itemsize for cells in segments)}"))
+        if i < len(segments[0][1]):  # each cell as wide as its widest texts in any segment
+            fields.append((f"c{i}", f"S{max(cells[i][0].dtype.itemsize for _, cells in segments)}"))
     record = np.dtype(fields)
     rows = max(1, _BLOCK_BYTES // record.itemsize)
     block = np.empty(min(rows, n), record)
     for i, sep in enumerate(separators):
         if sep:  # once: every block reuses them
             block[f"s{i}"] = sep
-    written = 0
-    for cells in segments:
-        length = len(cells[0][2])
-        for start in range(0, length, rows):
-            stop = min(start + rows, length)
-            part = block[:stop - start]
-            for i, (texts, inverse, index) in enumerate(cells):
-                at = index[start:stop]
-                part[f"c{i}"] = texts.take(at if inverse is None else inverse.take(at))
-            data = part.tobytes().translate(None, b"\0")
-            written += stop - start
-            yield data[:-len(between)] if between and written == n else data
+    written = filled = 0  # rows written, and rows of the block filled: a block may span segments
+    for segment, cells in segments:
+        start = 0
+        while start < len(segment):
+            at = segment[start:start + len(block) - filled]
+            part = block[filled:filled + len(at)]
+            for i, (texts, inverse, column) in enumerate(cells):
+                index = at[:, column]
+                part[f"c{i}"] = texts.take(index if inverse is None else inverse.take(index))
+            start, filled, written = start + len(at), filled + len(at), written + len(at)
+            if filled == len(block) or written == n:
+                data = block[:filled].tobytes().translate(None, b"\0")
+                filled = 0
+                yield data[:-len(between)] if between and written == n else data
 
 
 # The PLY layout, stated once: the header _ply_pieces writes, with the vertex and face counts in its {},
@@ -252,7 +276,7 @@ _PLY_PATTERN = "\n".join(_PLY_LINES)
 def _ply_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     yield _PLY_HEADER.format(mesh.n_vertices, mesh.n_faces).encode()
     # each table's texts are freed before the next table's are made
-    yield from _table([_position_cells(mesh) + _cells([mesh.colors])],
+    yield from _table(_vertex_segments(mesh, _position_cells(mesh) + _colour_cells(mesh)),
                       ("", " ", " ", " ", " ", " "), "\n")
     yield from _table(_face_segments(mesh), ("3 ", " ", " "), "\n")
 
@@ -327,7 +351,7 @@ def read_ply(text: str) -> PlyData:
 # branch since core OBJ has no vertex colors.
 def _obj_pieces(mesh: SurfaceMesh, mtl_filename: str) -> Iterator[bytes]:
     yield f"mtllib {mtl_filename}\n".encode()
-    yield from _table([_position_cells(mesh)], ("v ", " ", " "), "\n")
+    yield from _table(_vertex_segments(mesh, _position_cells(mesh)), ("v ", " ", " "), "\n")
     # one group per run of faces owned by the same branch, each a table over the one-based indices
     faces = _face_segments(mesh, 1)
     values, counts = mesh.face_branch_runs
@@ -357,13 +381,9 @@ def _seam_record(s: Seam) -> dict:
 
 
 def _finite(mesh: SurfaceMesh, sheet_w: np.ndarray) -> bool:
-    # every float the vertex table writes is finite; the written values are gathered only where some value is not
-    point = _lattice_point(mesh)
-    for values, rows in ((mesh.z, point), (mesh.sheet_c, mesh.source), (sheet_w, mesh.source)):
-        finite = np.isfinite(values).reshape(-1)
-        if not (finite.all() or finite[rows].all()):
-            return False
-    return True
+    # every float the vertex table writes is finite: a sheet's dropped lower cut column is not written
+    dropped = (mesh.welded_into >= 0)[:, None, None] & (np.arange(mesh.z.shape[1]) == 0)
+    return all((np.isfinite(values) | dropped).all() for values in (mesh.z, mesh.sheet_c, sheet_w))
 
 
 # Versioned JSON with full surface-point records; ValueError for a
@@ -384,10 +404,10 @@ def _json_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     }, separators=_JSON_SEPARATORS, allow_nan=False)
     seams = json.dumps([_seam_record(s) for s in mesh.seams], separators=_JSON_SEPARATORS, allow_nan=False)
     yield head[:-1].encode() + b',"vertices":['
-    w = [_float_cell(part, mesh.source) for part in (sheet_w.real, sheet_w.imag)]
+    w = [(*_float_texts(part), _PRE_WELD) for part in (sheet_w.real, sheet_w.imag)]
     del sheet_w
     yield from _table(
-        [_position_cells(mesh) + [_branch_cell(mesh)] + w],
+        _vertex_segments(mesh, _position_cells(mesh) + [_branch_cell(mesh)] + w),
         ('{"x":', ',"y":', ',"c":', ',"k":', ',"w":[', ","),
         "]}",
         ",",
@@ -400,7 +420,7 @@ def _json_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
 # Vertex table with header x,y,c,k.
 def _csv_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     yield b"x,y,c,k\n"
-    yield from _table([_position_cells(mesh) + [_branch_cell(mesh)]], ("", ",", ",", ","), "\n")
+    yield from _table(_vertex_segments(mesh, _position_cells(mesh) + [_branch_cell(mesh)]), ("", ",", ",", ","), "\n")
 
 
 def seams_json_text(mesh: SurfaceMesh, weld_tol: float) -> str:

@@ -55,20 +55,24 @@ DEFAULT_WELD_TOL = 1e-9
 _LEAST_R_MIN = 2.0**-1022
 
 # the most lattice points n_r * (n_theta + 1) a DomainGrid may hold: 4.4
-# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.19 KB
-# (PLY) to 0.33 KB (JSON) of peak RSS per lattice point above a tiny run's
-# 30 MB, and the same at 400x1200, so at the cap such a run needs about
-# 0.37 GB.
+# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.12 KB
+# (PLY) to 0.27 KB (JSON) of peak RSS per lattice point above a tiny run's
+# 31 MB, and the same at 400x1200, so at the cap such a run needs about
+# 0.31 GB.
 MAX_GRID_POINTS = 1 << 20
 
 # the most vertices len(branches) * n_r * (n_theta + 1) a surface may hold:
-# three sheets at MAX_GRID_POINTS, about 0.11 KB each, the 0.37 GB run above
+# three sheets at MAX_GRID_POINTS, about 0.09 KB each, the 0.31 GB run above
 _MAX_SURFACE_POINTS = 3 * MAX_GRID_POINTS
 
-# the dtype of every vertex index (lattice and mesh faces, assembly's
-# renumbering): PLY's 32-bit int, and far above the surface cap. Branch
+# the dtype of every vertex index (lattice and mesh faces, the renumbering,
+# each sheet's first vertex): PLY's 32-bit int, and far above the surface cap. Branch
 # indices stay int64, as a branch may be any int64.
 _VERTEX_INDEX = np.int32
+
+# the most an imag window's height ulp, ulp(2 pi max|k| + pi), may be, as a fraction of the angular step
+# 2 pi / n_theta: so neighbouring columns' heights differ by the step to within an eighth of it
+_IMAG_ULP_OF_STEP = 1 / 8
 
 # finite window of the infinite log surface built when no branch range is given
 DEFAULT_LOG_BRANCHES = range(-2, 3)
@@ -191,17 +195,44 @@ def sample_domain(grid: DomainGrid) -> np.ndarray:
     return z
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    # an expansion, computed anew: writing to it would not change the mesh or stack it came from
+    array.flags.writeable = False
+    return array
+
+
 def lattice_faces(n_rows: int, n_cols: int) -> np.ndarray:
     """Two triangles per lattice quad, all split along the same
-    low-r/low-theta to high-r/high-theta diagonal."""
+    low-r/low-theta to high-r/high-theta diagonal, as a new read-only array."""
     # a: the low-r/low-theta corner of each quad, row-major
     a = (np.arange(n_rows - 1, dtype=_VERTEX_INDEX)[:, None] * n_cols
          + np.arange(n_cols - 1, dtype=_VERTEX_INDEX)).ravel()
     d = a + n_cols + 1
-    faces = np.empty((2 * a.size, 3), dtype=_VERTEX_INDEX)
-    faces[0::2] = np.column_stack([a, a + 1, d])
-    faces[1::2] = np.column_stack([a, d, a + n_cols])
-    return faces
+    faces = np.empty((a.size, 2, 3), dtype=_VERTEX_INDEX)  # each quad's two triangles, filled a column at a time
+    faces[:, :, 0] = a[:, None]
+    faces[:, 0, 1], faces[:, 0, 2] = a + 1, d
+    faces[:, 1, 1], faces[:, 1, 2] = d, a + n_cols
+    return _read_only(faces.reshape(-1, 3))
+
+
+def kept_points(n_cols: int, dropped: bool, start: int, stop: int) -> np.ndarray:
+    """The lattice points start..stop - 1 that a sheet keeps, in row-major
+    order, as int32: every point of a lattice of n_cols columns, or, where
+    its lower cut column is dropped, every point but column 0's."""
+    points = np.arange(start, stop, dtype=_VERTEX_INDEX)
+    if dropped:
+        points += points // (n_cols - 1) + 1
+    return points
+
+
+def _mesh_vertices(first: np.ndarray, dropped: np.ndarray, n_rows: int, n_cols: int, columns) -> np.ndarray:
+    """The mesh vertex of each lattice point (i, j), j in columns, of sheets
+    whose first mesh vertex is first and that keep every column or, dropped,
+    every column but 0: first + i (n_cols - dropped) + j - dropped, of shape
+    (len(first), n_rows, len(columns)). A dropped point's value is not its vertex."""
+    first, dropped = first[:, None, None], dropped[:, None, None].astype(_VERTEX_INDEX)
+    rows = np.arange(n_rows, dtype=_VERTEX_INDEX)[:, None]
+    return first - dropped + rows * (n_cols - dropped) + np.asarray(columns, dtype=_VERTEX_INDEX)
 
 
 def _read_window(function: IndexedFunction, branches: Iterable[int], kind: CharismaKind, grid: DomainGrid):
@@ -209,7 +240,8 @@ def _read_window(function: IndexedFunction, branches: Iterable[int], kind: Chari
     and the home of every window rule. It reads one branch past the cap at
     most, so an endless iterable fails at once. Raises BranchIndexError for
     the first rule broken of: the cap, admissibility, non-empty, int64 (the
-    mesh's index type), distinct index heights, no repeats."""
+    mesh's index type), distinct index heights, imag heights that resolve
+    the angular step, no repeats."""
     most = _MAX_SURFACE_POINTS // (grid.n_r * grid.n_cols)
     window = tuple(itertools.islice(branches, most + 1))
     if len(window) > most:
@@ -226,6 +258,11 @@ def _read_window(function: IndexedFunction, branches: Iterable[int], kind: Chari
     if kind is CharismaKind.INDEX and len({float(k) for k in distinct}) < len(distinct):
         raise BranchIndexError(f"two branches of {min(window)}..{max(window)} share one index height: "
                                "from |k| = 2**53 on, not every integer is a float")
+    if kind is CharismaKind.IMAG and function.is_log:
+        k, step = max(window, key=abs), 2 * math.pi / grid.n_theta
+        if (ulp := math.ulp(2 * math.pi * abs(k) + math.pi)) > _IMAG_ULP_OF_STEP * step:
+            raise BranchIndexError(f"the imag heights of branch {k} are floats {ulp!r} apart, more than "
+                                   f"{_IMAG_ULP_OF_STEP!r} of the angular step 2*pi/{grid.n_theta} = {step!r}")
     if len(distinct) != len(window):
         raise BranchIndexError(f"repeated branches: {list(window)}")
     return window
@@ -233,9 +270,7 @@ def _read_window(function: IndexedFunction, branches: Iterable[int], kind: Chari
 
 def _sheet_values(function: IndexedFunction, z: np.ndarray, branches: tuple[int, ...]) -> np.ndarray:
     # the range values f_k(z) of every sheet, computed anew, as a read-only array
-    w = _batch_values(function, z, branches)
-    w.flags.writeable = False
-    return w
+    return _read_only(_batch_values(function, z, branches))
 
 
 @dataclass(frozen=True)
@@ -244,20 +279,26 @@ class SheetStack:
     branch branches[i]: an open surface whose theta = -pi and theta = +pi
     columns (0 and n_cols - 1) are its lower and upper cut edges. Every
     array is read-only. The stack lifts the domain by its heights and
-    stores no range values: w computes them on each access."""
+    stores no range values and no faces: w and faces compute them on each
+    access."""
 
     function: IndexedFunction
     kind: CharismaKind
     grid: DomainGrid
     branches: tuple[int, ...]
-    z: np.ndarray      # (n_r, n_cols) domain samples, shared by every sheet
-    c: np.ndarray      # (n_branches, n_r, n_cols) charisma heights
-    faces: np.ndarray  # (2 (n_r - 1) n_theta, 3) int32 indices into one sheet's row-major vertices
+    z: np.ndarray  # (n_r, n_cols) domain samples, shared by every sheet
+    c: np.ndarray  # (n_branches, n_r, n_cols) charisma heights
 
     @property
     def w(self) -> np.ndarray:
         """(n_branches, n_r, n_cols) complex range values f_k(z)."""
         return _sheet_values(self.function, self.z, self.branches)
+
+    @property
+    def faces(self) -> np.ndarray:
+        """(2 (n_r - 1) n_theta, 3) int32 indices into one sheet's row-major
+        vertices, the same for every sheet, computed on each access."""
+        return lattice_faces(*self.z.shape)
 
 
 def build_sheets(
@@ -282,10 +323,9 @@ def build_sheets(
     branches = _read_window(function, branches, kind, grid)
     z = sample_domain(grid)
     c = _batch_heights(function, z, branches, kind)
-    faces = lattice_faces(grid.n_r, grid.n_cols)
-    for shared in (z, c, faces):
+    for shared in (z, c):
         shared.flags.writeable = False
-    return SheetStack(function, kind, grid, branches, z, c, faces)
+    return SheetStack(function, kind, grid, branches, z, c)
 
 
 @dataclass(frozen=True)
@@ -317,42 +357,46 @@ def _runs(values, counts) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expand(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    expanded = np.repeat(values, counts, axis=0)
-    expanded.flags.writeable = False  # a fresh copy: writing to it would not change the mesh
-    return expanded
+    return _read_only(np.repeat(values, counts, axis=0))
 
 
 @dataclass
 class SurfaceMesh:
     """Triangulated union of branch sheets, colored by branch index.
 
-    The mesh keeps its sheet stack and a renumbering, not copies of them.
-    Sheet s of S holds the P points of the lattice z, with heights
-    sheet_c[s]; its pre-weld vertex s * P + p is lattice point p. source
-    lists the pre-weld vertex of each mesh vertex, and renumber maps every
-    pre-weld vertex to its mesh vertex, a welded lower cut vertex to its
-    upper partner. So the faces are each sheet's sheet_faces through
-    renumber[s * P:(s + 1) * P], in sheet order, then the walls, which hold
-    mesh indices. Each sheet's branch is stored once,
-    as runs in vertex and face order: branch_runs and face_branch_runs,
-    each (values, counts) of int64 branches and int32 counts, no two
-    neighbouring values equal.
+    The mesh keeps its sheet stack and two facts per sheet, not index
+    arrays. Sheet s of S lifts the P points of the lattice z by its heights
+    sheet_c[s], so its pre-weld vertex s * P + p is lattice point p. Its
+    mesh vertices, sheet_start[s] up to sheet_start[s + 1], are its kept
+    points in row-major order: all of them, or all but column 0's where its
+    lower cut column welded into the upper one of sheet welded_into[s] (-1:
+    none), whose vertices it takes. The faces are each sheet's lattice faces
+    through its part of renumber, in sheet order, then the walls, in mesh
+    indices. A split theta = 0 column would be one more per-sheet fact: its
+    n_r duplicate vertices would follow the sheet's kept points, moving the
+    later starts, and the faces across the split would read them. Each
+    sheet's branch is stored once, as runs in vertex and face order:
+    branch_runs and face_branch_runs, each (values, counts) of int64
+    branches and int32 counts, no two neighbouring values equal; run_colors
+    is the palette color of each vertex run.
 
-    positions, w, faces, branch, colors and face_branch expand these on
-    every access, as new read-only arrays, so bind one once before
-    indexing it in a loop; neither assembly nor any writer reads the first
-    three. The mesh stores no range values: sheet_w, which w gathers
-    through, computes them on each access, and only the JSON writer reads it.
+    sheet_faces, source (the pre-weld vertex of each mesh vertex), renumber
+    (the mesh vertex of each pre-weld vertex), positions, w, faces, branch,
+    colors and face_branch expand these on every access, as new read-only
+    arrays, so bind one once before indexing it in a loop. Neither assembly
+    nor a vertex table reads the first six; a face table expands renumber
+    and sheet_faces once. The mesh stores no range values: sheet_w, which w
+    gathers through, computes them on each access, and only the JSON writer
+    reads it.
     """
 
     function: IndexedFunction
     kind: CharismaKind
     sheet_branches: tuple[int, ...]
-    z: np.ndarray            # (n_r, n_cols) lattice, or any shape of P points
-    sheet_c: np.ndarray      # (S, *z.shape) float heights per sheet
-    sheet_faces: np.ndarray  # (F, 3) int32 indices into one sheet's points
-    source: np.ndarray       # (N,) int32 pre-weld vertex of each mesh vertex
-    renumber: np.ndarray     # (S * P,) int32 mesh vertex of each pre-weld vertex
+    z: np.ndarray            # (n_r, n_cols) lattice of P points
+    sheet_c: np.ndarray      # (S, n_r, n_cols) float heights per sheet
+    sheet_start: np.ndarray  # (S + 1,) int32 first mesh vertex of each sheet, then the vertex count
+    welded_into: np.ndarray  # (S,) int32 sheet whose upper cut column took each lower one, or -1
     walls: np.ndarray        # (W, 3) int32 mesh vertex indices, after the sheets' faces
     branch_runs: tuple[np.ndarray, np.ndarray]       # runs of the branch of each vertex
     face_branch_runs: tuple[np.ndarray, np.ndarray]  # runs of the sheet that owns each face
@@ -362,23 +406,45 @@ class SurfaceMesh:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.source)
+        return int(self.sheet_start[-1])
 
     @property
     def n_faces(self) -> int:
-        return len(self.sheet_c) * len(self.sheet_faces) + len(self.walls)
+        n_r, n_cols = self.z.shape
+        return len(self.sheet_c) * 2 * (n_r - 1) * (n_cols - 1) + len(self.walls)
+
+    @property
+    def sheet_faces(self) -> np.ndarray:
+        """(F, 3) int32 indices into one sheet's points, the same for every sheet."""
+        return lattice_faces(*self.z.shape)
+
+    @property
+    def source(self) -> np.ndarray:
+        """(N,) int32 pre-weld vertex of each mesh vertex."""
+        n_cols, counts = self.z.shape[1], np.diff(self.sheet_start).tolist()
+        return _read_only(np.concatenate([s * self.z.size + kept_points(n_cols, into >= 0, 0, n)
+                                          for s, (into, n) in enumerate(zip(self.welded_into.tolist(), counts))]))
+
+    @property
+    def renumber(self) -> np.ndarray:
+        """(S * P,) int32 mesh vertex of each pre-weld vertex; a welded lower
+        cut vertex takes its upper partner's."""
+        n_r, n_cols = self.z.shape
+        into = self.welded_into
+        renumber = _mesh_vertices(self.sheet_start[:-1], into >= 0, n_r, n_cols, np.arange(n_cols))
+        renumber[into >= 0, :, :1] = renumber[into[into >= 0], :, -1:]  # slices: a lattice may have no column
+        return _read_only(renumber.reshape(-1))
 
     @property
     def positions(self) -> np.ndarray:
         """(N, 3) float x, y, c of each vertex."""
-        z = self.z.reshape(-1)
-        point = self.source % len(z)
-        positions = np.empty((len(self.source), 3))
+        z, source = self.z.reshape(-1), self.source
+        point = source % len(z)
+        positions = np.empty((len(source), 3))
         positions[:, 0] = z.real[point]
         positions[:, 1] = z.imag[point]
-        positions[:, 2] = self.sheet_c.reshape(-1)[self.source]
-        positions.flags.writeable = False
-        return positions
+        positions[:, 2] = self.sheet_c.reshape(-1)[source]
+        return _read_only(positions)
 
     @property
     def sheet_w(self) -> np.ndarray:
@@ -391,20 +457,18 @@ class SurfaceMesh:
     @property
     def w(self) -> np.ndarray:
         """(N,) complex range value of each vertex."""
-        w = self.sheet_w.reshape(-1)[self.source]
-        w.flags.writeable = False
-        return w
+        return _read_only(self.sheet_w.reshape(-1)[self.source])
 
     @property
     def faces(self) -> np.ndarray:
         """(M, 3) vertex indices of each face, int32 in a built mesh."""
-        n_sheets, per_sheet = len(self.sheet_c), len(self.sheet_faces)
-        faces = np.empty((self.n_faces, 3), np.result_type(self.renumber, self.walls))
-        renumber = self.renumber.astype(faces.dtype, copy=False).reshape(n_sheets, -1)
-        renumber.take(self.sheet_faces, axis=1, out=faces[:n_sheets * per_sheet].reshape(n_sheets, per_sheet, 3))
+        sheet_faces, renumber = self.sheet_faces, self.renumber
+        n_sheets, per_sheet = len(self.sheet_c), len(sheet_faces)
+        faces = np.empty((self.n_faces, 3), np.result_type(renumber, self.walls))
+        renumber = renumber.astype(faces.dtype, copy=False).reshape(n_sheets, -1)
+        renumber.take(sheet_faces, axis=1, out=faces[:n_sheets * per_sheet].reshape(n_sheets, per_sheet, 3))
         faces[n_sheets * per_sheet:] = self.walls
-        faces.flags.writeable = False
-        return faces
+        return _read_only(faces)
 
     @property
     def branch(self) -> np.ndarray:
@@ -412,10 +476,14 @@ class SurfaceMesh:
         return _expand(*self.branch_runs)
 
     @property
+    def run_colors(self) -> np.ndarray:
+        """(R, 3) uint8 palette color of the branch of each of the R runs of branch_runs."""
+        return _read_only(_PALETTE_RGB[self.branch_runs[0] % len(PALETTE)])
+
+    @property
     def colors(self) -> np.ndarray:
         """(N, 3) uint8 palette color of each vertex's branch."""
-        values, counts = self.branch_runs
-        return _expand(_PALETTE_RGB[values % len(PALETTE)], counts)
+        return _expand(self.run_colors, self.branch_runs[1])
 
     @property
     def face_branch(self) -> np.ndarray:
@@ -453,58 +521,53 @@ def assemble_surface(
     seams, for index charisma only: for other kinds an open seam is either
     a genuine wrap jump that must stay open or would be a degenerate
     sliver. Raises ValueError for a weld_tol that require_weld_tol
-    rejects, whether or not welding is on.
+    rejects, whether or not welding is on. The mesh vertices of the cut
+    edges follow from each sheet's first vertex and welded partner, so no
+    array of a vertex per lattice point is made.
     """
     weld_tol = require_weld_tol(weld_tol)
     branches, c = sheets.branches, sheets.c
     n_sheets, n_r, n_cols = c.shape
-    n_per = n_r * n_cols
 
     # the seam table: sheet i and its continuation sheet j, one row per seam
     sheet_of = {k: s for s, k in enumerate(branches)}
     pairs = [(s, sheet_of[nxt]) for s, k in enumerate(branches)
              if (nxt := continuation_branch(sheets.function, k)) in sheet_of]
     i, j = np.array(pairs, dtype=_VERTEX_INDEX).reshape(-1, 2).T
-    # each seam's cut edges, innermost radius first: sheet i's theta = +pi column, sheet j's theta = -pi column
-    rows = np.arange(n_r, dtype=_VERTEX_INDEX) * n_cols
-    upper = (i * n_per + n_cols - 1)[:, None] + rows
-    lower = (j * n_per)[:, None] + rows
-    gaps = np.abs(c[i, :, -1] - c[j, :, 0])
+    gaps = np.abs(c[i, :, -1] - c[j, :, 0])  # per seam, its cut edges innermost radius first
     welded = np.all(gaps <= weld_tol, axis=1) & bool(weld)
     walled = ~welded & (bool(walls) and sheets.kind is CharismaKind.INDEX)
-    keep = np.ones(c.size, dtype=bool)
-    keep[lower[welded]] = False
-
-    # each pre-weld vertex's index in the welded mesh (decremented in place: a freed temporary
-    # raised peak RSS 6% at 200x1200); a dropped lower edge takes its welded upper edge's
-    renumber = np.cumsum(keep, dtype=_VERTEX_INDEX)
-    renumber -= 1
-    renumber[lower[welded]] = renumber[upper[welded]]
+    # a welded seam drops sheet j's theta = -pi column, whose vertices become sheet i's theta = +pi column's
+    welded_into = np.full(n_sheets, -1, dtype=_VERTEX_INDEX)
+    welded_into[j[welded]] = i[welded]
+    counts = n_r * (n_cols - (welded_into >= 0))
+    sheet_start = np.concatenate([[0], np.cumsum(counts)]).astype(_VERTEX_INDEX)
+    # mesh vertices of each seam's cut edges: sheet i's theta = +pi column, sheet j's theta = -pi column
+    upper, lower = (_mesh_vertices(sheet_start[s], welded_into[s] >= 0, n_r, n_cols, [column])[:, :, 0]
+                    for s, column in ((i, n_cols - 1), (j, 0)))
     seams = [Seam(branches[a], branches[b], float(g.max()), float(g.mean()), w, tuple(m) if w else ())
-             for a, b, g, w, m in zip(i.tolist(), j.tolist(), gaps, welded.tolist(), renumber[upper].tolist())]
+             for a, b, g, w, m in zip(i.tolist(), j.tolist(), gaps, welded.tolist(), upper.tolist())]
     # two triangles per radial step of each walled seam, bridging upper[r..r+1] to lower[r..r+1]
     u, l = upper[walled], lower[walled]
     wall = np.stack([u[:, :-1], l[:, :-1], l[:, 1:], u[:, :-1], l[:, 1:], u[:, 1:]], axis=-1).reshape(-1, 3)
     # one run per sheet and one per wall, in face order
     ks = np.array(branches, dtype=np.int64)
-    face_counts = [len(sheets.faces)] * n_sheets + [2 * (n_r - 1)] * len(u)
+    face_counts = [2 * (n_r - 1) * (n_cols - 1)] * n_sheets + [2 * (n_r - 1)] * len(u)
     return _factored_mesh(
-        sheets.function, sheets.kind, branches, sheets.z, c, sheets.faces,
-        source=np.flatnonzero(keep).astype(_VERTEX_INDEX),
-        renumber=renumber,
-        walls=renumber[wall],
+        sheets.function, sheets.kind, branches, sheets.z, c, sheet_start, welded_into,
+        walls=wall,
         # vertices stay in sheet order: one run per sheet, over its kept vertices
-        branch_runs=_runs(ks, np.count_nonzero(keep.reshape(c.shape), axis=(1, 2))),
+        branch_runs=_runs(ks, counts),
         face_branch_runs=_runs(np.concatenate([ks, ks[i[walled]]]), face_counts),
         seams=seams,
         welded=bool(weld),
     )
 
 
-def _factored_mesh(function, kind, sheet_branches, z, sheet_c, sheet_faces, **rest) -> SurfaceMesh:
+def _factored_mesh(function, kind, sheet_branches, z, sheet_c, sheet_start, welded_into, **rest) -> SurfaceMesh:
     # a built mesh, every array of it read-only, as a stack's are
-    mesh = SurfaceMesh(function, kind, sheet_branches, z, sheet_c, sheet_faces, **rest)
-    for stored in (z, sheet_c, sheet_faces, mesh.source, mesh.renumber, mesh.walls):
+    mesh = SurfaceMesh(function, kind, sheet_branches, z, sheet_c, sheet_start, welded_into, **rest)
+    for stored in (z, sheet_c, sheet_start, welded_into, mesh.walls):
         stored.flags.writeable = False
     return mesh
 
@@ -532,12 +595,10 @@ def build_range_chart(function: IndexedFunction, grid: DomainGrid) -> SurfaceMes
     ends = np.cumsum(branch_runs[1], dtype=np.int64)
     quads = np.minimum(ends - ends // n_cols, (n_rows - 1) * (n_cols - 1))
     # one sheet at height 0 whose values are its samples, every vertex kept and none welded
-    every = np.arange(w.size, dtype=_VERTEX_INDEX)
     return _factored_mesh(
         function, CharismaKind.INDEX, tuple(np.unique(branch_runs[0]).tolist()),
-        w, np.broadcast_to(0.0, (1, n_rows, n_cols)), lattice_faces(n_rows, n_cols),
-        source=every,
-        renumber=every,
+        w, np.broadcast_to(0.0, (1, n_rows, n_cols)),
+        np.array([0, w.size], _VERTEX_INDEX), np.array([-1], _VERTEX_INDEX),
         walls=np.empty((0, 3), _VERTEX_INDEX),
         branch_runs=branch_runs,
         face_branch_runs=_runs(branch_runs[0], 2 * np.diff(quads, prepend=0)),

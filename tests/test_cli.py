@@ -145,6 +145,14 @@ class TestParseArgs:
         err = capsys.readouterr().err
         assert "error: argument --branches: two branches of " in err and "share one index height" in err
 
+    def test_an_imag_window_whose_heights_do_not_resolve_the_angular_step_is_a_usage_error(self, tmp_path, capsys):
+        # its heights are 1.0 apart: one seam read open at a gap of 1.0 and the other welded at 0.0, and it exited 0
+        argv = ["--function", "log", "--charisma", "imag", "--branches", "1000000000000000..1000000000000002"]
+        assert main([*argv, "-o", str(tmp_path / "m.ply")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: argument --branches: the imag heights of branch 1000000000000002 are floats 1.0 apart" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "window,message",
         [

@@ -144,7 +144,7 @@ class StoredValuesMesh(SurfaceMesh):
     built mesh computes f_k(z) of its function on each access, where a
     synthetic mesh's values are arbitrary."""
 
-    stored_w: np.ndarray  # (1, n_vertices) complex
+    stored_w: np.ndarray  # (1, 1, n_vertices) complex
 
     @property
     def sheet_w(self):
@@ -154,8 +154,9 @@ class StoredValuesMesh(SurfaceMesh):
 def synthetic_mesh(n_vertices, n_faces, seed):
     """A mesh of awkward values: signed zeros, wide exponents, subnormals,
     negative branches, and face groups whose branch recurs later. It is a
-    one-sheet factored mesh whose lattice is its vertices, each kept, and
-    whose faces are all walls: an edit writes into vertex_views(mesh) and walls."""
+    one-sheet factored mesh whose lattice is one row of its vertices, each
+    kept, which has no faces, so its faces are all walls: an edit writes
+    into vertex_views(mesh) and walls."""
     rng = np.random.default_rng(seed)
     positions = rng.standard_normal((n_vertices, 3)) * 10.0 ** rng.integers(-30, 30, (n_vertices, 3))
     positions[::5, 0] = -0.0
@@ -166,31 +167,29 @@ def synthetic_mesh(n_vertices, n_faces, seed):
     w.imag[::3] = -0.0
     runs = rng.integers(-3, 4, max(1, n_faces // 50))
     face_branch = np.repeat(runs, -(-n_faces // len(runs)))[:n_faces]
-    z = np.empty(n_vertices, complex)  # its parts stored apart, as x + 1j*y would turn -0.0 into +0.0
+    z = np.empty((1, n_vertices), complex)  # its parts stored apart, as x + 1j*y would turn -0.0 into +0.0
     z.real, z.imag = positions[:, 0], positions[:, 1]
-    every = np.arange(n_vertices, dtype=np.int32)
     mesh = StoredValuesMesh(
         function=ROOT3,
         kind=CharismaKind.SIN,
         sheet_branches=(-1, 0, 1),
         z=z,
-        sheet_c=positions[None, :, 2].copy(),
-        sheet_faces=np.empty((0, 3), np.int32),
-        source=every,
-        renumber=every,
+        sheet_c=positions[None, None, :, 2].copy(),
+        sheet_start=np.array([0, n_vertices], np.int32),
+        welded_into=np.array([-1], np.int32),
         walls=rng.integers(0, max(n_vertices, 1), (n_faces, 3)),
         branch_runs=_runs(branch, 1),
         face_branch_runs=_runs(face_branch, 1),
         seams=[Seam(-1, 0, 2.5e-17, 1e-17, True), Seam(1, -1, 2.0, 1.5, False)],
         welded=True,
     )
-    mesh.stored_w = w[None]
+    mesh.stored_w = w[None, None]
     return mesh
 
 
 def vertex_views(mesh):
     """x, y, c and w of each vertex of a synthetic mesh: views into its sheet, to edit."""
-    return mesh.z.real, mesh.z.imag, mesh.sheet_c[0], mesh.sheet_w[0]
+    return mesh.z.real[0], mesh.z.imag[0], mesh.sheet_c[0, 0], mesh.sheet_w[0, 0]
 
 
 def set_branch(mesh, branch):
@@ -348,6 +347,23 @@ def digit_widths_cells(mesh):
     return colors, mesh.branch
 
 
+def plain_segment(columns):
+    """A table segment of plain columns, 1-D or 2-D arrays of one length:
+    a cell per value of a row, the floats texted once per distinct value and
+    the ints as the face table texts them, each reading its own row column."""
+    cells, rows = [], []
+    for column in columns:
+        column = column[:, None] if column.ndim == 1 else column
+        if column.dtype.kind == "f":
+            texts, index = formats._float_texts(column)
+            index = index.reshape(column.shape)
+        else:
+            texts, (index,) = formats._index_texts([column])
+        cells += [(texts, None, len(cells) + j) for j in range(column.shape[1])]
+        rows.append(index)
+    return np.column_stack(rows), cells
+
+
 def row_table_text(columns, seps, end, between=""):
     """Row-at-a-time _table: ints in plain decimal, floats as _fmt writes them."""
     rows = []
@@ -416,6 +432,27 @@ class TestWritersMatchRowReference:
         assert_same_text(rendered("json", mesh), row_json_text(mesh))
         assert_same_text(rendered("csv", mesh), row_csv_text(mesh))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # every vertex of this chart is a branch region of its own: a block's rows span many runs
+            lambda: build_range_chart(IndexedFunction.root(2**63 - 1), DomainGrid(0.5, 2.0, 8, 48)),
+            # a walled surface with welded seams: a block's rows span sheets, some of them dropping a column
+            lambda: assemble_surface(build_sheets(ROOT3, ROOT3.branch_indices(), CharismaKind.INDEX,
+                                                  DomainGrid(0.5, 2.0, 8, 48)), walls=True, weld_tol=1.5),
+        ],
+        ids=["chart-with-a-run-per-vertex", "walled-welded-surface"],
+    )
+    def test_a_vertex_table_is_a_segment_per_sheet_whatever_its_runs(self, small_blocks, build):
+        mesh = build()
+        assert len(formats._vertex_segments(mesh, [])) == len(mesh.sheet_c)
+        if mesh.range_chart:
+            assert len(mesh.branch_runs[0]) == mesh.n_vertices
+        assert_same_text(rendered("ply", mesh), row_ply_text(mesh))
+        assert_same_text(rendered("obj", mesh), row_obj_text(mesh, "m.mtl"))
+        assert_same_text(rendered("json", mesh), row_json_text(mesh))
+        assert_same_text(rendered("csv", mesh), row_csv_text(mesh))
+
     @pytest.mark.parametrize("fmt", ["ply", "obj", "json", "csv"])
     def test_the_cli_streams_the_texts_of_the_public_writers(self, tmp_path, fmt):
         out = tmp_path / f"m.{fmt}"
@@ -452,22 +489,34 @@ class TestWritersMatchRowReference:
              ('{"x":', ',"y":', ',"c":', ',"k":', ',"w":[', ","), "]}", ","),
         ]
         for columns, seps, end, between in tables:
-            text = b"".join(formats._table([formats._cells(columns)], seps, end, between)).decode()
+            text = b"".join(formats._table([plain_segment(columns)], seps, end, between)).decode()
             assert_same_text(text, row_table_text(columns, seps, end, between))
 
     @pytest.mark.parametrize("seps,end,between", [(("\0",), "\n", ""), (("",), "\0", ""), (("",), "\n", "\0")])
     def test_a_separator_holding_nul_is_refused(self, seps, end, between):
         # the writer drops every NUL byte of its grids, so a NUL separator would vanish
         with pytest.raises(ValueError, match="NUL"):
-            formats._table([formats._cells([np.array([1, 2])])], seps, end, between)
+            formats._table([plain_segment([np.array([1, 2])])], seps, end, between)
 
     def test_percent_signs_around_the_values_are_written_as_they_are(self):
         columns = [np.array([[0.5, -0.0], [1e300, 2.0]]), np.array([7, 8])]
-        text = b"".join(formats._table([formats._cells(columns)], ("%s", "%", "%d"), "%\n", "%%"))
+        text = b"".join(formats._table([plain_segment(columns)], ("%s", "%", "%d"), "%\n", "%%"))
         assert text == b"%s0.5%-0.0%d7%\n%%%s1e+300%2.0%d8%\n"
 
 
 class TestPly:
+    def test_the_widest_float_texts_read_back_bit_for_bit(self):
+        # _float_texts fills fixed 24-byte texts, which would cut a longer repr short without an error
+        widest = np.array([-2.2250738585072014e-308, -1.7976931348623157e+308, -5e-324, -0.0])
+        texts, inverse = formats._float_texts(widest)
+        assert [t.decode() for t in texts[inverse]] == [repr(v) for v in widest.tolist()]
+        assert max(len(repr(v)) for v in widest.tolist()) == texts.dtype.itemsize == 24
+        mesh = synthetic_mesh(4, 1, seed=5)
+        for values in vertex_views(mesh)[:3]:
+            values[:] = widest
+        data = read_ply(rendered("ply", mesh))
+        assert data.vertices.tobytes() == np.column_stack([widest] * 3).tobytes()
+
     def test_header_declares_vertex_colors(self, mesh):
         text = rendered("ply", mesh)
         head = text.split("end_header")[0]
@@ -777,9 +826,9 @@ class TestDistinct:
 
 
 def stored_bytes(mesh):
-    """The bytes of the arrays a mesh stores, its stack's included: none of its expansions, and no range
-    values, which it computes on access."""
-    arrays = (mesh.z, mesh.sheet_c, mesh.sheet_faces, mesh.source, mesh.renumber, mesh.walls)
+    """The bytes of the arrays a mesh stores, its stack's included: none of its expansions, no range
+    values and no index arrays, which it computes on access."""
+    arrays = (mesh.z, mesh.sheet_c, mesh.sheet_start, mesh.welded_into, mesh.walls)
     return sum(a.nbytes for a in (*arrays, *mesh.branch_runs, *mesh.face_branch_runs))
 
 
@@ -790,10 +839,18 @@ class TestWriterMemory:
     table). The face table's index texts are built a chunk at a time: built
     whole, that table peaked at 0.84 times the arrays stored, and 0.53 so.
     Those units held the stack's w until the mesh stopped storing it, which
-    made them 1.55 times larger at the default grid; each bound is at most
-    1.55 times what it was in the larger unit, so none is looser in bytes.
-    The JSON writer computes w, dedupes it and drops it before its other
-    cells are made, so its peak did not rise."""
+    made them 1.55 times larger at the default grid. They then held the
+    lattice faces, source and renumbering, 841,192 B at the default grid,
+    until the mesh derived them from two facts per sheet: 385,700 B. So the
+    bounds in the smaller unit are no looser in bytes: 3.1 is 1.20 MB
+    (1.9 was 1.60 MB), 6.5 is 2.51 MB (3.4 was 2.86 MB), and the face
+    table's 1.96 is 755,972 B (0.9 was 757,073 B). That table now expands
+    the renumbering and the lattice faces itself, but it gathers the
+    renumbering's texts into one text per pre-weld vertex and frees both
+    before it expands the faces, so its peak (636,681 B, 1.65 units) stays
+    below the 687,512 B it read while the mesh stored them. The JSON writer
+    computes w, dedupes it and drops it before its other cells are made, so
+    its peak did not rise."""
 
     @pytest.fixture(scope="class")
     def default_mesh(self):
@@ -802,11 +859,11 @@ class TestWriterMemory:
     @pytest.mark.parametrize(
         "pieces,bound",
         [
-            (lambda mesh: formats._ply_pieces(mesh), 1.9),
-            (lambda mesh: formats._obj_pieces(mesh, "x.mtl"), 1.9),
-            (lambda mesh: formats._json_pieces(mesh), 3.4),
-            (lambda mesh: formats._csv_pieces(mesh), 1.9),
-            (lambda mesh: formats._table(formats._face_segments(mesh), ("3 ", " ", " "), "\n"), 0.9),
+            (lambda mesh: formats._ply_pieces(mesh), 3.1),
+            (lambda mesh: formats._obj_pieces(mesh, "x.mtl"), 3.1),
+            (lambda mesh: formats._json_pieces(mesh), 6.5),
+            (lambda mesh: formats._csv_pieces(mesh), 3.1),
+            (lambda mesh: formats._table(formats._face_segments(mesh), ("3 ", " ", " "), "\n"), 1.96),
         ],
         ids=["ply", "obj", "json", "csv", "face-table"],
     )
@@ -842,6 +899,52 @@ class TestFactoredReads:
             for fmt in formats.FORMATS:
                 for pieces in render_outputs(mesh, fmt, tmp_path / f"m.{fmt}", DEFAULT_WELD_TOL).values():
                     assert b"".join(pieces)
+
+    def test_only_a_face_table_expands_an_index_array_and_it_expands_each_once(self, monkeypatch, tmp_path):
+        # a stack and a mesh store no lattice faces, source or renumbering, only their lattice and two facts
+        # per sheet: no builder and no vertex table reads one, and a face table reads renumber and the
+        # lattice faces once each, when it starts
+        reads, face_table = [], []
+
+        def guard(home, name):
+            original = getattr(home, name)
+
+            def read(obj):
+                if not face_table:
+                    raise AssertionError(f"{home.__name__}.{name} was expanded")
+                reads.append(name)
+                return original.fget(obj)
+
+            monkeypatch.setattr(home, name, property(read))
+
+        for home, name in [(SheetStack, "faces"), (SurfaceMesh, "sheet_faces"), (SurfaceMesh, "source"),
+                           (SurfaceMesh, "renumber")]:
+            guard(home, name)
+        face_segments = formats._face_segments
+
+        def in_a_face_table(*args):
+            face_table.append(True)
+            try:
+                return face_segments(*args)
+            finally:
+                face_table.clear()
+
+        monkeypatch.setattr(formats, "_face_segments", in_a_face_table)
+        functions = [ROOT3, IndexedFunction.root(2), IndexedFunction.log()]
+        meshes = [assemble_surface(build_sheets(f, f.branch_indices() or range(-2, 3), kind, grid), walls=True)
+                  for f in functions for kind in compatible_kinds(f) for grid in (GRID, DomainGrid(0.5, 2.0, 3, 9))]
+        meshes += [
+            assemble_surface(build_sheets(ROOT3, ROOT3.branch_indices(), CharismaKind.INDEX, GRID),
+                             walls=True, weld_tol=1.5),
+            assemble_surface(build_sheets(ROOT3, (1, -1), CharismaKind.SIN, GRID), weld=False),
+            build_range_chart(ROOT3, GRID),
+        ]
+        for mesh in meshes:
+            for fmt in formats.FORMATS:
+                reads.clear()
+                for pieces in render_outputs(mesh, fmt, tmp_path / f"m.{fmt}", DEFAULT_WELD_TOL).values():
+                    assert b"".join(pieces)
+                assert reads == ([] if fmt == "csv" else ["renumber", "sheet_faces"])
 
     def test_only_the_json_writer_reads_range_values_and_it_reads_them_once(self, monkeypatch, tmp_path):
         # a stack and a mesh store no w: SheetStack.w and SurfaceMesh.sheet_w compute it on each access, and

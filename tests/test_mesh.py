@@ -1,6 +1,7 @@
 """Grid sampling, sheet lifting, assembly, seam and weld tests."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 import os
@@ -23,6 +24,8 @@ from riemannmesh import (
     DomainGrid,
     GridError,
     IndexedFunction,
+    SheetStack,
+    SurfaceMesh,
     assemble_surface,
     branch_color,
     branch_of,
@@ -370,8 +373,22 @@ class TestBuildSheets:
                 build_sheets(LOG, window, CharismaKind.INDEX, SMALL)
         with pytest.raises(BranchIndexError, match="repeated branches"):  # one branch twice is not two branches
             build_sheets(LOG, [2**53, 2**53], CharismaKind.INDEX, SMALL)
-        # the rule is the index heights' own
-        assert build_sheets(LOG, [2**53, 2**53 + 1], CharismaKind.IMAG, SMALL).branches == (2**53, 2**53 + 1)
+        # the rule is the index heights' own: imag heights are refused there by theirs
+        with pytest.raises(BranchIndexError, match="imag heights of branch 9007199254740993 are floats 8.0 apart"):
+            build_sheets(LOG, [2**53, 2**53 + 1], CharismaKind.IMAG, SMALL)
+
+    def test_rejects_an_imag_window_whose_heights_do_not_resolve_the_angular_step(self):
+        # at k = 1e15 the heights are 1.0 apart, 38 angular steps of the default grid: one seam read open at a gap
+        # of 1.0 and the other welded at 0.0
+        for window in (range(10**15, 10**15 + 3), [-10**15, 0], [2**63 - 1]):
+            with pytest.raises(BranchIndexError, match=r"more than 0.125 of the angular step 2\*pi/240 = "):
+                build_sheets(LOG, window, CharismaKind.IMAG, DomainGrid())
+        # the least |k| refused at the default grid, 2.8e12, and the one below it
+        with pytest.raises(BranchIndexError, match="branch -2799883368761 are floats 0.00390625 apart"):
+            build_sheets(LOG, [0, -2799883368761], CharismaKind.IMAG, DomainGrid())
+        assert build_sheets(LOG, [2799883368760], CharismaKind.IMAG, DomainGrid(n_r=2)).branches == (2799883368760,)
+        # a coarser grid takes larger branches
+        assert build_sheets(LOG, [10**13], CharismaKind.IMAG, DomainGrid(n_r=2, n_theta=8)).branches == (10**13,)
 
     @pytest.mark.parametrize(
         "function,window,kind,error,message",
@@ -391,11 +408,14 @@ class TestBuildSheets:
             (LOG, [2**53, 2**53 + 1, 2**53], CharismaKind.INDEX, BranchIndexError,
              "two branches of 9007199254740992..9007199254740993 share one index height: "
              "from |k| = 2**53 on, not every integer is a float"),
+            (LOG, [5, 6, 5], CharismaKind.IMAG, BranchIndexError, "repeated branches: [5, 6, 5]"),
             (LOG, [2**53, 2**53 + 1, 2**53], CharismaKind.IMAG, BranchIndexError,
-             "repeated branches: [9007199254740992, 9007199254740993, 9007199254740992]"),
+             "the imag heights of branch 9007199254740993 are floats 8.0 apart, more than 0.125 of the "
+             "angular step 2*pi/8 = 0.7853981633974483"),
         ],
         ids=["pair-before-window", "cap-before-admissible", "admissible-before-int64", "integer-before-repeat",
-             "int64-before-repeat", "first-beyond-int64", "heights-before-repeat", "repeat-without-heights"],
+             "int64-before-repeat", "first-beyond-int64", "heights-before-repeat", "repeat-without-heights",
+             "imag-heights-before-repeat"],
     )
     def test_a_window_breaking_two_rules_gets_the_first_rules_error(self, function, window, kind, error, message):
         with pytest.raises(error) as exc:
@@ -413,6 +433,25 @@ class TestBuildSheets:
             assert len({float(k) for k in window}) < width
         else:
             assert len(set(sheets.c[:, 0, 0].tolist())) == width
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(st.sampled_from([8, 9, 240, 1201]), st.integers(40, 62), st.integers(-4, 4), st.booleans())
+    def test_an_imag_window_near_its_bound_is_built_only_with_heights_that_resolve_the_step(
+        self, n_theta, exponent, offset, negative
+    ):
+        # k near where 2 pi |k| + pi crosses 2**exponent, where the heights' ulp doubles
+        k = round((2.0**exponent - math.pi) / (2 * math.pi)) + offset
+        k = -k if negative else k
+        grid = DomainGrid(0.5, 2.0, 2, n_theta)
+        step = 2 * math.pi / n_theta
+        try:
+            sheets = build_sheets(LOG, [k], CharismaKind.IMAG, grid)
+        except BranchIndexError as e:
+            assert "more than 0.125 of the angular step" in str(e)
+            assert math.ulp(2 * math.pi * abs(k) + math.pi) > step / 8
+        else:
+            # neighbouring columns' heights differ by the step to within an eighth of it
+            assert np.abs(np.diff(sheets.c, axis=-1) - step).max() <= step / 8 + 1e-12
 
     @pytest.mark.parametrize(
         "function,branches",
@@ -697,6 +736,78 @@ class TestAssemblyMatchesTheVertexLoop:
                 assert got == want["seams"]
 
 
+def keep_mask_index_arrays(sheets, *, weld, walls, weld_tol=DEFAULT_WELD_TOL):
+    """source, renumber, walls and each seam's merged vertices as a keep mask
+    over every pre-weld vertex gave them before a mesh derived them from two
+    facts per sheet: flatnonzero(keep), cumsum(keep) and the weld remap. The
+    reference for the mesh's expansions, as loop_lattice_faces is for the
+    lattice faces."""
+    c = sheets.c
+    n_sheets, n_r, n_cols = c.shape
+    sheet_of = {k: s for s, k in enumerate(sheets.branches)}
+    pairs = [(s, sheet_of[nxt]) for s, k in enumerate(sheets.branches)
+             if (nxt := continuation_branch(sheets.function, k)) in sheet_of]
+    i, j = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+    rows = np.arange(n_r, dtype=np.int32) * n_cols
+    upper = (i * n_r * n_cols + n_cols - 1)[:, None] + rows
+    lower = (j * n_r * n_cols)[:, None] + rows
+    welded = np.all(np.abs(c[i, :, -1] - c[j, :, 0]) <= weld_tol, axis=1) & weld
+    walled = ~welded & (walls and sheets.kind is CharismaKind.INDEX)
+    keep = np.ones(c.size, dtype=bool)
+    keep[lower[welded]] = False
+    renumber = np.cumsum(keep, dtype=np.int32) - 1
+    renumber[lower[welded]] = renumber[upper[welded]]
+    u, l = upper[walled], lower[walled]
+    wall = np.stack([u[:, :-1], l[:, :-1], l[:, 1:], u[:, :-1], l[:, 1:], u[:, 1:]], axis=-1).reshape(-1, 3)
+    return dict(
+        source=np.flatnonzero(keep).astype(np.int32),
+        renumber=renumber,
+        walls=renumber[wall],
+        merged=[tuple(m) if w else () for m, w in zip(renumber[upper].tolist(), welded.tolist())],
+    )
+
+
+class TestIndexExpansionsMatchTheKeepMask:
+    @pytest.mark.parametrize(
+        "function,kind",
+        [(f, kind) for f in [IndexedFunction.root(n) for n in range(2, 7)] + [LOG] for kind in compatible_kinds(f)],
+        ids=lambda v: v.label() if isinstance(v, IndexedFunction) else v.value,
+    )
+    def test_source_renumber_walls_and_merged_vertices_match_bit_for_bit(self, function, kind):
+        every = list(function.branch_indices() or range(-2, 3))
+        # at 1.5, index sheets one apart weld and a root's wrap seam two or more apart stays open
+        tols = (DEFAULT_WELD_TOL, 1.5) if kind is CharismaKind.INDEX else (DEFAULT_WELD_TOL,)
+        # in order a welded lower column's partner comes before it, backwards after it; the windows of
+        # two lack a partner on one side, and a root's wrap seam puts the partner at the other end
+        windows = (every, every[::-1], every[1:3], every[2:0:-1])
+        for grid, ks, weld, walls, tol in itertools.product((SMALL, ODD), windows, (False, True), (False, True), tols):
+            sheets = build_sheets(function, ks, kind, grid)
+            mesh = assemble_surface(sheets, weld=weld, weld_tol=tol, walls=walls)
+            want = keep_mask_index_arrays(sheets, weld=weld, walls=walls, weld_tol=tol)
+            for name in ("source", "renumber", "walls"):
+                got = getattr(mesh, name)
+                assert got.dtype == np.int32 and not got.flags.writeable
+                assert got.tobytes() == want[name].tobytes(), name
+            assert [s.merged_vertices for s in mesh.seams] == want["merged"]
+            # two facts per sheet: no stored array has an entry per vertex or face but the heights and lattice
+            assert mesh.sheet_start.shape == (len(ks) + 1,) and mesh.welded_into.shape == (len(ks),)
+            assert mesh.n_vertices == len(want["source"]) and mesh.n_faces == len(mesh.faces)
+
+    @pytest.mark.parametrize("grid", [SMALL, ODD], ids=["even", "odd"])
+    @pytest.mark.parametrize("function", [ROOT3, LOG, IndexedFunction.root(2**63 - 1)], ids=lambda f: f.label())
+    def test_a_range_chart_is_one_sheet_with_nothing_dropped(self, function, grid):
+        chart = build_range_chart(function, grid)
+        every = np.arange(chart.z.size, dtype=np.int32)
+        for name in ("source", "renumber"):
+            assert getattr(chart, name).tobytes() == every.tobytes()
+        assert chart.walls.shape == (0, 3) and chart.sheet_faces.tobytes() == lattice_faces(*chart.z.shape).tobytes()
+        assert chart.sheet_start.tolist() == [0, chart.z.size] and chart.welded_into.tolist() == [-1]
+
+    def test_no_mesh_or_stack_stores_an_index_array(self):
+        stored = {f.name for f in dataclasses.fields(SurfaceMesh)} | {f.name for f in dataclasses.fields(SheetStack)}
+        assert not stored & {"faces", "sheet_faces", "source", "renumber"}
+
+
 class TestBranchRuns:
     @pytest.mark.parametrize(
         "function,kind",
@@ -748,11 +859,13 @@ def traced_peak(build):
 
 class TestBuildMemory:
     def test_peak_stays_near_the_stack_it_returns(self):
-        # the default grid's sin stack: its heights, lattice and faces, and the faces' temporaries, set the
-        # peak, 1.38 times the stack. Mapped over whole-lattice lists of Python floats instead of a chunk of
-        # points at a time, atan2 peaked at 1.65 times it; a stack that kept w as well, at 2.31 times
+        # the default grid's sin stack: its heights and lattice, and the heights' temporaries, set the peak,
+        # 1.57 times the stack (0.61 MB). Mapped over whole-lattice lists of Python floats instead of a chunk
+        # of points at a time, atan2 peaked at 1.00 MB. The stack stores no faces, so its bytes, the unit of
+        # the bound, are 0.63 times what they were when it did: at 1.7 the bound is 0.66 MB, no looser in
+        # bytes than 1.5 times the stack with faces (0.92 MB)
         sheets, peak = traced_peak(lambda: build_sheets(ROOT3, ROOT3.branch_indices(), CharismaKind.SIN, DomainGrid()))
-        assert peak < 1.5 * sum(a.nbytes for a in (sheets.z, sheets.c, sheets.faces))
+        assert peak < 1.7 * (sheets.z.nbytes + sheets.c.nbytes)
 
 
 class TestAssemblyMemory:
@@ -761,19 +874,20 @@ class TestAssemblyMemory:
     )
     def test_peak_stays_near_the_mesh_it_returns(self, kind, walls):
         # the default grid, its sheets built before tracing: the mesh keeps
-        # the stack and adds its vertex source, renumbering, walls and runs;
-        # the weld mask and the kept-vertex list, about 2.4 renumberings, are
-        # the transient. No vertex or face table is made
-        # the stack stores no w, so its bytes, the unit of the second bound, are 0.57 times what they were
-        # when it did: at 0.4 that bound is no looser in bytes than 0.25 times the stack with w
+        # the stack and adds two facts per sheet, its walls and runs; the
+        # seam table's cut edges and the Seams are the transient. No array of
+        # a vertex per lattice point is made, and no vertex or face table.
+        # Both bounds are in units of the stack, which stores no faces, 385,600 B: the first, 19,280 B, is
+        # no looser than 2.5 renumberings (289,200 B) were, nor the second, 7,712 B, than 0.4 times the
+        # stack with its faces (244,096 B)
         sheets = build_sheets(ROOT3, ROOT3.branch_indices(), kind, DomainGrid())
         mesh, peak = traced_peak(lambda: assemble_surface(sheets, walls=walls))
-        stored = (mesh.source, mesh.renumber, mesh.walls, *mesh.branch_runs, *mesh.face_branch_runs)
+        stored = (mesh.sheet_start, mesh.welded_into, mesh.walls, *mesh.branch_runs, *mesh.face_branch_runs)
         added = sum(a.nbytes for a in stored)
-        assert peak - added < 2.5 * mesh.renumber.nbytes
-        assert added < 0.4 * sum(a.nbytes for a in (sheets.z, sheets.c, sheets.faces))
-        assert all(a is b for a, b in zip((mesh.z, mesh.sheet_c, mesh.sheet_faces),
-                                          (sheets.z, sheets.c, sheets.faces)))
+        stack = sheets.z.nbytes + sheets.c.nbytes
+        assert peak - added < 0.05 * stack
+        assert added < 0.02 * stack
+        assert mesh.z is sheets.z and mesh.sheet_c is sheets.c
 
 
 class TestAssemblyErrors:
