@@ -394,10 +394,11 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One argsort of the key, no copy of x when a 1-D view of it exists, and
     the run starts and the inverse found a chunk of the sort order at a
-    time: the writers dedupe whole vertex tables with this, and np.unique's
-    flattened copy, sorted copy and int64 inverse, or a whole-table sorted
-    key and group array, would make the writer, not the mesh, set a run's
-    peak memory.
+    time: the writers dedupe whole lattice parts, phase sheets and JSON's w
+    over every sheet with this, and the heights' table comes from the
+    dedupe of the lattice's phases. np.unique's flattened copy, sorted copy
+    and int64 inverse, or a whole-table sorted key and group array, would
+    make the writer, not the mesh, set a run's peak memory.
     """
     key = (x.view(np.int64) if x.dtype.kind == "f" else x).reshape(-1)
     index_dtype = np.int32 if key.size < 2**31 else np.intp
@@ -444,30 +445,32 @@ def _batch_values(f: IndexedFunction, z: np.ndarray, branches: Sequence[int]) ->
     return w.reshape(shape)
 
 
-def _batch_heights(f: IndexedFunction, z: np.ndarray, branches: Sequence[int], kind: CharismaKind) -> np.ndarray:
-    """The charisma at every point of z for each k in branches, as an array
-    of shape (len(branches), *z.shape), for a z, branches and kind the
-    caller has checked; each value is bit-for-bit what evaluate_charisma
-    returns. Only phase heights need the range values, which _batch_values
-    makes and which are freed at once: index heights take no phase, imag
-    heights are _log_height of the phase, and sin and cos heights those of
-    the branch angle, per branch and distinct phase."""
-    shape = (len(branches),) + z.shape
-    if kind is _INDEX:
-        c = np.empty(shape)
-        for row, k in zip(c, branches):
-            row.fill(float(k))
-        return c
-    if kind is _PHASE:
-        return _phase(_batch_values(f, z, branches), _atan2_each)
-    ph = _phase(z, _atan2_each).ravel()
+def _batch_heights(
+    f: IndexedFunction, z: np.ndarray, branches: Sequence[int], kind: CharismaKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """The charisma at every point of z for each k in branches, as a table
+    (values, at), for a z, branches and kind the caller has checked: the
+    height of branch branches[s] at point p of z is values[s, at[p]], and
+    at, an int32 array of z's shape, is shared by every branch. Each height
+    is bit-for-bit what evaluate_charisma returns. A height depends on the
+    branch and on ph z alone but for phase, so values has a column per
+    distinct phase for imag (_log_height of the phase), sin and cos (those
+    of the branch angle), and one column for index, whose at is a broadcast
+    0. Phase heights need the range values, which _batch_values makes and
+    which are freed at once; they keep a column per point, and their at is
+    the identity, arange(z.size) in z's shape."""
     ks = _branch_floats(branches)
+    if kind is _INDEX:
+        return ks, np.broadcast_to(np.int32(0), z.shape)
+    if kind is _PHASE:
+        return (_phase(_batch_values(f, z, branches), _atan2_each).reshape(len(ks), -1),
+                np.arange(z.size, dtype=np.int32).reshape(z.shape))
+    phases, at = _distinct(_phase(z, _atan2_each).ravel())
     if kind is _IMAG:
-        return _log_height(ph, ks).reshape(shape)
-    phases, at_phase = _distinct(ph)
-    del ph
-    table = _map_each(math.cos if kind is _COS else math.sin, _root_angle(phases, f.n, ks))
-    return table[:, at_phase].reshape(shape)
+        values = _log_height(phases, ks)
+    else:
+        values = _map_each(math.cos if kind is _COS else math.sin, _root_angle(phases, f.n, ks))
+    return values, at.reshape(z.shape)
 
 
 def _branch_floats(branches: Sequence[int]) -> np.ndarray:

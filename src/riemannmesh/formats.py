@@ -7,18 +7,20 @@ rendered lazily.
 All floats are written with their shortest round-trip decimal
 representation, so identical meshes serialize to identical bytes. Each
 distinct value of a table is formatted once, and the writers read the
-mesh's factored columns (its lattice and heights) without expanding them:
-a vertex table's rows are each sheet's kept lattice points, computed a
-block at a time. A block of rows is one numpy record array, with one field
-per cell and one per separator, sized to a fixed byte budget; each cell
-field is filled with a gather of its texts through the block's rows, and
-the block's bytes, less their padding, go to disk as they are.
+mesh's factored columns (its lattice parts and its height table) without
+expanding them: a vertex table's rows are each sheet's kept lattice
+points, computed a block at a time. A block of rows is one numpy record
+array, with one field per cell and one per separator, sized to a fixed
+byte budget; each cell field is filled with a gather of its texts through
+the block's rows, and the block's bytes, less their padding, go to disk as
+they are.
 """
 
 from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import re
 import warnings
@@ -56,9 +58,9 @@ _INT_CHUNK = 1 << 13
 # A cell of a table: (texts, inverse, column). In row r of its segment,
 # whose rows are an (n, m) int array, its value is
 # texts[inverse[rows[r, column]]], or texts[rows[r, column]] for an inverse
-# of None: x and y through each vertex's lattice point, c and w through its
-# pre-weld vertex, colour and branch through its branch run, and a sheet's
-# faces through the texts of its vertices.
+# of None: x, y and a sheet's c through each vertex's lattice point, w
+# through its pre-weld vertex, colour and branch through its branch run,
+# and a sheet's faces through the texts of its vertices.
 Cell = tuple[np.ndarray, "np.ndarray | None", int]
 # A segment of a table: (rows, cells); the rows are an (n, m) int array,
 # or _KeptPoints, which a slice turns into one
@@ -67,12 +69,14 @@ Segment = tuple["np.ndarray | _KeptPoints", list[Cell]]
 _POINT, _PRE_WELD, _RUN = range(3)
 
 
-def _int_texts(values: np.ndarray | range) -> np.ndarray:
-    """Decimal texts of integers as a NUL-padded "S" array, built
-    _INT_CHUNK values at a time; a range is never made one array."""
+def _int_texts(values: np.ndarray | range, shift: int = 0) -> np.ndarray:
+    """Decimal texts of integers, each plus shift, as a NUL-padded "S"
+    array, built _INT_CHUNK values at a time; a range is never made one
+    array, and a shifted value is an int64 of its chunk."""
     if not len(values):
         return np.empty(0, "S1")
     lo, hi = (values[0], values[-1]) if isinstance(values, range) else (int(values.min()), int(values.max()))
+    lo, hi = lo + shift, hi + shift
     sign = int(lo < 0)
     width = sign + len(str(max(-lo, hi)))
     planes = np.zeros((len(values), width), np.uint8)
@@ -80,6 +84,8 @@ def _int_texts(values: np.ndarray | range) -> np.ndarray:
         part = values[start:start + _INT_CHUNK]
         if isinstance(part, range):
             part = np.arange(part.start, part.stop)
+        if shift:
+            part = part.astype(np.int64) + shift
         out = planes[start:start + _INT_CHUNK]
         mag = part.astype(np.uint64)
         if sign:
@@ -104,30 +110,14 @@ def _float_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return texts, inverse
 
 
-def _index_texts(arrays: list[np.ndarray], shift: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The texts of the integers of arrays, each plus shift, and per array
-    the array indexing those texts in its place. Where every value lies in
-    0..n - 1, n the count of all the values, the texts are those of 0..max
-    and each array indexes them itself; else they are those of the
-    distinct values."""
-    lo = min((int(a.min()) for a in arrays if a.size), default=0)
-    hi = max((int(a.max()) for a in arrays if a.size), default=-1)
-    if 0 <= lo and hi < sum(a.size for a in arrays):
-        return _int_texts(range(shift, hi + 1 + shift)), arrays
-    values, inverse = _distinct(np.concatenate([a.reshape(-1) for a in arrays]))
-    if shift:
-        values = values.astype(np.int64) + shift
-    ends = np.cumsum([a.size for a in arrays]).tolist()
-    return _int_texts(values), [inverse[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
-
-
 class _KeptPoints:
     """The rows of a sheet's vertex segment, one per kept lattice point (see kept_points). A slice is an
     (n, 3) int array of each row's lattice point, pre-weld vertex and branch run, computed by arithmetic, so
     only a block's rows exist, shared by the block's cells."""
 
     def __init__(self, mesh: SurfaceMesh, sheet: int, run_ends: np.ndarray) -> None:
-        self.n_cols, self.points = mesh.z.shape[1], mesh.z.size
+        at = mesh.heights[1]
+        self.n_cols, self.points = at.shape[1], at.size
         self.sheet, self.dropped, self.run_ends = sheet, bool(mesh.welded_into[sheet] >= 0), run_ends
         self.first, self.stop = mesh.sheet_start[sheet:sheet + 2].tolist()
 
@@ -148,18 +138,26 @@ class _KeptPoints:
 
 
 def _vertex_segments(mesh: SurfaceMesh, cells: list[Cell]) -> list[Segment]:
-    """The vertex table: a segment per sheet, its rows the sheet's kept lattice points, each cell the same in
-    every segment."""
+    """The vertex table: a segment per sheet, its rows the sheet's kept lattice points, its cells x, y and
+    the sheet's c, then cells, the same in every segment. x and y are each made from the grid, deduped and
+    freed in turn; the c cells are made first, as phase's per-sheet dedupes are the largest."""
+    values, at = mesh.heights
+    at = at.reshape(-1)  # a broadcast 0 stays one
+    c = [_height_cell(row, at) for row in values]
+    x = (*_float_texts(mesh.grid.lattice_part(math.cos)), _POINT)
+    y = (*_float_texts(mesh.grid.lattice_part(math.sin)), _POINT)
     run_ends = np.cumsum(mesh.branch_runs[1])
-    return [(_KeptPoints(mesh, s, run_ends), cells) for s in range(len(mesh.sheet_c))]
+    return [(_KeptPoints(mesh, s, run_ends), [x, y, c[s], *cells]) for s in range(len(values))]
 
 
-def _position_cells(mesh: SurfaceMesh) -> list[Cell]:
-    """x and y deduped over the lattice and read through each vertex's lattice point, c over every sheet and
-    through its pre-weld vertex. c is made first: its dedupe is the largest, so it runs while the least is
-    alive."""
-    c = (*_float_texts(mesh.sheet_c), _PRE_WELD)
-    return [(*_float_texts(mesh.z.real), _POINT), (*_float_texts(mesh.z.imag), _POINT), c]
+def _height_cell(values: np.ndarray, at: np.ndarray) -> Cell:
+    """A sheet's c cell, its height values[at[p]] at lattice point p: a table of fewer heights than points
+    (each but phase's) is texted in table order and read through at, and a height per point (phase's)
+    through the sheet's own dedupe, so no writer dedupes every sheet's heights at every point."""
+    texts, inverse = _float_texts(values)
+    if len(values) < len(at):
+        return texts.take(inverse), at, _POINT
+    return texts, inverse.take(at), _POINT
 
 
 def _branch_cell(mesh: SurfaceMesh) -> Cell:
@@ -168,7 +166,8 @@ def _branch_cell(mesh: SurfaceMesh) -> Cell:
 
 
 def _colour_cells(mesh: SurfaceMesh) -> list[Cell]:
-    # red, green and blue each contiguous: take copies a strided array whole on every call
+    # red, green and blue each contiguous: indexing reads a strided array more slowly (a cap chart's PLY
+    # render took 1.9 s, against 1.6 s), and take copies one whole on every call
     texts, rgb = _int_texts(range(256)), np.ascontiguousarray(mesh.run_colors.T)
     return [(texts, rgb[j], _RUN) for j in range(3)]
 
@@ -176,11 +175,9 @@ def _colour_cells(mesh: SurfaceMesh) -> list[Cell]:
 def _face_segments(mesh: SurfaceMesh, shift: int = 0) -> list[Segment]:
     """The face table, each vertex index plus shift: one segment per sheet, its lattice faces read through its
     part of the vertex texts, then the walls. renumber and the lattice faces are expanded here, once each:
-    the renumbering is texted and gathered into the text of each pre-weld vertex, and freed with the index
-    texts, before the lattice faces are made."""
-    texts, (renumber, walls) = _index_texts([mesh.renumber, mesh.walls], shift)
-    vertex_texts, wall_texts = texts.take(renumber).reshape(len(mesh.sheet_c), -1), texts.take(walls.reshape(-1))
-    del texts, renumber, walls
+    the renumbering is texted, a text per pre-weld vertex, and freed before the lattice faces are made."""
+    vertex_texts = _int_texts(mesh.renumber, shift).reshape(len(mesh.welded_into), -1)
+    wall_texts = _int_texts(mesh.walls.reshape(-1), shift)
     faces = mesh.sheet_faces
     corners = np.arange(len(wall_texts)).reshape(-1, 3)  # wall face f reads its corners' texts 3f..3f + 2
     return [(faces, [(part, None, j) for j in range(3)]) for part in vertex_texts] + [
@@ -240,8 +237,10 @@ def _blocks(segments: list[Segment], seps: tuple[str, ...], end: str, between: s
             at = segment[start:start + len(block) - filled]
             part = block[filled:filled + len(at)]
             for i, (texts, inverse, column) in enumerate(cells):
+                # an inverse is indexed, not taken from: take copies a strided or broadcast source whole on
+                # each call, 0.2 ms a block for a range chart's broadcast index at the grid cap
                 index = at[:, column]
-                part[f"c{i}"] = texts.take(index if inverse is None else inverse.take(index))
+                part[f"c{i}"] = texts.take(index if inverse is None else inverse[index])
             start, filled, written = start + len(at), filled + len(at), written + len(at)
             if filled == len(block) or written == n:
                 data = block[:filled].tobytes().translate(None, b"\0")
@@ -276,7 +275,7 @@ _PLY_PATTERN = "\n".join(_PLY_LINES)
 def _ply_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     yield _PLY_HEADER.format(mesh.n_vertices, mesh.n_faces).encode()
     # each table's texts are freed before the next table's are made
-    yield from _table(_vertex_segments(mesh, _position_cells(mesh) + _colour_cells(mesh)),
+    yield from _table(_vertex_segments(mesh, _colour_cells(mesh)),
                       ("", " ", " ", " ", " ", " "), "\n")
     yield from _table(_face_segments(mesh), ("3 ", " ", " "), "\n")
 
@@ -351,7 +350,7 @@ def read_ply(text: str) -> PlyData:
 # branch since core OBJ has no vertex colors.
 def _obj_pieces(mesh: SurfaceMesh, mtl_filename: str) -> Iterator[bytes]:
     yield f"mtllib {mtl_filename}\n".encode()
-    yield from _table(_vertex_segments(mesh, _position_cells(mesh)), ("v ", " ", " "), "\n")
+    yield from _table(_vertex_segments(mesh, []), ("v ", " ", " "), "\n")
     # one group per run of faces owned by the same branch, each a table over the one-based indices
     faces = _face_segments(mesh, 1)
     values, counts = mesh.face_branch_runs
@@ -382,8 +381,16 @@ def _seam_record(s: Seam) -> dict:
 
 def _finite(mesh: SurfaceMesh, sheet_w: np.ndarray) -> bool:
     # every float the vertex table writes is finite: a sheet's dropped lower cut column is not written
-    dropped = (mesh.welded_into >= 0)[:, None, None] & (np.arange(mesh.z.shape[1]) == 0)
-    return all((np.isfinite(values) | dropped).all() for values in (mesh.z, mesh.sheet_c, sheet_w))
+    values, at = mesh.heights
+    dropped = (mesh.welded_into >= 0)[:, None, None] & (np.arange(at.shape[1]) == 0)
+
+    def flags():  # each made and dropped in turn: the lattice's parts, the heights' through the table, w
+        for trig in (math.cos, math.sin):
+            yield np.isfinite(mesh.grid.lattice_part(trig))
+        yield np.isfinite(values)[:, at]
+        yield np.isfinite(sheet_w)
+
+    return all((finite | dropped).all() for finite in flags())
 
 
 # Versioned JSON with full surface-point records; ValueError for a
@@ -407,7 +414,7 @@ def _json_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     w = [(*_float_texts(part), _PRE_WELD) for part in (sheet_w.real, sheet_w.imag)]
     del sheet_w
     yield from _table(
-        _vertex_segments(mesh, _position_cells(mesh) + [_branch_cell(mesh)] + w),
+        _vertex_segments(mesh, [_branch_cell(mesh)] + w),
         ('{"x":', ',"y":', ',"c":', ',"k":', ',"w":[', ","),
         "]}",
         ",",
@@ -420,7 +427,7 @@ def _json_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
 # Vertex table with header x,y,c,k.
 def _csv_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
     yield b"x,y,c,k\n"
-    yield from _table(_vertex_segments(mesh, _position_cells(mesh) + [_branch_cell(mesh)]), ("", ",", ",", ","), "\n")
+    yield from _table(_vertex_segments(mesh, [_branch_cell(mesh)]), ("", ",", ",", ","), "\n")
 
 
 def seams_json_text(mesh: SurfaceMesh, weld_tol: float) -> str:

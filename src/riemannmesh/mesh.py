@@ -55,14 +55,14 @@ DEFAULT_WELD_TOL = 1e-9
 _LEAST_R_MIN = 2.0**-1022
 
 # the most lattice points n_r * (n_theta + 1) a DomainGrid may hold: 4.4
-# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.12 KB
-# (PLY) to 0.27 KB (JSON) of peak RSS per lattice point above a tiny run's
+# times a 200x1200 grid. At 200x1200 a three-sheet CLI run took about 0.08 KB
+# (PLY) to 0.23 KB (JSON) of peak RSS per lattice point above a tiny run's
 # 31 MB, and the same at 400x1200, so at the cap such a run needs about
-# 0.31 GB.
+# 0.27 GB.
 MAX_GRID_POINTS = 1 << 20
 
 # the most vertices len(branches) * n_r * (n_theta + 1) a surface may hold:
-# three sheets at MAX_GRID_POINTS, about 0.09 KB each, the 0.31 GB run above
+# three sheets at MAX_GRID_POINTS, about 0.08 KB each, the 0.27 GB run above
 _MAX_SURFACE_POINTS = 3 * MAX_GRID_POINTS
 
 # the dtype of every vertex index (lattice and mesh faces, the renumbering,
@@ -172,6 +172,14 @@ class DomainGrid:
     def thetas(self) -> np.ndarray:
         return np.linspace(-math.pi, math.pi, self.n_cols)
 
+    def lattice_part(self, trig) -> np.ndarray:
+        """x[i, j] = r_i cos(theta_j) of the polar lattice, with trig
+        math.cos, or y[i, j] = r_i sin(theta_j), with math.sin, shape
+        (n_r, n_theta + 1), as a new contiguous array: the one coding of
+        each part, read by sample_domain and by the vertex tables. math, not
+        numpy, for the angles: numpy's sin and cos may differ by an ulp."""
+        return self.radii()[:, None] * [trig(t) for t in self.thetas().tolist()]
+
 
 def sample_domain(grid: DomainGrid) -> np.ndarray:
     """Polar lattice z[i, j] = r_i e^(i theta_j), shape (n_r, n_theta + 1).
@@ -185,13 +193,10 @@ def sample_domain(grid: DomainGrid) -> np.ndarray:
     the phase would fold onto +pi, and the theta = -pi column has phase
     -pi to the float.
     """
-    radii = grid.radii()[:, None]
-    thetas = grid.thetas().tolist()
     z = np.empty((grid.n_r, grid.n_cols), dtype=complex)
-    # math, not numpy, for the angles: numpy's sin/cos may differ by an ulp.
-    # The parts are stored apart, as x + 1j*y would turn -0.0 into +0.0.
-    z.real = radii * [math.cos(t) for t in thetas]
-    z.imag = radii * [math.sin(t) for t in thetas]
+    # the parts are stored apart, as x + 1j*y would turn -0.0 into +0.0
+    z.real = grid.lattice_part(math.cos)
+    z.imag = grid.lattice_part(math.sin)
     return z
 
 
@@ -278,16 +283,30 @@ class SheetStack:
     """Every branch of a surface lifted over one sampled domain. Sheet i is
     branch branches[i]: an open surface whose theta = -pi and theta = +pi
     columns (0 and n_cols - 1) are its lower and upper cut edges. Every
-    array is read-only. The stack lifts the domain by its heights and
-    stores no range values and no faces: w and faces compute them on each
-    access."""
+    array is read-only. The stack stores its grid and its heights as a
+    table, heights = (values, at): sheet s's height at lattice point p is
+    values[s, at[p]], and at, an (n_r, n_cols) int32 index shared by every
+    sheet, reads a column per distinct phase (imag, sin and cos), the one
+    column of an index sheet (a broadcast 0) or, for phase, whose heights
+    follow |w|'s rounding, a column per point (the identity). z, c, w and
+    faces expand these on each access, as new read-only arrays."""
 
     function: IndexedFunction
     kind: CharismaKind
     grid: DomainGrid
     branches: tuple[int, ...]
-    z: np.ndarray  # (n_r, n_cols) domain samples, shared by every sheet
-    c: np.ndarray  # (n_branches, n_r, n_cols) charisma heights
+    heights: tuple[np.ndarray, np.ndarray]  # (values, at): (n_branches, m) floats and (n_r, n_cols) int32
+
+    @property
+    def z(self) -> np.ndarray:
+        """(n_r, n_cols) complex domain samples, shared by every sheet."""
+        return _read_only(sample_domain(self.grid))
+
+    @property
+    def c(self) -> np.ndarray:
+        """(n_branches, n_r, n_cols) float charisma heights, values[s, at[p]]."""
+        values, at = self.heights
+        return _read_only(values[:, at])
 
     @property
     def w(self) -> np.ndarray:
@@ -297,8 +316,8 @@ class SheetStack:
     @property
     def faces(self) -> np.ndarray:
         """(2 (n_r - 1) n_theta, 3) int32 indices into one sheet's row-major
-        vertices, the same for every sheet, computed on each access."""
-        return lattice_faces(*self.z.shape)
+        vertices, the same for every sheet."""
+        return lattice_faces(*self.heights[1].shape)
 
 
 def build_sheets(
@@ -308,8 +327,9 @@ def build_sheets(
     grid: DomainGrid,
 ) -> SheetStack:
     """Lift each branch k in branches over the grid: c = charisma per
-    vertex, all branches in one pass. Only phase heights need the range
-    values w = f_k(z), which are freed once the heights are made.
+    vertex, all branches in one pass, stored as a table over the lattice's
+    distinct phases. The lattice z and, for phase heights only, the range
+    values w = f_k(z) are freed once the heights are made.
 
     Every stored value is recomputable bit-for-bit through evaluate_charisma,
     and the stack's w through branch_value: both call the one helper of each
@@ -321,11 +341,10 @@ def build_sheets(
     """
     kind = require_compatible(kind, function)
     branches = _read_window(function, branches, kind, grid)
-    z = sample_domain(grid)
-    c = _batch_heights(function, z, branches, kind)
-    for shared in (z, c):
+    heights = _batch_heights(function, sample_domain(grid), branches, kind)
+    for shared in heights:
         shared.flags.writeable = False
-    return SheetStack(function, kind, grid, branches, z, c)
+    return SheetStack(function, kind, grid, branches, heights)
 
 
 @dataclass(frozen=True)
@@ -364,37 +383,41 @@ def _expand(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 class SurfaceMesh:
     """Triangulated union of branch sheets, colored by branch index.
 
-    The mesh keeps its sheet stack and two facts per sheet, not index
-    arrays. Sheet s of S lifts the P points of the lattice z by its heights
-    sheet_c[s], so its pre-weld vertex s * P + p is lattice point p. Its
-    mesh vertices, sheet_start[s] up to sheet_start[s + 1], are its kept
-    points in row-major order: all of them, or all but column 0's where its
-    lower cut column welded into the upper one of sheet welded_into[s] (-1:
-    none), whose vertices it takes. The faces are each sheet's lattice faces
-    through its part of renumber, in sheet order, then the walls, in mesh
-    indices. A split theta = 0 column would be one more per-sheet fact: its
-    n_r duplicate vertices would follow the sheet's kept points, moving the
-    later starts, and the faces across the split would read them. Each
-    sheet's branch is stored once, as runs in vertex and face order:
-    branch_runs and face_branch_runs, each (values, counts) of int64
-    branches and int32 counts, no two neighbouring values equal; run_colors
-    is the palette color of each vertex run.
+    The mesh keeps its sheet stack's grid and heights and two facts per
+    sheet, not index arrays. Sheet s of S lifts the P points of the grid's
+    lattice by its heights, values[s, at[p]] at point p for heights =
+    (values, at) (see SheetStack), so its pre-weld vertex s * P + p is
+    lattice point p. Its mesh vertices, sheet_start[s] up to
+    sheet_start[s + 1], are its kept points in row-major order: all of
+    them, or all but column 0's where its lower cut column welded into the
+    upper one of sheet welded_into[s] (-1: none), whose vertices it takes.
+    The faces are each sheet's lattice faces through its part of renumber,
+    in sheet order, then the walls, in mesh indices. A split theta = 0
+    column would be one more per-sheet fact: its n_r duplicate vertices
+    would follow the sheet's kept points, moving the later starts, and the
+    faces across the split would read them. Each sheet's branch is stored
+    once, as runs in vertex and face order: branch_runs and
+    face_branch_runs, each (values, counts) of int64 branches and int32
+    counts, no two neighbouring values equal; run_colors is the palette
+    color of each vertex run.
 
-    sheet_faces, source (the pre-weld vertex of each mesh vertex), renumber
-    (the mesh vertex of each pre-weld vertex), positions, w, faces, branch,
-    colors and face_branch expand these on every access, as new read-only
-    arrays, so bind one once before indexing it in a loop. Neither assembly
-    nor a vertex table reads the first six; a face table expands renumber
-    and sheet_faces once. The mesh stores no range values: sheet_w, which w
-    gathers through, computes them on each access, and only the JSON writer
-    reads it.
+    z and sheet_c (the stack's z and c), sheet_faces, source (the pre-weld
+    vertex of each mesh vertex), renumber (the mesh vertex of each pre-weld
+    vertex), positions, w, faces, branch, colors and face_branch expand
+    these on every access, as new read-only arrays, so bind one once before
+    indexing it in a loop. Neither assembly nor a vertex table reads z,
+    sheet_c, positions or an index array; a vertex table makes the
+    lattice's x, then its y, with grid.lattice_part, and a face table
+    expands renumber and sheet_faces once. The mesh stores no range values:
+    sheet_w, which w gathers through, computes them from z on each access,
+    and only the JSON writer reads it.
     """
 
     function: IndexedFunction
     kind: CharismaKind
     sheet_branches: tuple[int, ...]
-    z: np.ndarray            # (n_r, n_cols) lattice of P points
-    sheet_c: np.ndarray      # (S, n_r, n_cols) float heights per sheet
+    grid: DomainGrid         # the lattice of P = n_r * n_cols points
+    heights: tuple[np.ndarray, np.ndarray]  # (values, at): (S, m) floats and (n_r, n_cols) int32
     sheet_start: np.ndarray  # (S + 1,) int32 first mesh vertex of each sheet, then the vertex count
     welded_into: np.ndarray  # (S,) int32 sheet whose upper cut column took each lower one, or -1
     walls: np.ndarray        # (W, 3) int32 mesh vertex indices, after the sheets' faces
@@ -410,26 +433,29 @@ class SurfaceMesh:
 
     @property
     def n_faces(self) -> int:
-        n_r, n_cols = self.z.shape
-        return len(self.sheet_c) * 2 * (n_r - 1) * (n_cols - 1) + len(self.walls)
+        n_r, n_cols = self.heights[1].shape
+        return len(self.heights[0]) * 2 * (n_r - 1) * (n_cols - 1) + len(self.walls)
+
+    # (n_r, n_cols) complex lattice and (S, n_r, n_cols) float heights: the stack's expansions
+    z, sheet_c = SheetStack.z, SheetStack.c
 
     @property
     def sheet_faces(self) -> np.ndarray:
         """(F, 3) int32 indices into one sheet's points, the same for every sheet."""
-        return lattice_faces(*self.z.shape)
+        return lattice_faces(*self.heights[1].shape)
 
     @property
     def source(self) -> np.ndarray:
         """(N,) int32 pre-weld vertex of each mesh vertex."""
-        n_cols, counts = self.z.shape[1], np.diff(self.sheet_start).tolist()
-        return _read_only(np.concatenate([s * self.z.size + kept_points(n_cols, into >= 0, 0, n)
+        (n_r, n_cols), counts = self.heights[1].shape, np.diff(self.sheet_start).tolist()
+        return _read_only(np.concatenate([s * n_r * n_cols + kept_points(n_cols, into >= 0, 0, n)
                                           for s, (into, n) in enumerate(zip(self.welded_into.tolist(), counts))]))
 
     @property
     def renumber(self) -> np.ndarray:
         """(S * P,) int32 mesh vertex of each pre-weld vertex; a welded lower
         cut vertex takes its upper partner's."""
-        n_r, n_cols = self.z.shape
+        n_r, n_cols = self.heights[1].shape
         into = self.welded_into
         renumber = _mesh_vertices(self.sheet_start[:-1], into >= 0, n_r, n_cols, np.arange(n_cols))
         renumber[into >= 0, :, :1] = renumber[into[into >= 0], :, -1:]  # slices: a lattice may have no column
@@ -438,21 +464,17 @@ class SurfaceMesh:
     @property
     def positions(self) -> np.ndarray:
         """(N, 3) float x, y, c of each vertex."""
-        z, source = self.z.reshape(-1), self.source
-        point = source % len(z)
-        positions = np.empty((len(source), 3))
-        positions[:, 0] = z.real[point]
-        positions[:, 1] = z.imag[point]
-        positions[:, 2] = self.sheet_c.reshape(-1)[source]
-        return _read_only(positions)
+        (values, at), source = self.heights, self.source
+        sheet, point = np.divmod(source, at.size)
+        x, y = (self.grid.lattice_part(trig).reshape(-1)[point] for trig in (math.cos, math.sin))
+        return _read_only(np.column_stack([x, y, values[sheet, at.reshape(-1)[point]]]))
 
     @property
     def sheet_w(self) -> np.ndarray:
-        """(S, *z.shape) complex range values per sheet: a range chart's
+        """(S, n_r, n_cols) complex range values per sheet: a range chart's
         samples, or f_k(z) of each sheet's branch, computed anew."""
-        if self.range_chart:
-            return self.z[None]
-        return _sheet_values(self.function, self.z, self.sheet_branches)
+        z = self.z
+        return z[None] if self.range_chart else _sheet_values(self.function, z, self.sheet_branches)
 
     @property
     def w(self) -> np.ndarray:
@@ -463,7 +485,7 @@ class SurfaceMesh:
     def faces(self) -> np.ndarray:
         """(M, 3) vertex indices of each face, int32 in a built mesh."""
         sheet_faces, renumber = self.sheet_faces, self.renumber
-        n_sheets, per_sheet = len(self.sheet_c), len(sheet_faces)
+        n_sheets, per_sheet = len(self.heights[0]), len(sheet_faces)
         faces = np.empty((self.n_faces, 3), np.result_type(renumber, self.walls))
         renumber = renumber.astype(faces.dtype, copy=False).reshape(n_sheets, -1)
         renumber.take(sheet_faces, axis=1, out=faces[:n_sheets * per_sheet].reshape(n_sheets, per_sheet, 3))
@@ -526,15 +548,16 @@ def assemble_surface(
     array of a vertex per lattice point is made.
     """
     weld_tol = require_weld_tol(weld_tol)
-    branches, c = sheets.branches, sheets.c
-    n_sheets, n_r, n_cols = c.shape
+    branches, (values, at) = sheets.branches, sheets.heights
+    n_sheets, (n_r, n_cols) = len(values), at.shape
 
     # the seam table: sheet i and its continuation sheet j, one row per seam
     sheet_of = {k: s for s, k in enumerate(branches)}
     pairs = [(s, sheet_of[nxt]) for s, k in enumerate(branches)
              if (nxt := continuation_branch(sheets.function, k)) in sheet_of]
     i, j = np.array(pairs, dtype=_VERTEX_INDEX).reshape(-1, 2).T
-    gaps = np.abs(c[i, :, -1] - c[j, :, 0])  # per seam, its cut edges innermost radius first
+    # per seam, its cut edges innermost radius first: only the cut columns' heights are read
+    gaps = np.abs(values[i[:, None], at[:, -1]] - values[j[:, None], at[:, 0]])
     welded = np.all(gaps <= weld_tol, axis=1) & bool(weld)
     walled = ~welded & (bool(walls) and sheets.kind is CharismaKind.INDEX)
     # a welded seam drops sheet j's theta = -pi column, whose vertices become sheet i's theta = +pi column's
@@ -554,7 +577,7 @@ def assemble_surface(
     ks = np.array(branches, dtype=np.int64)
     face_counts = [2 * (n_r - 1) * (n_cols - 1)] * n_sheets + [2 * (n_r - 1)] * len(u)
     return _factored_mesh(
-        sheets.function, sheets.kind, branches, sheets.z, c, sheet_start, welded_into,
+        sheets.function, sheets.kind, branches, sheets.grid, sheets.heights, sheet_start, welded_into,
         walls=wall,
         # vertices stay in sheet order: one run per sheet, over its kept vertices
         branch_runs=_runs(ks, counts),
@@ -564,10 +587,10 @@ def assemble_surface(
     )
 
 
-def _factored_mesh(function, kind, sheet_branches, z, sheet_c, sheet_start, welded_into, **rest) -> SurfaceMesh:
+def _factored_mesh(*fields, **rest) -> SurfaceMesh:
     # a built mesh, every array of it read-only, as a stack's are
-    mesh = SurfaceMesh(function, kind, sheet_branches, z, sheet_c, sheet_start, welded_into, **rest)
-    for stored in (z, sheet_c, sheet_start, welded_into, mesh.walls):
+    mesh = SurfaceMesh(*fields, **rest)
+    for stored in (*mesh.heights, mesh.sheet_start, mesh.welded_into, mesh.walls):
         stored.flags.writeable = False
     return mesh
 
@@ -586,19 +609,19 @@ def build_range_chart(function: IndexedFunction, grid: DomainGrid) -> SurfaceMes
     shows where in the range each branch's values live. Raises DomainError
     where a branch index would not fit int64.
     """
-    w = sample_domain(grid)
-    n_rows, n_cols = w.shape
-    branch_runs = _runs(_batch_branch_index(w.reshape(-1), function), 1)
+    n_rows, n_cols = grid.n_r, grid.n_cols
+    branch_runs = _runs(_batch_branch_index(sample_domain(grid).reshape(-1), function), 1)
     # a lattice quad's two faces take the branch of its low corner, and the low corners are the
     # vertices off the last row and column, in vertex order: so the quads before a vertex run's end
     # number that end less its row, up to the last quad
     ends = np.cumsum(branch_runs[1], dtype=np.int64)
     quads = np.minimum(ends - ends // n_cols, (n_rows - 1) * (n_cols - 1))
-    # one sheet at height 0 whose values are its samples, every vertex kept and none welded
+    # one sheet at height 0 (one height, read through a broadcast 0) whose values are its samples, every
+    # vertex kept and none welded
     return _factored_mesh(
         function, CharismaKind.INDEX, tuple(np.unique(branch_runs[0]).tolist()),
-        w, np.broadcast_to(0.0, (1, n_rows, n_cols)),
-        np.array([0, w.size], _VERTEX_INDEX), np.array([-1], _VERTEX_INDEX),
+        grid, (np.zeros((1, 1)), np.broadcast_to(np.int32(0), (n_rows, n_cols))),
+        np.array([0, n_rows * n_cols], _VERTEX_INDEX), np.array([-1], _VERTEX_INDEX),
         walls=np.empty((0, 3), _VERTEX_INDEX),
         branch_runs=branch_runs,
         face_branch_runs=_runs(branch_runs[0], 2 * np.diff(quads, prepend=0)),

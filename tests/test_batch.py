@@ -84,8 +84,9 @@ def test_values_and_heights_match_the_scalar_api_byte_for_byte(function, kind):
     ks = branches_of(function)
     for points in (Z, REPEATED) + ((LATTICE,) if function in PARITIES else ()):
         w = _batch_values(function, points, ks)
-        c = _batch_heights(function, points, ks, kind)
-        assert w.shape == c.shape == (len(ks),) + points.shape
+        values, at = _batch_heights(function, points, ks, kind)
+        c = values[:, at]  # a table over the points' distinct phases, read through at
+        assert w.shape == c.shape == (len(ks),) + points.shape and at.shape == points.shape
         assert w.dtype == complex and c.dtype == float
         zs = points.ravel().tolist()
         want_w = np.array([[function.branch_value(z, k) for z in zs] for k in ks])
@@ -118,7 +119,8 @@ def test_heights_other_than_phase_compute_no_range_value(function, kind, monkeyp
     monkeypatch.setattr(branches, "_root_radius", refuse)
     monkeypatch.setattr(branches, "_map_each", lambda fn, *arrays: mapped.append(fn) or map_each(fn, *arrays))
     ks = branches_of(function)
-    assert _batch_heights(function, LATTICE, ks, kind).shape == (len(ks),) + LATTICE.shape
+    values, at = _batch_heights(function, LATTICE, ks, kind)
+    assert values[:, at].shape == (len(ks),) + LATTICE.shape
     assert abs not in mapped and (math.atan2 not in mapped) == (kind is CharismaKind.INDEX)
 
 
@@ -211,7 +213,8 @@ def test_scalar_and_batch_paths_share_one_coding_of_each_formula(name, monkeypat
     ws = [w for w in POINTS if abs(w.imag) < 5e19]  # log indices within int64
 
     def both_paths():
-        w, c = _batch_values(function, Z, ks), _batch_heights(function, Z, ks, kind)
+        values, at = _batch_heights(function, Z, ks, kind)
+        w, c = _batch_values(function, Z, ks), values[:, at]
         index = _batch_branch_index(np.array(ws), function)
         scalar_w = np.array([[function.branch_value(z, k) for z in POINTS] for k in ks])
         scalar_c = np.array([[evaluate_charisma(z, k, function, kind) for z in POINTS] for k in ks])

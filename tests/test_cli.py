@@ -590,10 +590,12 @@ class TestWriteAtomic:
 
         def with_nan(job):
             mesh = build(job)
-            # the last vertex's height, in the sheet stack the mesh reads it from
-            c = mesh.sheet_c.copy()
-            c.reshape(-1)[mesh.source[-1]] = float("nan")
-            mesh.sheet_c = c
+            # the last vertex's height, in the height table the mesh reads it from
+            values, at = mesh.heights
+            values = values.copy()
+            sheet, point = divmod(int(mesh.source[-1]), at.size)
+            values[sheet, at.reshape(-1)[point]] = float("nan")
+            mesh.heights = (values, at)
             return mesh
 
         monkeypatch.setattr(cli, "build_mesh", with_nan)

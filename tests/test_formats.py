@@ -1,6 +1,7 @@
 """Serialization tests: determinism, fidelity, and re-parsing."""
 
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -139,6 +140,17 @@ def row_csv_text(mesh):
     return "\n".join(lines) + "\n"
 
 
+class StoredLattice:
+    """The grid of a synthetic mesh: its lattice parts x and y are arrays
+    of its own, where a DomainGrid computes r cos(theta) and r sin(theta)."""
+
+    def __init__(self, x, y):
+        self.parts = {math.cos: x, math.sin: y}
+
+    def lattice_part(self, trig):
+        return self.parts[trig]
+
+
 class StoredValuesMesh(SurfaceMesh):
     """A SurfaceMesh whose range values are its own, stored in stored_w: a
     built mesh computes f_k(z) of its function on each access, where a
@@ -155,8 +167,9 @@ def synthetic_mesh(n_vertices, n_faces, seed):
     """A mesh of awkward values: signed zeros, wide exponents, subnormals,
     negative branches, and face groups whose branch recurs later. It is a
     one-sheet factored mesh whose lattice is one row of its vertices, each
-    kept, which has no faces, so its faces are all walls: an edit writes
-    into vertex_views(mesh) and walls."""
+    kept, which has no faces, so its faces are all walls; its heights are a
+    height per point, read through the identity, as phase heights are. An
+    edit writes into vertex_views(mesh) and walls."""
     rng = np.random.default_rng(seed)
     positions = rng.standard_normal((n_vertices, 3)) * 10.0 ** rng.integers(-30, 30, (n_vertices, 3))
     positions[::5, 0] = -0.0
@@ -167,14 +180,12 @@ def synthetic_mesh(n_vertices, n_faces, seed):
     w.imag[::3] = -0.0
     runs = rng.integers(-3, 4, max(1, n_faces // 50))
     face_branch = np.repeat(runs, -(-n_faces // len(runs)))[:n_faces]
-    z = np.empty((1, n_vertices), complex)  # its parts stored apart, as x + 1j*y would turn -0.0 into +0.0
-    z.real, z.imag = positions[:, 0], positions[:, 1]
     mesh = StoredValuesMesh(
         function=ROOT3,
         kind=CharismaKind.SIN,
         sheet_branches=(-1, 0, 1),
-        z=z,
-        sheet_c=positions[None, None, :, 2].copy(),
+        grid=StoredLattice(positions[None, :, 0].copy(), positions[None, :, 1].copy()),
+        heights=(positions[None, :, 2].copy(), np.arange(n_vertices, dtype=np.int32).reshape(1, n_vertices)),
         sheet_start=np.array([0, n_vertices], np.int32),
         welded_into=np.array([-1], np.int32),
         walls=rng.integers(0, max(n_vertices, 1), (n_faces, 3)),
@@ -188,8 +199,9 @@ def synthetic_mesh(n_vertices, n_faces, seed):
 
 
 def vertex_views(mesh):
-    """x, y, c and w of each vertex of a synthetic mesh: views into its sheet, to edit."""
-    return mesh.z.real[0], mesh.z.imag[0], mesh.sheet_c[0, 0], mesh.sheet_w[0, 0]
+    """x, y, c and w of each vertex of a synthetic mesh: views into its lattice parts, heights and values, to
+    edit."""
+    return mesh.grid.parts[math.cos][0], mesh.grid.parts[math.sin][0], mesh.heights[0][0], mesh.stored_w[0, 0]
 
 
 def set_branch(mesh, branch):
@@ -350,7 +362,8 @@ def digit_widths_cells(mesh):
 def plain_segment(columns):
     """A table segment of plain columns, 1-D or 2-D arrays of one length:
     a cell per value of a row, the floats texted once per distinct value and
-    the ints as the face table texts them, each reading its own row column."""
+    the ints one text per value, as the face table texts them, each reading
+    its own row column."""
     cells, rows = [], []
     for column in columns:
         column = column[:, None] if column.ndim == 1 else column
@@ -358,7 +371,7 @@ def plain_segment(columns):
             texts, index = formats._float_texts(column)
             index = index.reshape(column.shape)
         else:
-            texts, (index,) = formats._index_texts([column])
+            texts, index = formats._int_texts(column.reshape(-1)), np.arange(column.size).reshape(column.shape)
         cells += [(texts, None, len(cells) + j) for j in range(column.shape[1])]
         rows.append(index)
     return np.column_stack(rows), cells
@@ -826,9 +839,9 @@ class TestDistinct:
 
 
 def stored_bytes(mesh):
-    """The bytes of the arrays a mesh stores, its stack's included: none of its expansions, no range
-    values and no index arrays, which it computes on access."""
-    arrays = (mesh.z, mesh.sheet_c, mesh.sheet_start, mesh.welded_into, mesh.walls)
+    """The bytes of the arrays a mesh stores, its stack's height table included: none of its expansions, no
+    lattice, no range values and no index arrays, which it computes on access."""
+    arrays = (*mesh.heights, mesh.sheet_start, mesh.welded_into, mesh.walls)
     return sum(a.nbytes for a in (*arrays, *mesh.branch_runs, *mesh.face_branch_runs))
 
 
@@ -841,16 +854,20 @@ class TestWriterMemory:
     Those units held the stack's w until the mesh stopped storing it, which
     made them 1.55 times larger at the default grid. They then held the
     lattice faces, source and renumbering, 841,192 B at the default grid,
-    until the mesh derived them from two facts per sheet: 385,700 B. So the
-    bounds in the smaller unit are no looser in bytes: 3.1 is 1.20 MB
-    (1.9 was 1.60 MB), 6.5 is 2.51 MB (3.4 was 2.86 MB), and the face
-    table's 1.96 is 755,972 B (0.9 was 757,073 B). That table now expands
-    the renumbering and the lattice faces itself, but it gathers the
-    renumbering's texts into one text per pre-weld vertex and frees both
-    before it expands the faces, so its peak (636,681 B, 1.65 units) stays
-    below the 687,512 B it read while the mesh stored them. The JSON writer
-    computes w, dedupes it and drops it before its other cells are made, so
-    its peak did not rise."""
+    until the mesh derived them from two facts per sheet: 385,700 B. They
+    then held the lattice and a height per sheet and point, until the mesh
+    stored its grid and its heights as a table over the lattice's distinct
+    phases: 46,676 B. So the bounds in each smaller unit are no looser in
+    bytes: 25 is 1.17 MB (3.1 was 1.20 MB, and 1.9 before it 1.60 MB),
+    53.5 is 2.50 MB (6.5 was 2.51 MB, 3.4 before it 2.86 MB), and the face
+    table's 16 is 746,816 B (1.96 was 755,972 B, 0.9 before it 757,073 B).
+    That table expands the renumbering and the lattice faces itself, texts
+    the renumbering straight into one text per pre-weld vertex and frees it
+    before it expands the faces, so its peak (635,980 B) stays below the
+    687,512 B it read while the mesh stored them. A vertex table makes the
+    lattice's x and y one at a time and texts each sheet's height table, and
+    the JSON writer computes w, dedupes it and drops it before its other
+    cells are made, so no peak rose."""
 
     @pytest.fixture(scope="class")
     def default_mesh(self):
@@ -859,11 +876,11 @@ class TestWriterMemory:
     @pytest.mark.parametrize(
         "pieces,bound",
         [
-            (lambda mesh: formats._ply_pieces(mesh), 3.1),
-            (lambda mesh: formats._obj_pieces(mesh, "x.mtl"), 3.1),
-            (lambda mesh: formats._json_pieces(mesh), 6.5),
-            (lambda mesh: formats._csv_pieces(mesh), 3.1),
-            (lambda mesh: formats._table(formats._face_segments(mesh), ("3 ", " ", " "), "\n"), 1.96),
+            (lambda mesh: formats._ply_pieces(mesh), 25),
+            (lambda mesh: formats._obj_pieces(mesh, "x.mtl"), 25),
+            (lambda mesh: formats._json_pieces(mesh), 53.5),
+            (lambda mesh: formats._csv_pieces(mesh), 25),
+            (lambda mesh: formats._table(formats._face_segments(mesh), ("3 ", " ", " "), "\n"), 16),
         ],
         ids=["ply", "obj", "json", "csv", "face-table"],
     )
@@ -945,6 +962,55 @@ class TestFactoredReads:
                 for pieces in render_outputs(mesh, fmt, tmp_path / f"m.{fmt}", DEFAULT_WELD_TOL).values():
                     assert b"".join(pieces)
                 assert reads == ([] if fmt == "csv" else ["renumber", "sheet_faces"])
+
+    def test_only_the_json_writers_range_values_read_the_lattice_and_no_one_expands_the_heights(
+            self, monkeypatch, tmp_path):
+        # a stack and a mesh store their grid and a height table, not z and a height per sheet and point:
+        # building, assembly, a range chart and every vertex and face table read the table and the lattice's
+        # parts, and z is read once per JSON run, by sheet_w, which computes the range values from it
+        reads, in_sheet_w = [], []
+
+        def guard(home, name):
+            original = getattr(home, name)
+
+            def read(obj):
+                if not (name == "z" and in_sheet_w):
+                    raise AssertionError(f"{home.__name__}.{name} was expanded")
+                reads.append(name)
+                return original.fget(obj)
+
+            monkeypatch.setattr(home, name, property(read))
+
+        sheet_w = SurfaceMesh.sheet_w
+
+        def computing_w(mesh):
+            in_sheet_w.append(True)
+            try:
+                return sheet_w.fget(mesh)
+            finally:
+                in_sheet_w.clear()
+
+        for home, name in [(SheetStack, "c"), (SheetStack, "z"), (SurfaceMesh, "sheet_c"), (SurfaceMesh, "z"),
+                           (SurfaceMesh, "positions")]:
+            guard(home, name)
+        monkeypatch.setattr(SurfaceMesh, "sheet_w", property(computing_w))
+        functions = [ROOT3, IndexedFunction.root(2), IndexedFunction.log()]
+        meshes = [assemble_surface(build_sheets(f, f.branch_indices() or range(-2, 3), kind, grid), walls=True)
+                  for f in functions for kind in compatible_kinds(f) for grid in (GRID, DomainGrid(0.5, 2.0, 3, 9))]
+        meshes += [
+            assemble_surface(build_sheets(ROOT3, ROOT3.branch_indices(), CharismaKind.INDEX, GRID),
+                             walls=True, weld_tol=1.5),
+            assemble_surface(build_sheets(ROOT3, (1, -1), CharismaKind.SIN, GRID), weld=False),
+            build_range_chart(ROOT3, GRID),
+            build_range_chart(IndexedFunction.log(), DomainGrid(0.5, 2.0, 3, 9)),
+        ]
+        assert reads == []
+        for mesh in meshes:
+            for fmt in formats.FORMATS:
+                reads.clear()
+                for pieces in render_outputs(mesh, fmt, tmp_path / f"m.{fmt}", DEFAULT_WELD_TOL).values():
+                    assert b"".join(pieces)
+                assert reads == (["z"] if fmt == "json" else [])
 
     def test_only_the_json_writer_reads_range_values_and_it_reads_them_once(self, monkeypatch, tmp_path):
         # a stack and a mesh store no w: SheetStack.w and SurfaceMesh.sheet_w compute it on each access, and

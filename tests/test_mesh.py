@@ -37,6 +37,8 @@ from riemannmesh import (
     sample_domain,
     seam_report,
 )
+from riemannmesh import branches as branches_module
+from riemannmesh.branches import _distinct
 from riemannmesh.mesh import _PALETTE_RGB, MAX_GRID_POINTS, lattice_faces
 
 LOG = IndexedFunction.log()
@@ -808,6 +810,93 @@ class TestIndexExpansionsMatchTheKeepMask:
         assert not stored & {"faces", "sheet_faces", "source", "renumber"}
 
 
+def stored_sample_domain(grid):
+    """The lattice as sample_domain built it while a stack and a mesh stored
+    it: the reference for z and both lattice parts, as loop_sample_domain is
+    for sample_domain."""
+    radii = grid.radii()[:, None]
+    thetas = grid.thetas().tolist()
+    z = np.empty((grid.n_r, grid.n_cols), dtype=complex)
+    z.real = radii * [math.cos(t) for t in thetas]
+    z.imag = radii * [math.sin(t) for t in thetas]
+    return z
+
+
+def per_point_heights(function, z, branches, kind):
+    """The heights of every branch at every point of z, of shape
+    (len(branches), *z.shape), as _batch_heights computed them while a stack
+    stored a height per sheet and point: the reference for the height table's
+    expansions."""
+    b = branches_module
+    shape = (len(branches),) + z.shape
+    if kind is CharismaKind.INDEX:
+        c = np.empty(shape)
+        for row, k in zip(c, branches):
+            row.fill(float(k))
+        return c
+    if kind is CharismaKind.PHASE:
+        return b._phase(b._batch_values(function, z, branches), b._atan2_each)
+    ph = b._phase(z, b._atan2_each).ravel()
+    ks = np.array(branches, float)[:, None]
+    if kind is CharismaKind.IMAG:
+        return b._log_height(ph, ks).reshape(shape)
+    phases, at_phase = _distinct(ph)
+    table = b._map_each(math.cos if kind is CharismaKind.COS else math.sin, b._root_angle(phases, function.n, ks))
+    return table[:, at_phase].reshape(shape)
+
+
+# both n_theta parities, each with both radial spacings
+PARITY_GRIDS = [SMALL, ODD, DomainGrid(0.5, 2.0, 3, 8, "log"), DomainGrid(0.05, 2.0, 4, 9, "log")]
+
+
+class TestHeightTableExpansions:
+    @pytest.mark.parametrize(
+        "function,kind",
+        [(f, kind) for f in [IndexedFunction.root(n) for n in range(2, 7)] + [LOG] for kind in compatible_kinds(f)],
+        ids=lambda v: v.label() if isinstance(v, IndexedFunction) else v.value,
+    )
+    def test_c_sheet_c_z_and_the_lattice_parts_match_the_per_point_reference_bit_for_bit(self, function, kind):
+        every = list(function.branch_indices() or range(-2, 3))
+        for grid in PARITY_GRIDS:
+            z = stored_sample_domain(grid)
+            want = per_point_heights(function, z, every, kind)
+            sheets = build_sheets(function, every, kind, grid)
+            mesh = assemble_surface(sheets)
+            # tobytes compares every bit, so a -0.0 that became 0.0 fails
+            for got in (sheets.c, mesh.sheet_c):
+                assert got.dtype == np.float64 and not got.flags.writeable and got.tobytes() == want.tobytes()
+            for got in (sheets.z, mesh.z, sample_domain(grid)):
+                assert got.tobytes() == z.tobytes()
+            assert grid.lattice_part(math.cos).tobytes() == z.real.tobytes()
+            assert grid.lattice_part(math.sin).tobytes() == z.imag.tobytes()
+            # the table: no array of a height per sheet and point but phase's, and one index for every sheet
+            values, at = sheets.heights
+            assert at.dtype == np.int32 and at.shape == z.shape and not values.flags.writeable
+            phases = branches_module._phase(z, branches_module._atan2_each)
+            columns = {CharismaKind.INDEX: 1, CharismaKind.PHASE: z.size}.get(kind, len(_distinct(phases)[0]))
+            assert values.shape == (len(every), columns)
+            assert columns < z.size or kind is CharismaKind.PHASE
+            if kind is CharismaKind.PHASE:
+                assert at.reshape(-1).tolist() == list(range(z.size))
+            elif kind is CharismaKind.INDEX:
+                assert at.strides == (0, 0) and not at.any()
+
+    @pytest.mark.parametrize("grid", PARITY_GRIDS, ids=["even", "odd", "even-log", "odd-log"])
+    @pytest.mark.parametrize("function", [ROOT3, IndexedFunction.root(2), LOG, IndexedFunction.root(2**63 - 1)],
+                             ids=lambda f: f.label())
+    def test_a_range_chart_is_one_height_over_its_lattice(self, function, grid):
+        chart = build_range_chart(function, grid)
+        z = stored_sample_domain(grid)
+        assert chart.sheet_c.tobytes() == np.zeros((1,) + z.shape).tobytes()
+        assert chart.z.tobytes() == z.tobytes() and chart.sheet_w.tobytes() == z[None].tobytes()
+        values, at = chart.heights
+        assert values.shape == (1, 1) and at.shape == z.shape and at.strides == (0, 0) and not at.any()
+
+    def test_no_stack_or_mesh_stores_a_lattice_or_per_point_heights(self):
+        stored = {f.name for f in dataclasses.fields(SurfaceMesh)} | {f.name for f in dataclasses.fields(SheetStack)}
+        assert not stored & {"z", "c", "sheet_c", "x", "y"} and {"grid", "heights"} <= stored
+
+
 class TestBranchRuns:
     @pytest.mark.parametrize(
         "function,kind",
@@ -859,13 +948,14 @@ def traced_peak(build):
 
 class TestBuildMemory:
     def test_peak_stays_near_the_stack_it_returns(self):
-        # the default grid's sin stack: its heights and lattice, and the heights' temporaries, set the peak,
-        # 1.57 times the stack (0.61 MB). Mapped over whole-lattice lists of Python floats instead of a chunk
-        # of points at a time, atan2 peaked at 1.00 MB. The stack stores no faces, so its bytes, the unit of
-        # the bound, are 0.63 times what they were when it did: at 1.7 the bound is 0.66 MB, no looser in
-        # bytes than 1.5 times the stack with faces (0.92 MB)
+        # the default grid's sin stack: the lattice it lifts, its phases and their dedupe's temporaries set the
+        # peak, 0.61 MB. Mapped over whole-lattice lists of Python floats instead of a chunk of points at a
+        # time, atan2 peaked at 1.00 MB. The stack stores its heights as a table over the distinct phases and
+        # no lattice, 46,576 B, 0.12 times the lattice and per-point heights it stored before (385,600 B), so
+        # the bound, in units of the stack, is 14: 652,064 B, no looser in bytes than 1.7 times the stack with
+        # its lattice (655,520 B), or 1.5 times it with faces (0.92 MB) before that
         sheets, peak = traced_peak(lambda: build_sheets(ROOT3, ROOT3.branch_indices(), CharismaKind.SIN, DomainGrid()))
-        assert peak < 1.7 * (sheets.z.nbytes + sheets.c.nbytes)
+        assert peak < 14 * sum(a.nbytes for a in sheets.heights)
 
 
 class TestAssemblyMemory:
@@ -877,17 +967,19 @@ class TestAssemblyMemory:
         # the stack and adds two facts per sheet, its walls and runs; the
         # seam table's cut edges and the Seams are the transient. No array of
         # a vertex per lattice point is made, and no vertex or face table.
-        # Both bounds are in units of the stack, which stores no faces, 385,600 B: the first, 19,280 B, is
-        # no looser than 2.5 renumberings (289,200 B) were, nor the second, 7,712 B, than 0.4 times the
-        # stack with its faces (244,096 B)
+        # Both bounds are in units of the stack, its height table: 46,576 B (sin) and 38,584 B (index), where
+        # the stack with its lattice and per-point heights was 385,600 B. At 0.4, the first, 18,630 B and
+        # 15,434 B, is no looser than 0.05 of that stack (19,280 B), and so than 2.5 renumberings (289,200 B)
+        # before it; at 0.15, the second, 6,986 B and 5,788 B, is no looser than 0.02 of it (7,712 B). Only
+        # the cut columns' heights are read from the table
         sheets = build_sheets(ROOT3, ROOT3.branch_indices(), kind, DomainGrid())
         mesh, peak = traced_peak(lambda: assemble_surface(sheets, walls=walls))
         stored = (mesh.sheet_start, mesh.welded_into, mesh.walls, *mesh.branch_runs, *mesh.face_branch_runs)
         added = sum(a.nbytes for a in stored)
-        stack = sheets.z.nbytes + sheets.c.nbytes
-        assert peak - added < 0.05 * stack
-        assert added < 0.02 * stack
-        assert mesh.z is sheets.z and mesh.sheet_c is sheets.c
+        stack = sum(a.nbytes for a in sheets.heights)
+        assert peak - added < 0.4 * stack
+        assert added < 0.15 * stack
+        assert mesh.heights is sheets.heights and mesh.grid is sheets.grid
 
 
 class TestAssemblyErrors:
