@@ -210,6 +210,11 @@ def build_mesh(job: JobSpec) -> SurfaceMesh:
     return assemble_surface(sheets, weld=job.weld, weld_tol=job.weld_tol, walls=job.walls)
 
 
+# the most bytes of a target's name that its staging name keeps: with the dot, the 16 hex digits, ".tmp"
+# and the ".old" of a replaced file's link, 255 bytes, the longest file name most file systems allow
+_STAGED_NAME_BYTES = 255 - len("..0123456789abcdef.tmp.old")
+
+
 def _write_atomic(files: dict[Path, Iterable[bytes]]) -> None:
     # stage everything, then rename; an error, even a later rename's, leaves the directory as it was
     staged: list[tuple[str, Path]] = []
@@ -219,7 +224,10 @@ def _write_atomic(files: dict[Path, Iterable[bytes]]) -> None:
         for path, pieces in files.items():
             if path.is_dir():  # os.replace onto it would fail only after the files before it are renamed
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-            tmp = str(path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp"))
+            name = path.name  # cut to fit: a name of 255 bytes may be legal, its staging name not
+            while len(os.fsencode(name)) > _STAGED_NAME_BYTES:
+                name = name[:-1]
+            tmp = str(path.with_name(f".{name}.{os.urandom(8).hex()}.tmp"))
             # the kernel applies the umask to 0o666, as open() does; reading the umask would mean setting it
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .branches import _distinct
-from .mesh import Seam, SurfaceMesh, branch_color, kept_points, require_weld_tol
+from .mesh import Seam, SurfaceMesh, branch_color, kept_points, lattice_faces, require_weld_tol
 
 __all__ = ["FORMATS", "PlyData", "read_ply", "render_outputs", "seams_json_text"]
 
@@ -178,7 +178,7 @@ def _face_segments(mesh: SurfaceMesh, shift: int = 0) -> list[Segment]:
     the renumbering is texted, a text per pre-weld vertex, and freed before the lattice faces are made."""
     vertex_texts = _int_texts(mesh.renumber, shift).reshape(len(mesh.welded_into), -1)
     wall_texts = _int_texts(mesh.walls.reshape(-1), shift)
-    faces = mesh.sheet_faces
+    faces = lattice_faces(*mesh.heights[1].shape)
     corners = np.arange(len(wall_texts)).reshape(-1, 3)  # wall face f reads its corners' texts 3f..3f + 2
     return [(faces, [(part, None, j) for j in range(3)]) for part in vertex_texts] + [
         (corners, [(wall_texts, None, j) for j in range(3)])]

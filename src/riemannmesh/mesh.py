@@ -201,7 +201,8 @@ def sample_domain(grid: DomainGrid) -> np.ndarray:
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
-    # an expansion, computed anew: writing to it would not change the mesh or stack it came from
+    # a stored array, which no one may change, or an expansion, computed anew, whose writes would not
+    # change the mesh or stack it came from
     array.flags.writeable = False
     return array
 
@@ -273,11 +274,6 @@ def _read_window(function: IndexedFunction, branches: Iterable[int], kind: Chari
     return window
 
 
-def _sheet_values(function: IndexedFunction, z: np.ndarray, branches: tuple[int, ...]) -> np.ndarray:
-    # the range values f_k(z) of every sheet, computed anew, as a read-only array
-    return _read_only(_batch_values(function, z, branches))
-
-
 @dataclass(frozen=True)
 class SheetStack:
     """Every branch of a surface lifted over one sampled domain. Sheet i is
@@ -288,8 +284,9 @@ class SheetStack:
     values[s, at[p]], and at, an (n_r, n_cols) int32 index shared by every
     sheet, reads a column per distinct phase (imag, sin and cos), the one
     column of an index sheet (a broadcast 0) or, for phase, whose heights
-    follow |w|'s rounding, a column per point (the identity). z, c, w and
-    faces expand these on each access, as new read-only arrays."""
+    follow |w|'s rounding, a column per point (the identity). c and faces
+    expand these on each access, as new read-only arrays; the lattice is
+    sample_domain(grid), and _batch_values computes the range values."""
 
     function: IndexedFunction
     kind: CharismaKind
@@ -298,20 +295,10 @@ class SheetStack:
     heights: tuple[np.ndarray, np.ndarray]  # (values, at): (n_branches, m) floats and (n_r, n_cols) int32
 
     @property
-    def z(self) -> np.ndarray:
-        """(n_r, n_cols) complex domain samples, shared by every sheet."""
-        return _read_only(sample_domain(self.grid))
-
-    @property
     def c(self) -> np.ndarray:
         """(n_branches, n_r, n_cols) float charisma heights, values[s, at[p]]."""
         values, at = self.heights
         return _read_only(values[:, at])
-
-    @property
-    def w(self) -> np.ndarray:
-        """(n_branches, n_r, n_cols) complex range values f_k(z)."""
-        return _sheet_values(self.function, self.z, self.branches)
 
     @property
     def faces(self) -> np.ndarray:
@@ -332,7 +319,7 @@ def build_sheets(
     values w = f_k(z) are freed once the heights are made.
 
     Every stored value is recomputable bit-for-bit through evaluate_charisma,
-    and the stack's w through branch_value: both call the one helper of each
+    and its range values through branch_value: both call the one helper of each
     formula in branches, here once per distinct argument (a modulus, or a
     branch and a phase) or on arrays of every branch. Raises
     CharismaCompatibilityError for a kind not defined for f, before any
@@ -343,7 +330,7 @@ def build_sheets(
     branches = _read_window(function, branches, kind, grid)
     heights = _batch_heights(function, sample_domain(grid), branches, kind)
     for shared in heights:
-        shared.flags.writeable = False
+        _read_only(shared)
     return SheetStack(function, kind, grid, branches, heights)
 
 
@@ -401,16 +388,16 @@ class SurfaceMesh:
     counts, no two neighbouring values equal; run_colors is the palette
     color of each vertex run.
 
-    z and sheet_c (the stack's z and c), sheet_faces, source (the pre-weld
-    vertex of each mesh vertex), renumber (the mesh vertex of each pre-weld
-    vertex), positions, w, faces, branch, colors and face_branch expand
-    these on every access, as new read-only arrays, so bind one once before
-    indexing it in a loop. Neither assembly nor a vertex table reads z,
-    sheet_c, positions or an index array; a vertex table makes the
-    lattice's x, then its y, with grid.lattice_part, and a face table
-    expands renumber and sheet_faces once. The mesh stores no range values:
-    sheet_w, which w gathers through, computes them from z on each access,
-    and only the JSON writer reads it.
+    Every stored array is read-only. source (the pre-weld vertex of each
+    mesh vertex), renumber (the mesh vertex of each pre-weld vertex),
+    positions, w, faces, branch, colors and face_branch expand these on
+    every access, as new read-only arrays, so bind one once before indexing
+    it in a loop. Neither assembly nor a vertex table reads the lattice,
+    positions or an index array; a vertex table makes the lattice's x, then
+    its y, with grid.lattice_part, and a face table expands renumber and
+    the lattice faces once. The mesh stores no range values: sheet_w, which
+    w gathers through, samples the lattice and computes them on each
+    access, and only the JSON writer reads it.
     """
 
     function: IndexedFunction
@@ -435,14 +422,6 @@ class SurfaceMesh:
     def n_faces(self) -> int:
         n_r, n_cols = self.heights[1].shape
         return len(self.heights[0]) * 2 * (n_r - 1) * (n_cols - 1) + len(self.walls)
-
-    # (n_r, n_cols) complex lattice and (S, n_r, n_cols) float heights: the stack's expansions
-    z, sheet_c = SheetStack.z, SheetStack.c
-
-    @property
-    def sheet_faces(self) -> np.ndarray:
-        """(F, 3) int32 indices into one sheet's points, the same for every sheet."""
-        return lattice_faces(*self.heights[1].shape)
 
     @property
     def source(self) -> np.ndarray:
@@ -473,8 +452,8 @@ class SurfaceMesh:
     def sheet_w(self) -> np.ndarray:
         """(S, n_r, n_cols) complex range values per sheet: a range chart's
         samples, or f_k(z) of each sheet's branch, computed anew."""
-        z = self.z
-        return z[None] if self.range_chart else _sheet_values(self.function, z, self.sheet_branches)
+        z = sample_domain(self.grid)
+        return _read_only(z[None] if self.range_chart else _batch_values(self.function, z, self.sheet_branches))
 
     @property
     def w(self) -> np.ndarray:
@@ -484,7 +463,7 @@ class SurfaceMesh:
     @property
     def faces(self) -> np.ndarray:
         """(M, 3) vertex indices of each face, int32 in a built mesh."""
-        sheet_faces, renumber = self.sheet_faces, self.renumber
+        sheet_faces, renumber = lattice_faces(*self.heights[1].shape), self.renumber
         n_sheets, per_sheet = len(self.heights[0]), len(sheet_faces)
         faces = np.empty((self.n_faces, 3), np.result_type(renumber, self.walls))
         renumber = renumber.astype(faces.dtype, copy=False).reshape(n_sheets, -1)
@@ -590,8 +569,9 @@ def assemble_surface(
 def _factored_mesh(*fields, **rest) -> SurfaceMesh:
     # a built mesh, every array of it read-only, as a stack's are
     mesh = SurfaceMesh(*fields, **rest)
-    for stored in (*mesh.heights, mesh.sheet_start, mesh.welded_into, mesh.walls):
-        stored.flags.writeable = False
+    for stored in (*mesh.heights, mesh.sheet_start, mesh.welded_into, mesh.walls, *mesh.branch_runs,
+                   *mesh.face_branch_runs):
+        _read_only(stored)
     return mesh
 
 

@@ -1,7 +1,11 @@
 """The package's public API is stated once: in the __all__ of each module."""
 
 import ast
+import sys
+import tokenize
 from pathlib import Path
+
+import pytest
 
 import riemannmesh
 from riemannmesh import IndexedFunction, branches, cli, mesh
@@ -30,3 +34,16 @@ def test_the_package_restates_no_name():
 
 def test_a_root_is_told_by_is_log_alone():
     assert not hasattr(IndexedFunction, "is_root")
+
+
+# CPython's compile memory steps up by about 0.25 MB once a module passes about this many tokens
+IMPORT_STEP_TOKENS = 4096
+
+
+# Python 3.12 tokenizes an f-string into its parts, so the same source counts more tokens there
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="f-strings tokenize into more tokens from Python 3.12 on")
+@pytest.mark.parametrize("path", sorted(Path(riemannmesh.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_stays_below_the_import_step(path):
+    with tokenize.open(path) as source:
+        tokens = [t for t in tokenize.generate_tokens(source.readline) if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    assert len(tokens) < IMPORT_STEP_TOKENS, f"{path.name} holds {len(tokens)} tokens: move code out of it"

@@ -19,7 +19,10 @@ from riemannmesh import (
     DomainError,
     DomainGrid,
     IndexedFunction,
+    SheetStack,
+    assemble_surface,
     branch_of,
+    build_range_chart,
     build_sheets,
     compatible_kinds,
     evaluate_charisma,
@@ -231,11 +234,42 @@ def test_scalar_and_batch_paths_share_one_coding_of_each_formula(name, monkeypat
         assert batch == scalar
 
 
-def test_shared_sheet_arrays_are_read_only():
-    sheets = build_sheets(IndexedFunction.root(3), (-1, 0, 1), CharismaKind.SIN, DomainGrid(0.5, 2.0, 3, 8))
-    assert sheets.w.shape == sheets.c.shape == (3, 3, 9)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        sheets.c = sheets.w
-    for a in (sheets.z, sheets.w, sheets.c, sheets.faces):
+# the expansions each kind of result keeps: every property of it that returns an array
+STACK_EXPANSIONS = {"c", "faces"}
+MESH_EXPANSIONS = {"source", "renumber", "positions", "sheet_w", "w", "faces", "branch", "run_colors", "colors",
+                   "face_branch"}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda grid: build_sheets(IndexedFunction.root(3), (-1, 0, 1), CharismaKind.SIN, grid),
+        # at 1.5 the index sheets one apart weld, and the wrap seam, two apart, gets a wall
+        lambda grid: assemble_surface(build_sheets(IndexedFunction.root(3), (-1, 0, 1), CharismaKind.INDEX, grid),
+                                      weld_tol=1.5, walls=True),
+        lambda grid: build_range_chart(IndexedFunction.root(3), grid),
+    ],
+    ids=["stack", "welded-walled-surface", "range-chart"],
+)
+def test_every_stored_array_and_kept_expansion_is_read_only(build):
+    grid = DomainGrid(0.5, 2.0, 3, 8)
+    built = build(grid)
+    if isinstance(built, SheetStack):
+        assert _batch_values(built.function, sample_domain(grid), built.branches).shape == built.c.shape == (3, 3, 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.heights = built.heights
+    else:
+        assert built.range_chart or (any(s.welded for s in built.seams) and len(built.walls))
+    arrays = {}  # each stored array, a pair's by its field and place, then each expansion
+    for f in dataclasses.fields(built):
+        value = getattr(built, f.name)
+        for i, a in enumerate(value if isinstance(value, tuple) else (value,)):
+            if isinstance(a, np.ndarray):
+                arrays[f"{f.name}[{i}]"] = a
+    expansions = {name: getattr(built, name) for name, attr in vars(type(built)).items() if isinstance(attr, property)}
+    expansions = {name: a for name, a in expansions.items() if isinstance(a, np.ndarray)}
+    assert set(expansions) == (STACK_EXPANSIONS if isinstance(built, SheetStack) else MESH_EXPANSIONS)
+    for name, a in {**arrays, **expansions}.items():
+        assert not a.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
-            a[0, 0] = 0
+            a[...] = 0

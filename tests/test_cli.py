@@ -547,6 +547,22 @@ class TestWriteAtomic:
         cli._write_atomic({tmp_path / "a.ply": [b"ply\n"], tmp_path / "b.json": [b"{}\n"]})
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"a.ply": "ply\n", "b.json": "{}\n"}
 
+    @pytest.mark.parametrize("fmt,names", [("ply", (".ply", ".seams.json")), ("obj", (".obj", ".mtl", ".seams.json"))])
+    @pytest.mark.parametrize("stem", ["a" * 240, "\u00e9" * 120], ids=["ascii", "two-byte"])
+    def test_a_name_of_up_to_255_bytes_is_staged_under_a_name_that_fits(self, tmp_path, fmt, names, stem):
+        # the 240-byte stem's files have names of 244 to 251 bytes; staging them as .{name}.{16 hex}.tmp, and
+        # linking a replaced one as that plus .old, would pass 255 bytes, unless the staging name is cut
+        assert len(os.fsencode(stem)) == 240
+        for _ in range(2):  # the second run replaces every file of the first
+            assert main([*FAST_GRID, "--format", fmt, "-o", str(tmp_path / f"{stem}.{fmt}")]) == EXIT_OK
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(stem + name for name in names)
+
+    def test_a_companion_name_over_255_bytes_exits_four_and_leaves_no_file(self, tmp_path, capsys):
+        # the mesh file's name, of 249 bytes, is legal; its sidecar's, of 256, is not
+        assert main([*FAST_GRID, "-o", str(tmp_path / ("a" * 245 + ".ply"))]) == EXIT_IO
+        assert "File name too long" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_failing_write_leaves_no_file(self, tmp_path):
         # the files are written as bytes, so the text piece fails the second file
         pieces = {tmp_path / "a.ply": [b"ply\n"] * 9, tmp_path / "b.ply": [b"x" * 15, "not bytes"]}

@@ -458,7 +458,7 @@ class TestWritersMatchRowReference:
     )
     def test_a_vertex_table_is_a_segment_per_sheet_whatever_its_runs(self, small_blocks, build):
         mesh = build()
-        assert len(formats._vertex_segments(mesh, [])) == len(mesh.sheet_c)
+        assert len(formats._vertex_segments(mesh, [])) == len(mesh.heights[0])
         if mesh.range_chart:
             assert len(mesh.branch_runs[0]) == mesh.n_vertices
         assert_same_text(rendered("ply", mesh), row_ply_text(mesh))
@@ -924,18 +924,18 @@ class TestFactoredReads:
         reads, face_table = [], []
 
         def guard(home, name):
-            original = getattr(home, name)
+            original, is_property = getattr(home, name), isinstance(home, type)
 
-            def read(obj):
+            def read(*args):
                 if not face_table:
                     raise AssertionError(f"{home.__name__}.{name} was expanded")
                 reads.append(name)
-                return original.fget(obj)
+                return original.fget(*args) if is_property else original(*args)
 
-            monkeypatch.setattr(home, name, property(read))
+            monkeypatch.setattr(home, name, property(read) if is_property else read)
 
-        for home, name in [(SheetStack, "faces"), (SurfaceMesh, "sheet_faces"), (SurfaceMesh, "source"),
-                           (SurfaceMesh, "renumber")]:
+        for home, name in [(SheetStack, "faces"), (SurfaceMesh, "source"), (SurfaceMesh, "renumber"),
+                           (mesh_module, "lattice_faces"), (formats, "lattice_faces")]:
             guard(home, name)
         face_segments = formats._face_segments
 
@@ -961,25 +961,26 @@ class TestFactoredReads:
                 reads.clear()
                 for pieces in render_outputs(mesh, fmt, tmp_path / f"m.{fmt}", DEFAULT_WELD_TOL).values():
                     assert b"".join(pieces)
-                assert reads == ([] if fmt == "csv" else ["renumber", "sheet_faces"])
+                assert reads == ([] if fmt == "csv" else ["renumber", "lattice_faces"])
 
     def test_only_the_json_writers_range_values_read_the_lattice_and_no_one_expands_the_heights(
             self, monkeypatch, tmp_path):
         # a stack and a mesh store their grid and a height table, not z and a height per sheet and point:
         # building, assembly, a range chart and every vertex and face table read the table and the lattice's
-        # parts, and z is read once per JSON run, by sheet_w, which computes the range values from it
+        # parts, and the lattice is sampled once per JSON render, by sheet_w, which computes the range values
+        # from it, and never for PLY, OBJ or CSV
         reads, in_sheet_w = [], []
 
         def guard(home, name):
             original = getattr(home, name)
 
-            def read(obj):
-                if not (name == "z" and in_sheet_w):
-                    raise AssertionError(f"{home.__name__}.{name} was expanded")
+            def read(*args):
+                if not (name == "sample_domain" and in_sheet_w):
+                    raise AssertionError(f"{home.__name__}.{name} was read")
                 reads.append(name)
-                return original.fget(obj)
+                return original(*args)
 
-            monkeypatch.setattr(home, name, property(read))
+            monkeypatch.setattr(home, name, read if name == "sample_domain" else property(read))
 
         sheet_w = SurfaceMesh.sheet_w
 
@@ -990,8 +991,7 @@ class TestFactoredReads:
             finally:
                 in_sheet_w.clear()
 
-        for home, name in [(SheetStack, "c"), (SheetStack, "z"), (SurfaceMesh, "sheet_c"), (SurfaceMesh, "z"),
-                           (SurfaceMesh, "positions")]:
+        for home, name in [(SheetStack, "c"), (SurfaceMesh, "positions")]:
             guard(home, name)
         monkeypatch.setattr(SurfaceMesh, "sheet_w", property(computing_w))
         functions = [ROOT3, IndexedFunction.root(2), IndexedFunction.log()]
@@ -1005,15 +1005,16 @@ class TestFactoredReads:
             build_range_chart(IndexedFunction.log(), DomainGrid(0.5, 2.0, 3, 9)),
         ]
         assert reads == []
+        guard(mesh_module, "sample_domain")  # building samples it: from here on only sheet_w may
         for mesh in meshes:
             for fmt in formats.FORMATS:
                 reads.clear()
                 for pieces in render_outputs(mesh, fmt, tmp_path / f"m.{fmt}", DEFAULT_WELD_TOL).values():
                     assert b"".join(pieces)
-                assert reads == (["z"] if fmt == "json" else [])
+                assert reads == (["sample_domain"] if fmt == "json" else [])
 
     def test_only_the_json_writer_reads_range_values_and_it_reads_them_once(self, monkeypatch, tmp_path):
-        # a stack and a mesh store no w: SheetStack.w and SurfaceMesh.sheet_w compute it on each access, and
+        # a stack and a mesh store no w: SurfaceMesh.sheet_w computes it on each access, and
         # only phase heights and the JSON writer need it
         def refuse(*args):
             raise AssertionError("range values were computed")
@@ -1021,8 +1022,7 @@ class TestFactoredReads:
         functions = [ROOT3, IndexedFunction.root(2), IndexedFunction.log()]
         phase = [build_sheets(f, f.branch_indices(), CharismaKind.PHASE, GRID) for f in functions[:2]]
         sheet_w = SurfaceMesh.sheet_w
-        for home, name in [(SheetStack, "w"), (SurfaceMesh, "sheet_w"), (branches, "_batch_values"),
-                           (mesh_module, "_batch_values")]:
+        for home, name in [(SurfaceMesh, "sheet_w"), (branches, "_batch_values"), (mesh_module, "_batch_values")]:
             monkeypatch.setattr(home, name, property(refuse) if isinstance(home, type) else refuse)
         stacks = phase + [build_sheets(f, f.branch_indices() or range(-2, 3), kind, GRID)
                           for f in functions for kind in compatible_kinds(f) if kind is not CharismaKind.PHASE]

@@ -37,8 +37,8 @@ from riemannmesh import (
     sample_domain,
     seam_report,
 )
-from riemannmesh import branches as branches_module
-from riemannmesh.branches import _distinct
+from riemannmesh import branches as branches_module, mesh as mesh_module
+from riemannmesh.branches import _batch_values, _distinct
 from riemannmesh.mesh import _PALETTE_RGB, MAX_GRID_POINTS, lattice_faces
 
 LOG = IndexedFunction.log()
@@ -55,6 +55,11 @@ def sheet_triple(kind, grid=SMALL, function=ROOT3):
     return build_sheets(function, (-1, 0, 1), kind, grid)
 
 
+def stack_w(sheets):
+    """The range values f_k(z) of every sheet of a stack, of the shape of its c."""
+    return _batch_values(sheets.function, sample_domain(sheets.grid), sheets.branches)
+
+
 def triangle_areas(positions, faces):
     v = positions[faces]
     return 0.5 * np.linalg.norm(np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]), axis=1)
@@ -63,7 +68,7 @@ def triangle_areas(positions, faces):
 def loop_wall_faces(sheets):
     """Wall triangles and their owning branches, one radial step at a time:
     the reference for the order assemble_surface appends them in."""
-    n_r, n_cols = sheets.z.shape
+    n_r, n_cols = sheets.heights[1].shape
     faces, branches = [], []
     for k in sheets.branches:
         nxt = continuation_branch(sheets.function, k)
@@ -146,7 +151,7 @@ class TestDomainGrid:
         grid = DomainGrid(n_r=np.int8(2), n_theta=np.int8(127))
         assert (grid.n_r, grid.n_theta, grid.n_cols) == (2, 127, 128) and type(grid.n_theta) is int
         sheets = build_sheets(IndexedFunction.root(3), (0,), CharismaKind.SIN, grid)
-        assert sheets.z.tobytes() == sample_domain(DomainGrid(n_r=2, n_theta=127)).tobytes()
+        assert sample_domain(sheets.grid).tobytes() == sample_domain(DomainGrid(n_r=2, n_theta=127)).tobytes()
 
     @pytest.mark.parametrize("spacing", ["linear", "log"])
     def test_radii_at_the_ends_of_the_float_range(self, spacing):
@@ -262,7 +267,7 @@ class TestSampleDomain:
 class TestBuildSheet:
     def test_vertex_and_triangle_counts(self):
         sheets = build_sheets(ROOT3, [0], CharismaKind.SIN, SMALL)
-        assert sheets.w.shape == sheets.c.shape == (1, 3, 9)
+        assert stack_w(sheets).shape == sheets.c.shape == (1, 3, 9)
         assert len(sheets.faces) == 2 * 2 * 8
 
     def test_index_sheets_are_flat(self):
@@ -294,10 +299,11 @@ class TestBuildSheet:
     )
     def test_recomputable_bit_for_bit(self, function, k, kind):
         sheets = build_sheets(function, [k], kind, SMALL)
+        zs, ws = sample_domain(sheets.grid), stack_w(sheets)
         for i in range(3):
             for j in range(9):
-                z = complex(sheets.z[i, j])
-                assert sheets.w[0, i, j] == function.branch_value(z, k)
+                z = complex(zs[i, j])
+                assert ws[0, i, j] == function.branch_value(z, k)
                 assert sheets.c[0, i, j] == evaluate_charisma(z, k, function, kind)
 
     @pytest.mark.parametrize("spacing", ["linear", "log"])
@@ -313,8 +319,8 @@ class TestBuildSheet:
     def test_every_branch_recomputable_bit_for_bit(self, function, kind, spacing):
         grid = DomainGrid(0.05, 2.0, 4, 24, radial_spacing=spacing)
         sheets = build_sheets(function, function.branch_indices() or range(-2, 3), kind, grid)
-        zs = sheets.z.ravel().tolist()
-        for k, sheet_w, sheet_c in zip(sheets.branches, sheets.w, sheets.c):
+        zs = sample_domain(sheets.grid).ravel().tolist()
+        for k, sheet_w, sheet_c in zip(sheets.branches, stack_w(sheets), sheets.c):
             w = np.array([function.branch_value(z, k) for z in zs])
             c = np.array([evaluate_charisma(z, k, function, kind) for z in zs])
             assert sheet_w.tobytes() == w.tobytes()
@@ -322,7 +328,7 @@ class TestBuildSheet:
 
     def test_range_values_classify_back_to_the_branch(self):
         sheets = sheet_triple(CharismaKind.SIN)
-        for k, w_k in zip(sheets.branches, sheets.w):
+        for k, w_k in zip(sheets.branches, stack_w(sheets)):
             interior = w_k[:, 1:-1]  # cut columns are boundary-adjacent
             for w in interior.ravel():
                 assert branch_of(complex(w), ROOT3) == k
@@ -330,8 +336,9 @@ class TestBuildSheet:
     def test_no_degenerate_triangles(self):
         for kind in (CharismaKind.INDEX, CharismaKind.SIN):
             sheets = build_sheets(ROOT3, [0], kind, SMALL)
+            z = sample_domain(sheets.grid)
             pos = np.column_stack(
-                [sheets.z.real.ravel(), sheets.z.imag.ravel(), sheets.c[0].ravel()]
+                [z.real.ravel(), z.imag.ravel(), sheets.c[0].ravel()]
             )
             assert np.all(triangle_areas(pos, sheets.faces) > 0)
 
@@ -348,13 +355,14 @@ class TestBuildSheets:
         ks = list(function.branch_indices() or range(-2, 3))
         together = build_sheets(function, ks, kind, WITNESS)
         assert together.branches == tuple(ks)
-        assert together.w.shape == together.c.shape == (len(ks), 4, 17)
+        together_w = stack_w(together)
+        assert together_w.shape == together.c.shape == (len(ks), 4, 17)
         for i, k in enumerate(ks):
             alone = build_sheets(function, [k], kind, WITNESS)
-            for name in ("w", "c"):
-                assert getattr(together, name)[i].tobytes() == getattr(alone, name)[0].tobytes()
-            for name in ("z", "faces"):
-                assert getattr(together, name).tobytes() == getattr(alone, name).tobytes()
+            assert together_w[i].tobytes() == stack_w(alone)[0].tobytes()
+            assert together.c[i].tobytes() == alone.c[0].tobytes()
+            assert sample_domain(together.grid).tobytes() == sample_domain(alone.grid).tobytes()
+            assert together.faces.tobytes() == alone.faces.tobytes()
 
     @pytest.mark.parametrize("branches", [(), (0, 0), (-1, 0, 1, -1)], ids=repr)
     def test_rejects_an_empty_or_repeated_branch_list(self, branches):
@@ -566,9 +574,10 @@ class TestAssembleContinuousSurfaces:
     def test_sin_seam_gaps_match_case_formula_oracle(self):
         sheets = sheet_triple(CharismaKind.SIN)
         mesh = assemble_surface(sheets, weld=True)
+        z = sample_domain(sheets.grid)
         for seam in mesh.seams:
-            z_up = sheets.z[:, -1]
-            z_low = sheets.z[:, 0]
+            z_up = z[:, -1]
+            z_low = z[:, 0]
             oracle = max(
                 abs(
                     math.sin(cmath.phase(cbrt_case(complex(a), seam.upper_branch)))
@@ -619,7 +628,7 @@ class TestAssembleContinuousSurfaces:
 class TestWeldCorrectness:
     def test_vertex_movement_below_tolerance(self):
         sheets = sheet_triple(CharismaKind.SIN, WITNESS)
-        z = sheets.z
+        z = sample_domain(sheets.grid)
         mesh = assemble_surface(sheets, weld=True, weld_tol=1e-9)
         for seam in mesh.seams:
             up = sheets.c[sheets.branches.index(seam.upper_branch)]
@@ -657,18 +666,19 @@ class TestWeldCorrectness:
 def loop_assemble_surface(sheets, *, weld, walls, weld_tol=DEFAULT_WELD_TOL):
     """assemble_surface one vertex, seam and face at a time: the reference
     for the broadcast positions, the welding renumbering and the face take."""
-    n_r, n_cols = sheets.z.shape
+    n_r, n_cols = sheets.heights[1].shape
     ks = sheets.branches
 
     def vid(s, i, j):  # vertex (i, j) of sheet s, before welding
         return (s * n_r + i) * n_cols + j
 
+    zs, ws = sample_domain(sheets.grid), stack_w(sheets)
     records = []  # x, y, c, k, w
     for s, k in enumerate(ks):
         for i in range(n_r):
             for j in range(n_cols):
-                z = complex(sheets.z[i, j])
-                records.append((z.real, z.imag, float(sheets.c[s, i, j]), k, complex(sheets.w[s, i, j])))
+                z = complex(zs[i, j])
+                records.append((z.real, z.imag, float(sheets.c[s, i, j]), k, complex(ws[s, i, j])))
     merged_into, seams, walls_at = {}, [], []
     for s, k in enumerate(ks):
         nxt = continuation_branch(sheets.function, k)
@@ -799,11 +809,11 @@ class TestIndexExpansionsMatchTheKeepMask:
     @pytest.mark.parametrize("function", [ROOT3, LOG, IndexedFunction.root(2**63 - 1)], ids=lambda f: f.label())
     def test_a_range_chart_is_one_sheet_with_nothing_dropped(self, function, grid):
         chart = build_range_chart(function, grid)
-        every = np.arange(chart.z.size, dtype=np.int32)
+        every = np.arange(grid.n_r * grid.n_cols, dtype=np.int32)
         for name in ("source", "renumber"):
             assert getattr(chart, name).tobytes() == every.tobytes()
-        assert chart.walls.shape == (0, 3) and chart.sheet_faces.tobytes() == lattice_faces(*chart.z.shape).tobytes()
-        assert chart.sheet_start.tolist() == [0, chart.z.size] and chart.welded_into.tolist() == [-1]
+        assert chart.walls.shape == (0, 3) and chart.faces.tobytes() == lattice_faces(grid.n_r, grid.n_cols).tobytes()
+        assert chart.sheet_start.tolist() == [0, every.size] and chart.welded_into.tolist() == [-1]
 
     def test_no_mesh_or_stack_stores_an_index_array(self):
         stored = {f.name for f in dataclasses.fields(SurfaceMesh)} | {f.name for f in dataclasses.fields(SheetStack)}
@@ -863,9 +873,11 @@ class TestHeightTableExpansions:
             sheets = build_sheets(function, every, kind, grid)
             mesh = assemble_surface(sheets)
             # tobytes compares every bit, so a -0.0 that became 0.0 fails
-            for got in (sheets.c, mesh.sheet_c):
-                assert got.dtype == np.float64 and not got.flags.writeable and got.tobytes() == want.tobytes()
-            for got in (sheets.z, mesh.z, sample_domain(grid)):
+            values, at = mesh.heights
+            for got in (sheets.c, values[:, at]):
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert not sheets.c.flags.writeable and not values.flags.writeable
+            for got in (sample_domain(sheets.grid), sample_domain(mesh.grid), sample_domain(grid)):
                 assert got.tobytes() == z.tobytes()
             assert grid.lattice_part(math.cos).tobytes() == z.real.tobytes()
             assert grid.lattice_part(math.sin).tobytes() == z.imag.tobytes()
@@ -887,14 +899,18 @@ class TestHeightTableExpansions:
     def test_a_range_chart_is_one_height_over_its_lattice(self, function, grid):
         chart = build_range_chart(function, grid)
         z = stored_sample_domain(grid)
-        assert chart.sheet_c.tobytes() == np.zeros((1,) + z.shape).tobytes()
-        assert chart.z.tobytes() == z.tobytes() and chart.sheet_w.tobytes() == z[None].tobytes()
         values, at = chart.heights
+        assert values[:, at].tobytes() == np.zeros((1,) + z.shape).tobytes()
+        assert sample_domain(chart.grid).tobytes() == z.tobytes() and chart.sheet_w.tobytes() == z[None].tobytes()
         assert values.shape == (1, 1) and at.shape == z.shape and at.strides == (0, 0) and not at.any()
 
     def test_no_stack_or_mesh_stores_a_lattice_or_per_point_heights(self):
         stored = {f.name for f in dataclasses.fields(SurfaceMesh)} | {f.name for f in dataclasses.fields(SheetStack)}
         assert not stored & {"z", "c", "sheet_c", "x", "y"} and {"grid", "heights"} <= stored
+        # nor does either expand the lattice, the range values or the lattice faces under a name of its own
+        for home, name in [(SheetStack, "z"), (SheetStack, "w"), (SurfaceMesh, "z"), (SurfaceMesh, "sheet_c"),
+                           (SurfaceMesh, "sheet_faces"), (mesh_module, "_sheet_values")]:
+            assert not hasattr(home, name), name
 
 
 class TestBranchRuns:
