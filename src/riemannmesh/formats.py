@@ -9,11 +9,11 @@ representation, so identical meshes serialize to identical bytes. Each
 distinct value of a table is formatted once, and the writers read the
 mesh's factored columns (its lattice parts and its height table) without
 expanding them: a vertex table's rows are each sheet's kept lattice
-points, computed a block at a time. A block of rows is one numpy record
-array, with one field per cell and one per separator, sized to a fixed
-byte budget; each cell field is filled with a gather of its texts through
-the block's rows, and the block's bytes, less their padding, go to disk as
-they are.
+points, computed a block at a time. Each section of a file is one table,
+OBJ's group lines written between its face rows. A block of rows is one
+numpy record array, a field per cell and per separator, sized to a fixed
+byte budget; each cell field is a gather of its texts through the block's
+rows, and the block's bytes, less their padding, go to disk as they are.
 """
 
 from __future__ import annotations
@@ -69,21 +69,17 @@ Segment = tuple["np.ndarray | _KeptPoints", list[Cell]]
 _POINT, _PRE_WELD, _RUN = range(3)
 
 
-def _int_texts(values: np.ndarray | range, shift: int = 0) -> np.ndarray:
-    """Decimal texts of integers, each plus shift, as a NUL-padded "S"
-    array, built _INT_CHUNK values at a time; a range is never made one
-    array, and a shifted value is an int64 of its chunk."""
+def _int_texts(values: np.ndarray, shift: int = 0) -> np.ndarray:
+    """Decimal texts of integers, each plus shift, as a NUL-padded "S" array, built _INT_CHUNK values at a
+    time; a shifted value is an int64 of its chunk."""
     if not len(values):
         return np.empty(0, "S1")
-    lo, hi = (values[0], values[-1]) if isinstance(values, range) else (int(values.min()), int(values.max()))
-    lo, hi = lo + shift, hi + shift
+    lo, hi = int(values.min()) + shift, int(values.max()) + shift
     sign = int(lo < 0)
     width = sign + len(str(max(-lo, hi)))
     planes = np.zeros((len(values), width), np.uint8)
     for start in range(0, len(values), _INT_CHUNK):
         part = values[start:start + _INT_CHUNK]
-        if isinstance(part, range):
-            part = np.arange(part.start, part.stop)
         if shift:
             part = part.astype(np.int64) + shift
         out = planes[start:start + _INT_CHUNK]
@@ -168,7 +164,7 @@ def _branch_cell(mesh: SurfaceMesh) -> Cell:
 def _colour_cells(mesh: SurfaceMesh) -> list[Cell]:
     # red, green and blue each contiguous: indexing reads a strided array more slowly (a cap chart's PLY
     # render took 1.9 s, against 1.6 s), and take copies one whole on every call
-    texts, rgb = _int_texts(range(256)), np.ascontiguousarray(mesh.run_colors.T)
+    texts, rgb = _int_texts(np.arange(256)), np.ascontiguousarray(mesh.run_colors.T)
     return [(texts, rgb[j], _RUN) for j in range(3)]
 
 
@@ -184,20 +180,12 @@ def _face_segments(mesh: SurfaceMesh, shift: int = 0) -> list[Segment]:
         (corners, [(wall_texts, None, j) for j in range(3)])]
 
 
-def _segment_rows(segments: list[Segment], start: int, stop: int) -> list[Segment]:
-    """Rows start..stop of a table of segments, as segments."""
-    part, at = [], 0
-    for rows, cells in segments:
-        if start < at + len(rows) and at < stop:
-            part.append((rows[max(start - at, 0):stop - at], cells))
-        at += len(rows)
-    return part
-
-
-def _table(segments: list[Segment], seps: tuple[str, ...], end: str, between: str = "") -> Iterator[bytes]:
+def _table(segments: list[Segment], seps: tuple[str, ...], end: str, between: str = "",
+           heads: tuple | None = None) -> Iterator[bytes]:
     """One text row per row of the segments, in order, seps[0] v0 seps[1]
     v1 ... v_last end, rows joined by `between`; returned lazily, as ASCII
-    bytes, one piece per block of rows.
+    bytes, one piece per block of rows. heads, if given, is (starts, texts):
+    before row starts[j] goes texts(lo, hi)[j - lo], asked a block at a time.
 
     A segment is its rows and a list of cells, one per value of a row,
     each read through the rows (see Cell). Every value is
@@ -206,19 +194,22 @@ def _table(segments: list[Segment], seps: tuple[str, ...], end: str, between: st
     reduced to its distinct values, keyed by bit pattern so that -0.0 and
     0.0 stay apart, and each is formatted once. Texts are NUL-padded and a
     block's NUL bytes are dropped, so the separators, `end` and `between`
-    must not contain NUL (checked at once).
+    must not contain NUL, nor, with heads, byte 1 (checked at once).
     """
-    if "\0" in "".join((*seps, end, between)):
-        raise ValueError("table separators must not contain NUL")
-    return _blocks(segments, seps, end, between)
+    text = "".join((*seps, end, between))
+    if "\0" in text or heads and "\1" in text:
+        raise ValueError("table separators must not contain NUL, nor, with heads, byte 1")
+    return _blocks(segments, seps, end, between, heads)
 
 
-def _blocks(segments: list[Segment], seps: tuple[str, ...], end: str, between: str) -> Iterator[bytes]:
+def _blocks(segments: list[Segment], seps: tuple[str, ...], end: str, between: str,
+            heads: tuple | None) -> Iterator[bytes]:
     n = sum(len(rows) for rows, _ in segments)
     if not n:
         return
     separators = [text.encode() for text in (*seps, end + between)]  # separators[i] comes before cell i
-    fields = []  # the record: an "S" field per non-empty separator and per cell, in row order
+    # the record: with heads a mark byte, then an "S" field per non-empty separator and per cell, in row order
+    fields = [("m", "S1")] if heads else []
     for i, sep in enumerate(separators):
         if sep:
             fields.append((f"s{i}", f"S{len(sep)}"))
@@ -226,7 +217,7 @@ def _blocks(segments: list[Segment], seps: tuple[str, ...], end: str, between: s
             fields.append((f"c{i}", f"S{max(cells[i][0].dtype.itemsize for _, cells in segments)}"))
     record = np.dtype(fields)
     rows = max(1, _BLOCK_BYTES // record.itemsize)
-    block = np.empty(min(rows, n), record)
+    block = np.zeros(min(rows, n), record)
     for i, sep in enumerate(separators):
         if sep:  # once: every block reuses them
             block[f"s{i}"] = sep
@@ -243,7 +234,16 @@ def _blocks(segments: list[Segment], seps: tuple[str, ...], end: str, between: s
                 part[f"c{i}"] = texts.take(index if inverse is None else inverse[index])
             start, filled, written = start + len(at), filled + len(at), written + len(at)
             if filled == len(block) or written == n:
+                # the block's heads: their rows are marked with byte 1 while its bytes are made, and each
+                # mark is then replaced by its head's text; a block with no head does no more than without heads
+                lo, hi = np.searchsorted(heads[0], [written - filled, written]).tolist() if heads else (0, 0)
+                if lo < hi:
+                    block["m"][heads[0][lo:hi] - (written - filled)] = b"\1"
                 data = block[:filled].tobytes().translate(None, b"\0")
+                if lo < hi:
+                    block["m"] = b""
+                    parts = data.split(b"\1")
+                    data = parts[0] + b"".join(map(bytes.__add__, heads[1](lo, hi), parts[1:]))
                 filled = 0
                 yield data[:-len(between)] if between and written == n else data
 
@@ -351,13 +351,11 @@ def read_ply(text: str) -> PlyData:
 def _obj_pieces(mesh: SurfaceMesh, mtl_filename: str) -> Iterator[bytes]:
     yield f"mtllib {mtl_filename}\n".encode()
     yield from _table(_vertex_segments(mesh, []), ("v ", " ", " "), "\n")
-    # one group per run of faces owned by the same branch, each a table over the one-based indices
-    faces = _face_segments(mesh, 1)
+    # one group per run of faces owned by the same branch: its g and usemtl lines head the run's first row
     values, counts = mesh.face_branch_runs
-    stops = np.cumsum(counts).tolist()
-    for k, start, stop in zip(values.tolist(), [0, *stops], stops):
-        yield f"g branch_{k}\nusemtl branch_{k}\n".encode()
-        yield from _table(_segment_rows(faces, start, stop), ("f ", " ", " "), "\n")
+    starts = np.cumsum(counts, dtype=np.int64) - counts
+    yield from _table(_face_segments(mesh, 1), ("f ", " ", " "), "\n", heads=(starts, lambda lo, hi: [
+        b"g branch_%d\nusemtl branch_%d\n" % (k, k) for k in values[lo:hi].tolist()]))
 
 
 def _mtl_text(mesh: SurfaceMesh) -> str:
@@ -451,8 +449,8 @@ def render_outputs(
     for "obj" its MTL beside it, with output's last suffix replaced by
     .mtl; and the seam sidecar, by .seams.json. IsADirectoryError for an
     output that is an existing directory; ValueError for a format not in
-    FORMATS, a weld_tol that require_weld_tol refuses, or two files that
-    would share a path."""
+    FORMATS, a weld_tol that require_weld_tol refuses, an .mtl name holding
+    whitespace, or two files that would share a path."""
     output = Path(output)
     if output.is_dir():  # with_suffix would fail on ".", "" and "/"; this is the error _write_atomic raises
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(output))
@@ -460,6 +458,8 @@ def render_outputs(
         files = [(output, _ply_pieces(mesh))]
     elif fmt == "obj":
         mtl_path = output.with_suffix(".mtl")
+        if re.search(r"\s", mtl_path.name):  # mtllib takes whitespace-separated file names
+            raise ValueError(f"the OBJ's material file name {mtl_path.name!r} holds whitespace")
         files = [(output, _obj_pieces(mesh, mtl_path.name)), (mtl_path, [_mtl_text(mesh).encode()])]
     elif fmt == "json":
         files = [(output, _json_pieces(mesh))]

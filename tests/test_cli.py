@@ -326,6 +326,15 @@ class TestRun:
         assert run(job) == EXIT_DOMAIN
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_obj_whose_material_file_name_holds_whitespace_exits_five_and_writes_nothing(self, tmp_path, capsys):
+        # "mtllib my surface.mtl" names two files to an OBJ reader; a PLY of that name has no such line
+        out = tmp_path / "my surface.obj"
+        assert main([*FAST_GRID, "--format", "obj", "-o", str(out)]) == EXIT_DOMAIN
+        assert "'my surface.mtl' holds whitespace" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert main([*FAST_GRID, "--format", "ply", "-o", str(out.with_suffix(".ply"))]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["my surface.ply", "my surface.seams.json"]
+
     def test_usage_error_exits_before_writing(self, tmp_path, capsys):
         out = tmp_path / "never.ply"
         code = main(["--branches", "7..9", "-o", str(out)])

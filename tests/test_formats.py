@@ -248,8 +248,8 @@ PIECES = {
     "csv": formats._csv_pieces,
 }
 # the pieces of each format besides the blocks of its tables: the texts
-# before, between and after them (OBJ: one face group)
-FIXED_PIECES = {"ply": 1, "obj": 2, "json": 3, "csv": 1}
+# before, between and after them (OBJ writes its group lines inside its face blocks)
+FIXED_PIECES = {"ply": 1, "obj": 1, "json": 3, "csv": 1}
 
 
 @pytest.fixture
@@ -260,8 +260,7 @@ def small_blocks(monkeypatch):
 def anchored_mesh(n_vertices, n_faces, seed):
     """synthetic_mesh with the widest text of every column in row 0, so that
     a table's record, each cell padded to the widest text of its column, is
-    as wide as the table's first row at any size; and with one face group,
-    so that OBJ writes one face table."""
+    as wide as the table's first row at any size; and with one face group."""
     mesh = synthetic_mesh(n_vertices, n_faces, seed)
     x, y, c, w = vertex_views(mesh)
     x[0] = y[0] = c[0] = WIDEST_FLOAT
@@ -277,7 +276,8 @@ def anchored_mesh(n_vertices, n_faces, seed):
 def first_rows(fmt, mesh):
     """Row 0 of a format's vertex table and of its face table (None for
     CSV), each with the text joining it to the next row, as the row-at-a-time
-    writers write them."""
+    writers write them; OBJ's face row is one byte longer, as its table's
+    record holds a byte that marks a group's first row."""
     if fmt == "json":
         doc = json.loads(row_json_text(mesh))
         return [json.dumps(doc[table][0], separators=(",", ":")) + "," for table in ("vertices", "faces")]
@@ -285,7 +285,7 @@ def first_rows(fmt, mesh):
     lines = text.split("\n")
     vertex = {"ply": 13, "obj": 1, "csv": 1}[fmt]  # header lines
     face = vertex + mesh.n_vertices + (2 if fmt == "obj" else 0)  # OBJ opens its group with g and usemtl
-    return [lines[vertex] + "\n", None if fmt == "csv" else lines[face] + "\n"]
+    return [lines[vertex] + "\n", None if fmt == "csv" else lines[face] + "\n" + "\1" * (fmt == "obj")]
 
 
 def block_rows(row):
@@ -510,6 +510,14 @@ class TestWritersMatchRowReference:
         # the writer drops every NUL byte of its grids, so a NUL separator would vanish
         with pytest.raises(ValueError, match="NUL"):
             formats._table([plain_segment([np.array([1, 2])])], seps, end, between)
+
+    @pytest.mark.parametrize("seps,end,between", [(("\1",), "\n", ""), (("",), "\1", ""), (("",), "\n", "\1")])
+    def test_a_separator_holding_the_head_mark_is_refused_with_heads(self, seps, end, between):
+        # byte 1 marks a head's row while a block's bytes are made, so with heads it would be replaced
+        segments = [plain_segment([np.array([1, 2])])]
+        assert b"\1" in b"".join(formats._table(segments, seps, end, between))  # written as it is without heads
+        with pytest.raises(ValueError, match="byte 1"):
+            formats._table(segments, seps, end, between, (np.array([0]), lambda lo, hi: [b"head\n"] * (hi - lo)))
 
     def test_percent_signs_around_the_values_are_written_as_they_are(self):
         columns = [np.array([[0.5, -0.0], [1e300, 2.0]]), np.array([7, 8])]
@@ -739,6 +747,51 @@ class TestObj:
         faces = [line for line in obj.splitlines() if line.startswith("f ")]
         first = min(int(p) for line in faces for p in line.split()[1:])
         assert first == 1
+
+    def test_group_lines_at_block_boundaries_match_the_row_at_a_time_writer(self, small_blocks):
+        # lattice faces, a segment per sheet, then walls: the runs set below start at block and segment edges
+        mesh = assemble_surface(build_sheets(ROOT3, ROOT3.branch_indices(), CharismaKind.INDEX,
+                                             DomainGrid(0.5, 2.0, 8, 48)), walls=True, weld_tol=1.5)
+        # a face record: a group mark, "f ", three one-based indices as wide as the widest and " ", " ", "\n"
+        per_block = formats._BLOCK_BYTES // (1 + len("f ") + 3 * len(str(mesh.n_vertices)) + len("  \n"))
+        sheet_faces, walls = (mesh.n_faces - len(mesh.walls)) // 3, mesh.n_faces - len(mesh.walls)
+        assert len(mesh.walls) and walls > 3 * per_block
+        # runs from a block's first row and from its last, one-face runs across a block edge, and runs from
+        # the first row of a sheet and of the walls
+        starts = sorted({0, per_block - 1, per_block, per_block + 1, per_block + 2, 2 * per_block - 1,
+                         3 * per_block + 5, sheet_faces, 2 * sheet_faces, walls, walls + 1})
+        mesh.face_branch_runs = _runs(np.arange(len(starts)) % 3 - 1, np.diff([*starts, mesh.n_faces]))
+        assert len(mesh.face_branch_runs[0]) == len(starts)
+        pieces = [piece.decode() for piece in formats._obj_pieces(mesh, "m.mtl")]
+        assert_same_text("".join(pieces), row_obj_text(mesh, "m.mtl")[0])
+        # the cases sit where meant: the face blocks hold per_block rows each
+        blocks = [piece for piece in pieces if piece.startswith(("f ", "g "))]
+        assert [block.count("\nf ") + block.startswith("f ") for block in blocks[:3]] == [per_block] * 3
+        assert [block[:2] for block in blocks[:3]] == ["g ", "g ", "f "]
+        assert [block.split("\n")[-4][:2] for block in blocks[:3]] == ["g ", "g ", "f "]
+        assert [block.count("g branch_") for block in blocks[:2]] == [2, 4]
+
+    @pytest.mark.parametrize("args,runs", [(["--figure", "4"], 3),
+                                           (["--figure", "3b-range", "--function", "root:9223372036854775807"], 9360)])
+    def test_a_render_makes_one_table_per_section_whatever_its_runs(self, monkeypatch, args, runs):
+        mesh = build_mesh(parse_args(args))
+        assert len(mesh.face_branch_runs[0]) == runs
+        calls = []
+        table = formats._table
+        monkeypatch.setattr(formats, "_table", lambda *given, **kw: calls.append(given[1]) or table(*given, **kw))
+        obj, _ = rendered("obj", mesh)
+        assert calls == [("v ", " ", " "), ("f ", " ", " ")]
+        assert obj.count("\ng branch_") == obj.count("\nusemtl branch_") == runs
+
+    @pytest.mark.parametrize("name", ["my surface.obj", "tab\tbed.obj", "line\nbreak.obj", "nbsp\u00a0name.obj"])
+    def test_a_material_file_name_holding_whitespace_is_refused(self, mesh, name):
+        # mtllib takes whitespace-separated file names, so a reader would take "my surface.mtl" as two files
+        with pytest.raises(ValueError, match="whitespace"):
+            render_outputs(mesh, "obj", Path("out dir") / name, DEFAULT_WELD_TOL)
+        assert "mtllib surface.mtl\n" in rendered("obj", mesh, "out dir/surface")[0]
+        for fmt in ("ply", "json", "csv"):
+            path = Path(name).with_suffix(f".{fmt}")
+            assert path in render_outputs(mesh, fmt, path, DEFAULT_WELD_TOL)
 
 
 class TestJson:
