@@ -15,12 +15,17 @@ owns a log height or a root phase (_log_branch_index, _root_branch_index).
 The scalar API calls them once per value. The batch entry points for the
 mesh builder, _batch_heights, _batch_values and _batch_branch_index, call
 the same helpers: _log_height and _root_angle, which use only +, * and /,
-on numpy arrays, which round as floats do; _phase on an array, with
-math.atan2 mapped over its points a chunk at a time; and the rest once per
-distinct argument, mapped over lists. So both paths make the same libm
-calls on the same arguments and agree bit for bit, and a change to a
-formula is one edit. Only _batch_values computes range values: the
+on numpy arrays, which round as floats do; the rest through _map_each,
+math.atan2 and abs per point, _log_branch_index per point of a range
+chart, and the others once per distinct argument. So both paths make the
+same libm calls on the same arguments and agree bit for bit, and a change
+to a formula is one edit. Only _batch_values computes range values: the
 heights of every kind but phase need none.
+
+Every map of a Python callable over the values of an array, here, in the
+lattice's angles and in the writers' float texts, runs through _map_each,
+_CHUNK values at a time, so no list of a whole lattice's Python numbers is
+ever alive.
 
 A scalar call checks each input once, one frame per check, and reads what
 IndexedFunction stored when it was built. Where abs(z) overflows, the
@@ -33,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -360,30 +364,21 @@ def evaluate_charisma(z: complex, k: int, f: IndexedFunction, kind: CharismaKind
     return math.sin(angle) if kind is _SIN else math.cos(angle)
 
 
-def _floats(values, shape: tuple[int, ...]) -> np.ndarray:
-    # the Python floats of an iterable as an array: with values a map of a
-    # math function over lists, libm runs from C, with no Python frame per call
-    return np.fromiter(values, float, math.prod(shape)).reshape(shape)
+# values a per-value map takes at a time, and the chunk of _distinct and the integer texts: a list of a whole
+# lattice's Python floats or complexes, 32 to 40 bytes a value, would set the peak memory of a build or a writer
+_CHUNK = 1 << 12
 
 
-# points a per-point map takes at a time: a list of a whole lattice's Python floats or complexes, 32 to 40
-# bytes a point, would set the peak memory of building a surface
-_MAP_CHUNK = 1 << 12
-
-
-def _map_each(fn, *arrays: np.ndarray) -> np.ndarray:
-    # fn at every point of arrays of one shape, as floats of that shape: the one per-point map of a math
-    # function, run from C over lists of _MAP_CHUNK points at a time
+def _map_each(fn, *arrays: np.ndarray, dtype=float) -> np.ndarray:
+    # fn at every value of arrays of one shape, as an array of that shape and dtype: the one map of a Python
+    # callable over array values, run from C, with no Python frame per call, over lists of _CHUNK values at a
+    # time. A result the dtype cannot hold, such as an int beyond int64, raises OverflowError
     flat = [a.reshape(-1) for a in arrays]
-    out = np.empty(flat[0].size)
-    for i in range(0, out.size, _MAP_CHUNK):
-        part = out[i:i + _MAP_CHUNK]
-        part[:] = _floats(map(fn, *(a[i:i + _MAP_CHUNK].tolist() for a in flat)), part.shape)
+    out = np.empty(flat[0].size, dtype)
+    for i in range(0, out.size, _CHUNK):
+        part = out[i:i + _CHUNK]  # each chunk's lists are freed before the next chunk's are made
+        part[:] = np.fromiter(map(fn, *(a[i:i + _CHUNK].tolist() for a in flat)), dtype, len(part))
     return out.reshape(arrays[0].shape)
-
-
-# sorted keys handled at a time by _distinct
-_DISTINCT_CHUNK = 1 << 14
 
 
 def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,8 +401,8 @@ def _distinct(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(key.size, index_dtype)
     values = []  # the distinct keys of each chunk
     count = 0  # distinct keys before the chunk
-    for i in range(0, key.size, _DISTINCT_CHUNK):
-        at = order[i:i + _DISTINCT_CHUNK].astype(np.intp)  # once, for the gather and the scatter
+    for i in range(0, key.size, _CHUNK):
+        at = order[i:i + _CHUNK].astype(np.intp)  # once, for the gather and the scatter
         ordered = key[at]
         new = np.empty(len(ordered), bool)
         new[0] = not i or ordered[0] != last
@@ -433,10 +428,10 @@ def _batch_values(f: IndexedFunction, z: np.ndarray, branches: Sequence[int]) ->
     ks = _branch_floats(branches)
     w = np.empty((len(branches),) + ph.shape, dtype=complex)
     if f.is_log:
-        w.real = _floats(map(math.log, moduli.tolist()), moduli.shape)[at_modulus]
+        w.real = _map_each(math.log, moduli)[at_modulus]
         w.imag = _log_height(ph, ks)
     else:  # the cosine and sine of each branch angle per distinct phase
-        radius = _floats(map(_root_radius, moduli.tolist(), itertools.repeat(f.n)), moduli.shape)[at_modulus]
+        radius = _map_each(lambda r: _root_radius(r, f.n), moduli)[at_modulus]
         del at_modulus
         phases, at_phase = _distinct(ph)
         angles = _root_angle(phases, f.n, ks)
@@ -498,14 +493,11 @@ def _batch_branch_index(w: np.ndarray, f: IndexedFunction) -> np.ndarray:
     """branch_of at every point of w, as int64: _log_branch_index per
     point, or _root_branch_index per distinct phase. Raises DomainError
     where an index does not fit int64."""
-    if f.is_log:  # Im w of a lattice is mostly distinct: a dedupe costs more than it saves
-        args, at = w.imag.ravel(), ...
-        index = map(_log_branch_index, args.tolist())
-    else:
-        args, at = _distinct(_phase(w, _atan2_each))
-        index = map(_root_branch_index, args.tolist(), itertools.repeat(f.n))
     try:
-        return np.fromiter(index, np.int64, args.size)[at].reshape(w.shape)
+        if f.is_log:  # Im w of a lattice is mostly distinct: a dedupe costs more than it saves
+            return _map_each(_log_branch_index, w.imag, dtype=np.int64)
+        phases, at = _distinct(_phase(w, _atan2_each))
+        return _map_each(lambda ph: _root_branch_index(ph, f.n), phases, dtype=np.int64)[at].reshape(w.shape)
     except OverflowError:
         raise DomainError(f"a branch index of {f.label()} on this grid lies outside int64") from None
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .branches import _distinct
+from .branches import _CHUNK, _distinct, _map_each
 from .mesh import Seam, SurfaceMesh, branch_color, kept_points, lattice_faces, require_weld_tol
 
 __all__ = ["FORMATS", "PlyData", "read_ply", "render_outputs", "seams_json_text"]
@@ -44,16 +44,7 @@ FORMATS = ("csv", "json", "obj", "ply")
 # it replaced; 128 KiB saved about 2% of the block assembly at 100x600.
 _BLOCK_BYTES = 1 << 16
 
-# distinct floats formatted per chunk, so the repr strings of one chunk are alive at a time: 4 Ki
-# keeps a default-grid PLY writer's traced peak 0.44 MB below 8 Ki's, at the same speed
-_REPR_CHUNK = 1 << 12
-
 _JSON_SEPARATORS = (",", ":")
-
-
-# integers texted per chunk, so that no temporary of the digit planes spans a whole column: a face
-# table holds its expanded renumbering while it texts it, and at 8 Ki, unlike 16 Ki, that is not its peak
-_INT_CHUNK = 1 << 13
 
 # A cell of a table: (texts, inverse, column). In row r of its segment,
 # whose rows are an (n, m) int array, its value is
@@ -70,19 +61,19 @@ _POINT, _PRE_WELD, _RUN = range(3)
 
 
 def _int_texts(values: np.ndarray, shift: int = 0) -> np.ndarray:
-    """Decimal texts of integers, each plus shift, as a NUL-padded "S" array, built _INT_CHUNK values at a
-    time; a shifted value is an int64 of its chunk."""
+    """Decimal texts of integers, each plus shift, as a NUL-padded "S" array, built _CHUNK values at a time,
+    so that no temporary of the digit planes spans a whole column; a shifted value is an int64 of its chunk."""
     if not len(values):
         return np.empty(0, "S1")
     lo, hi = int(values.min()) + shift, int(values.max()) + shift
     sign = int(lo < 0)
     width = sign + len(str(max(-lo, hi)))
     planes = np.zeros((len(values), width), np.uint8)
-    for start in range(0, len(values), _INT_CHUNK):
-        part = values[start:start + _INT_CHUNK]
+    for start in range(0, len(values), _CHUNK):
+        part = values[start:start + _CHUNK]
         if shift:
             part = part.astype(np.int64) + shift
-        out = planes[start:start + _INT_CHUNK]
+        out = planes[start:start + _CHUNK]
         mag = part.astype(np.uint64)
         if sign:
             neg = part < 0
@@ -98,12 +89,12 @@ def _int_texts(values: np.ndarray, shift: int = 0) -> np.ndarray:
 
 def _float_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The repr texts of the distinct floats of values, and the index of
-    each value's text, in C order."""
+    each value's text, in C order. repr is mapped through _map_each, like
+    every map of a Python callable over array values, _CHUNK values at a
+    time."""
     distinct, inverse = _distinct(values.astype(np.float64, copy=False))
-    texts = np.empty(len(distinct), "S24")  # no repr is longer: -2.2250738585072014e-308 is 24 bytes
-    for i in range(0, len(distinct), _REPR_CHUNK):
-        texts[i:i + _REPR_CHUNK] = list(map(repr, distinct[i:i + _REPR_CHUNK].tolist()))
-    return texts, inverse
+    # no repr is longer than the 24 bytes of -2.2250738585072014e-308
+    return _map_each(repr, distinct, dtype="S24"), inverse
 
 
 class _KeptPoints:

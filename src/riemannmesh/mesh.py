@@ -27,6 +27,7 @@ from .branches import (
     _batch_branch_index,
     _batch_heights,
     _batch_values,
+    _map_each,
     continuation_branch,
     require_compatible,
 )
@@ -173,12 +174,10 @@ class DomainGrid:
         return np.linspace(-math.pi, math.pi, self.n_cols)
 
     def lattice_part(self, trig) -> np.ndarray:
-        """x[i, j] = r_i cos(theta_j) of the polar lattice, with trig
-        math.cos, or y[i, j] = r_i sin(theta_j), with math.sin, shape
-        (n_r, n_theta + 1), as a new contiguous array: the one coding of
-        each part, read by sample_domain and by the vertex tables. math, not
-        numpy, for the angles: numpy's sin and cos may differ by an ulp."""
-        return self.radii()[:, None] * [trig(t) for t in self.thetas().tolist()]
+        """x[i, j] = r_i cos(theta_j) of the polar lattice, with trig math.cos, or y[i, j] = r_i sin(theta_j),
+        with math.sin, shape (n_r, n_theta + 1), as a new contiguous array: the one coding of each part, read by
+        sample_domain and by the vertex tables. math, not numpy, for the angles: numpy's may differ by an ulp."""
+        return self.radii()[:, None] * _map_each(trig, self.thetas())
 
 
 def sample_domain(grid: DomainGrid) -> np.ndarray:

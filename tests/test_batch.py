@@ -1,6 +1,7 @@
 """The batch path of the evaluation core against the scalar API, byte for
 byte, on hand-built arrays and on lattices; its libm call counts on a
-lattice; and the one helper per formula that both paths call.
+lattice; the one helper per formula that both paths call; and that the
+chunk size of its maps, dedupes and texts moves no result.
 
 DomainGrid never samples a -0.0 imaginary part, a subnormal modulus or an
 exact sector edge, so only arrays built by hand reach the -0.0 fold and
@@ -28,8 +29,8 @@ from riemannmesh import (
     evaluate_charisma,
     sample_domain,
 )
-from riemannmesh import branches
-from riemannmesh.branches import _batch_branch_index, _batch_heights, _batch_values
+from riemannmesh import branches, formats
+from riemannmesh.branches import _batch_branch_index, _batch_heights, _batch_values, _distinct, _map_each
 
 LOG = IndexedFunction.log()
 FUNCTIONS = [IndexedFunction.root(n) for n in range(2, 7)] + [LOG]
@@ -187,13 +188,61 @@ def test_range_classifier_matches_branch_of_on_region_edges(function):
     assert got.tolist() == want
 
 
-def test_range_classifier_refuses_an_index_beyond_int64():
+# a small odd chunk: a few values span several chunks, and chunk edges fall inside a lattice's rows
+ODD_CHUNK = 7
+
+
+def use_chunk(monkeypatch, chunk):
+    # _CHUNK as chunk in every module that binds it; None keeps the default
+    if chunk is not None:
+        for module in (branches, formats):
+            monkeypatch.setattr(module, "_CHUNK", chunk)
+
+
+@pytest.mark.parametrize("chunk", [None, ODD_CHUNK], ids=["default-chunk", "odd-chunk"])
+def test_range_classifier_refuses_an_index_beyond_int64(chunk, monkeypatch):
     # index ceil((Im w - pi) / 2 pi): about 7.96e18 at Im 5e19, 9.55e18 > 2**63 at 6e19
-    fits = np.array([complex(1.0, 5e19), complex(1.0, -5e19)])
+    use_chunk(monkeypatch, chunk)
+    fits = np.array([complex(1.0, 5e19), complex(1.0, -5e19)] * ODD_CHUNK)
     assert _batch_branch_index(fits, LOG).tolist() == [branch_of(w, LOG) for w in fits.tolist()]
     for im in (6e19, -6e19):
-        with pytest.raises(DomainError, match="int64"):
-            _batch_branch_index(np.array([complex(1.0, im)]), LOG)
+        for beyond in (np.array([complex(1.0, im)]), np.append(fits, complex(1.0, im))):  # the first, a later chunk
+            with pytest.raises(DomainError, match="int64"):
+                _batch_branch_index(beyond, LOG)
+
+
+def _chunked_results() -> dict[str, list[tuple]]:
+    """Each pass that works a chunk at a time, on inputs that span several chunks at either size: the
+    bytes, dtype and shape of each array it returns."""
+    z = _with_both_cut_columns(DomainGrid(0.05, 2.0, 20, 250))  # 5,060 points, over one default chunk
+    rng = np.random.default_rng(3)
+    x = rng.choice(np.append(rng.normal(size=40), [-0.0, 0.0, 5e-324]), size=(13, 400))
+    ints = rng.integers(-10**6, 10**6, size=(5000,)) * rng.integers(1, 10**12, size=(5000,))
+    w_log, w_root = _batch_values(LOG, z, range(-2, 3)), _batch_values(IndexedFunction.root(3), z, (-1, 0, 1))
+    results = {
+        "map float": _map_each(math.atan2, z.imag, z.real),
+        "map int64": _map_each(math.floor, x * 1e6, dtype=np.int64),
+        "map S24": _map_each(repr, x, dtype="S24"),
+        "distinct floats": _distinct(x),
+        "distinct ints": _distinct(ints),
+        "int texts": formats._int_texts(ints),
+        "int texts, OBJ's shift": formats._int_texts(ints, 1),
+        "float texts": formats._float_texts(x),
+        "values log": w_log,
+        "values root": w_root,
+        "branch index log": _batch_branch_index(w_log, LOG),
+        "branch index root": _batch_branch_index(w_root, IndexedFunction.root(3)),
+    }
+    return {name: [(a.dtype.str, a.shape, a.tobytes()) for a in (r if isinstance(r, tuple) else (r,))]
+            for name, r in results.items()}
+
+
+def test_chunk_edges_leave_every_chunked_result_bit_for_bit_the_same(monkeypatch):
+    default = _chunked_results()
+    use_chunk(monkeypatch, ODD_CHUNK)
+    odd = _chunked_results()
+    for name in default:
+        assert odd[name] == default[name], name
 
 
 # each formula's helper, a nudge of its result, and a function whose scalar

@@ -856,9 +856,12 @@ class TestSeamSidecar:
 class TestDistinct:
     """branches._distinct, the one dedupe of the writers and the batch core."""
 
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default-chunk", "odd-chunk"])  # 7: runs span chunks
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", [(1000,), (300, 3)])
-    def test_matches_np_unique_of_the_int64_view(self, seed, shape):
+    def test_matches_np_unique_of_the_int64_view(self, seed, shape, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(branches, "_CHUNK", chunk)
         rng = np.random.default_rng(seed)
         x = rng.choice(rng.normal(size=50), size=shape)  # few distinct values, as on a mesh
         x[rng.random(shape) < 0.1] = -0.0
