@@ -110,10 +110,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_branch_range(text: str) -> range:
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
+    # ASCII digits alone: \d and int() would take other scripts' digits too
+    m = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", text)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
-    elif re.fullmatch(r"-?\d+", text):
+    elif re.fullmatch(r"-?[0-9]+", text):
         lo = hi = int(text)
     else:
         raise ValueError(f"expected KMIN..KMAX or a single integer, got {text!r}")

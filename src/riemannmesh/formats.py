@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .branches import _CHUNK, _distinct, _map_each
+from .batch import _CHUNK, _distinct, _map_each
 from .mesh import Seam, SurfaceMesh, branch_color, kept_points, lattice_faces, require_weld_tol
 
 __all__ = ["FORMATS", "PlyData", "read_ply", "render_outputs", "seams_json_text"]

@@ -20,17 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .branches import (
-    BranchIndexError,
-    CharismaKind,
-    IndexedFunction,
-    _batch_branch_index,
-    _batch_heights,
-    _batch_values,
-    _map_each,
-    continuation_branch,
-    require_compatible,
-)
+from .batch import _batch_branch_index, _batch_heights, _batch_values, _map_each
+from .branches import BranchIndexError, CharismaKind, IndexedFunction, continuation_branch, require_compatible
 
 __all__ = [
     "DEFAULT_LOG_BRANCHES",

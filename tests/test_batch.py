@@ -29,8 +29,8 @@ from riemannmesh import (
     evaluate_charisma,
     sample_domain,
 )
-from riemannmesh import branches, formats
-from riemannmesh.branches import _batch_branch_index, _batch_heights, _batch_values, _distinct, _map_each
+from riemannmesh import batch, branches, formats
+from riemannmesh.batch import _batch_branch_index, _batch_heights, _batch_values, _distinct, _map_each
 
 LOG = IndexedFunction.log()
 FUNCTIONS = [IndexedFunction.root(n) for n in range(2, 7)] + [LOG]
@@ -118,10 +118,10 @@ def test_heights_other_than_phase_compute_no_range_value(function, kind, monkeyp
         raise AssertionError("a range value was computed")
 
     mapped = []
-    map_each = branches._map_each
-    monkeypatch.setattr(branches, "_batch_values", refuse)
+    map_each = batch._map_each
+    monkeypatch.setattr(batch, "_batch_values", refuse)
     monkeypatch.setattr(branches, "_root_radius", refuse)
-    monkeypatch.setattr(branches, "_map_each", lambda fn, *arrays: mapped.append(fn) or map_each(fn, *arrays))
+    monkeypatch.setattr(batch, "_map_each", lambda fn, *arrays: mapped.append(fn) or map_each(fn, *arrays))
     ks = branches_of(function)
     values, at = _batch_heights(function, LATTICE, ks, kind)
     assert values[:, at].shape == (len(ks),) + LATTICE.shape
@@ -195,7 +195,7 @@ ODD_CHUNK = 7
 def use_chunk(monkeypatch, chunk):
     # _CHUNK as chunk in every module that binds it; None keeps the default
     if chunk is not None:
-        for module in (branches, formats):
+        for module in (batch, formats):
             monkeypatch.setattr(module, "_CHUNK", chunk)
 
 

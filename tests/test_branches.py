@@ -312,9 +312,13 @@ class TestIndexedFunction:
         assert LOG.label() == "log"
 
     def test_rejects_bad_labels(self):
-        for bad in ("root", "root:x", "root:1", "cbrt", "root:"):
+        # the degree in ASCII digits alone: int() would take each of the last five
+        for bad in ("root", "root:x", "root:1", "cbrt", "root:",
+                    "root:1_0", "root:+3", "root: 3", "root:3 ", "root:٣"):
             with pytest.raises(ValueError):
                 IndexedFunction.from_label(bad)
+        with pytest.raises(ValueError, match="bad root degree"):  # past int()'s 4300 digits
+            IndexedFunction.from_label("root:" + "9" * 5000)
 
     def test_admissible_sets(self):
         assert LOG.branch_indices() is None

@@ -159,6 +159,10 @@ class TestParseArgs:
             ("2..1", "empty range '2..1'"),
             ("1..", "expected KMIN..KMAX or a single integer, got '1..'"),
             ("x", "expected KMIN..KMAX or a single integer, got 'x'"),
+            # digits of other scripts, which \d and int() take: ARABIC-INDIC ONE and TWO, FULLWIDTH ONE
+            ("١..٢", "expected KMIN..KMAX or a single integer, got '١..٢'"),
+            ("١", "expected KMIN..KMAX or a single integer, got '١'"),
+            ("-１..1", "expected KMIN..KMAX or a single integer, got '-１..1'"),
         ],
     )
     def test_a_malformed_branch_range_is_usage_error(self, capsys, window, message):
@@ -178,6 +182,14 @@ class TestParseArgs:
             parse_args(["--function", "root:one"])
         assert exc.value.code == EXIT_USAGE
         assert "--function" in capsys.readouterr().err
+
+    # each is an integer to int(): a sign, spaces, an underscore, an ARABIC-INDIC DIGIT THREE
+    @pytest.mark.parametrize("label", ["root:1_0", "root:+3", "root: 3", "root:3 ", "root:٣"], ids=repr)
+    def test_a_root_degree_takes_ascii_digits_alone(self, capsys, label):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["--function", label])
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument --function: bad root degree in {label!r}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags,flag_name",

@@ -24,9 +24,9 @@ from riemannmesh import (
     compatible_kinds,
     evaluate_charisma,
 )
-from riemannmesh import branches, formats
+from riemannmesh import batch, formats
 from riemannmesh import mesh as mesh_module
-from riemannmesh.branches import _distinct
+from riemannmesh.batch import _distinct
 from riemannmesh.cli import FIGURE_PRESETS, build_mesh, parse_args, run
 from riemannmesh.formats import read_ply, render_outputs, seams_json_text
 from riemannmesh.mesh import _runs
@@ -854,14 +854,14 @@ class TestSeamSidecar:
 
 
 class TestDistinct:
-    """branches._distinct, the one dedupe of the writers and the batch core."""
+    """batch._distinct, the one dedupe of the writers and the batch core."""
 
     @pytest.mark.parametrize("chunk", [None, 7], ids=["default-chunk", "odd-chunk"])  # 7: runs span chunks
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", [(1000,), (300, 3)])
     def test_matches_np_unique_of_the_int64_view(self, seed, shape, chunk, monkeypatch):
         if chunk is not None:
-            monkeypatch.setattr(branches, "_CHUNK", chunk)
+            monkeypatch.setattr(batch, "_CHUNK", chunk)
         rng = np.random.default_rng(seed)
         x = rng.choice(rng.normal(size=50), size=shape)  # few distinct values, as on a mesh
         x[rng.random(shape) < 0.1] = -0.0
@@ -1078,7 +1078,7 @@ class TestFactoredReads:
         functions = [ROOT3, IndexedFunction.root(2), IndexedFunction.log()]
         phase = [build_sheets(f, f.branch_indices(), CharismaKind.PHASE, GRID) for f in functions[:2]]
         sheet_w = SurfaceMesh.sheet_w
-        for home, name in [(SurfaceMesh, "sheet_w"), (branches, "_batch_values"), (mesh_module, "_batch_values")]:
+        for home, name in [(SurfaceMesh, "sheet_w"), (batch, "_batch_values"), (mesh_module, "_batch_values")]:
             monkeypatch.setattr(home, name, property(refuse) if isinstance(home, type) else refuse)
         stacks = phase + [build_sheets(f, f.branch_indices() or range(-2, 3), kind, GRID)
                           for f in functions for kind in compatible_kinds(f) if kind is not CharismaKind.PHASE]

@@ -37,8 +37,8 @@ from riemannmesh import (
     sample_domain,
     seam_report,
 )
-from riemannmesh import branches as branches_module, mesh as mesh_module
-from riemannmesh.branches import _batch_values, _distinct
+from riemannmesh import batch as batch_module, branches as branches_module, mesh as mesh_module
+from riemannmesh.batch import _batch_values, _distinct
 from riemannmesh.mesh import _PALETTE_RGB, MAX_GRID_POINTS, lattice_faces
 
 LOG = IndexedFunction.log()
@@ -837,7 +837,7 @@ def per_point_heights(function, z, branches, kind):
     (len(branches), *z.shape), as _batch_heights computed them while a stack
     stored a height per sheet and point: the reference for the height table's
     expansions."""
-    b = branches_module
+    b, batch = branches_module, batch_module
     shape = (len(branches),) + z.shape
     if kind is CharismaKind.INDEX:
         c = np.empty(shape)
@@ -845,13 +845,13 @@ def per_point_heights(function, z, branches, kind):
             row.fill(float(k))
         return c
     if kind is CharismaKind.PHASE:
-        return b._phase(b._batch_values(function, z, branches), b._atan2_each)
-    ph = b._phase(z, b._atan2_each).ravel()
+        return b._phase(batch._batch_values(function, z, branches), batch._atan2_each)
+    ph = b._phase(z, batch._atan2_each).ravel()
     ks = np.array(branches, float)[:, None]
     if kind is CharismaKind.IMAG:
         return b._log_height(ph, ks).reshape(shape)
     phases, at_phase = _distinct(ph)
-    table = b._map_each(math.cos if kind is CharismaKind.COS else math.sin, b._root_angle(phases, function.n, ks))
+    table = batch._map_each(math.cos if kind is CharismaKind.COS else math.sin, b._root_angle(phases, function.n, ks))
     return table[:, at_phase].reshape(shape)
 
 
@@ -884,7 +884,7 @@ class TestHeightTableExpansions:
             # the table: no array of a height per sheet and point but phase's, and one index for every sheet
             values, at = sheets.heights
             assert at.dtype == np.int32 and at.shape == z.shape and not values.flags.writeable
-            phases = branches_module._phase(z, branches_module._atan2_each)
+            phases = branches_module._phase(z, batch_module._atan2_each)
             columns = {CharismaKind.INDEX: 1, CharismaKind.PHASE: z.size}.get(kind, len(_distinct(phases)[0]))
             assert values.shape == (len(every), columns)
             assert columns < z.size or kind is CharismaKind.PHASE

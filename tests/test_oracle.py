@@ -22,7 +22,7 @@ from riemannmesh import (
     evaluate_charisma,
     sample_domain,
 )
-from riemannmesh.branches import _batch_heights, _batch_values
+from riemannmesh.batch import _batch_heights, _batch_values
 
 mp = pytest.importorskip("mpmath")
 
